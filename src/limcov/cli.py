@@ -5,7 +5,8 @@ runs the matching brute-force verification, and writes a line-oriented
 plain-text report (stable for golden-file testing) to --out or stdout.
 Reports are a pure function of the input bytes and the flags: keys are
 COVER / MEASURE / BOUND / VERDICT / WITNESS-style lines with exact rationals
-rendered as p/q.
+rendered as p/q; a THRESHOLD, whose denominator doubles with every attempt,
+is rendered exactly by its closed form eps'-budget*2^-T.
 
 Exit codes: 0 when every verdict passes, 1 when some verdict fails, and 2
 for input or usage errors (reported as one line naming file and line).
@@ -45,6 +46,11 @@ def _verdict_lines(verdict: Verdict) -> list[str]:
         if not check.passed and check.witness:
             lines.append(f"WITNESS {check.name} {check.witness}")
     return lines
+
+
+def _threshold_line(eps: Fraction, eps_prime: Fraction, theta: Fraction) -> str:
+    schedule = opencover.DeltaSchedule(eps_prime - eps, eps)
+    return f"THRESHOLD {schedule.format_theta(theta)}"
 
 
 def _finish(lines: list[str], passed: bool, out: str | None) -> int:
@@ -187,7 +193,7 @@ def _cmd_opencover(args) -> int:
         f"PARAM mode={args.mode} eps={format_rational(args.eps)} "
         f"eps-prime={format_rational(args.eps_prime)}",
         f"MEASURE {format_rational(result.cover.measure())}",
-        f"THRESHOLD {format_rational(result.theta)}",
+        _threshold_line(args.eps, args.eps_prime, result.theta),
         f"COVER {cover_words}".rstrip(),
         f"PIECES {len(result.pieces)}",
         f"TRIMS {sum(count for _, count in result.trim_events)}",
@@ -231,7 +237,7 @@ def _cmd_fatou(args) -> int:
         f"PARAM eps={format_rational(args.eps)} "
         f"eps-prime={format_rational(args.eps_prime)} grid={args.grid}",
         f"INTEGRAL {format_rational(result.phi.integral())}",
-        f"THRESHOLD {format_rational(result.theta)}",
+        _threshold_line(args.eps, args.eps_prime, result.theta),
         *(
             f"PHI {format(i, f'0{depth}b')} {format_rational(v)}"
             for i, v in enumerate(result.phi.cells)

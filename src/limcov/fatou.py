@@ -22,13 +22,17 @@ holds for arbitrary non-negative step functions (for families bounded by 1
 the levels are exactly the grid).
 
 Internally one run rescales all values to a common integer denominator, so
-the inner comparisons are integer sums against floor(theta * 2^D * scale);
-this is exact.  StepFunction itself stays in Fractions.
+the inner comparisons are integer sums against floor(theta_t * 2^D * scale),
+taken from the integer closed form of opencover.DeltaSchedule; this is
+exact.  Where the candidate stays under every member from the start index
+on, the attempt caps and commits nothing and skips the member scan.
+StepFunction itself stays in Fractions.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -135,6 +139,27 @@ def _family_step_tables(family: traces.StabilizedFamily) -> list[list[Fraction]]
     return out
 
 
+def _above(u: list[int], lows: list[int], base: int) -> bool:
+    """True when u exceeds lows somewhere on the cells from base on."""
+    return any(map(operator.gt, u, lows[base:base + len(u)]))
+
+
+def _first_raise(
+    u: list[int],
+    work: list[list[int]],
+    integrals: list[int],
+    members: range,
+    base: int,
+    tf: int,
+) -> int:
+    """First s in members whose integral max(f_s, u) exceeds tf, else -1."""
+    for s in members:
+        row = work[s][base:base + len(u)]
+        if integrals[s] + sum(map(max, u, row)) - sum(row) > tf:
+            return s
+    return -1
+
+
 def run_fatou(
     family: traces.StabilizedFamily,
     eps: Fraction,
@@ -176,69 +201,74 @@ def run_fatou(
     levels = max(1 << g, -((-max_scaled << g) // scale))
     step_scaled = scale >> g
 
-    schedule = DeltaSchedule(eps_prime - eps)
+    schedule = DeltaSchedule(eps_prime - eps, eps)
+    floors = schedule.theta_floors(scale << depth)
     budget_num = schedule.budget.numerator
     budget_den = schedule.budget.denominator
     words = words_up_to(depth)
     phi = [0] * ncells
-    theta = eps
     log: list[tuple[int, int, str, Fraction, int]] = []
     attempt = -1
     for start in range(top):
+        members = range(start, top)
+        # The cellwise minimum of work[start:].  A commit raises every member
+        # to u, so it rises to u too.  Where u stays under it no member gains
+        # anything: the attempt caps nothing and commits nothing.
+        lows = [min(column) for column in zip(*work[start:])]
         for word in words:
             base, span = cell_span(word, depth)
+            cells = range(base, base + span)
             for j in range(1, levels + 1):
                 attempt += 1
-                theta += schedule.delta(attempt)
-                tf = (theta.numerator * scale << depth) // theta.denominator
+                tf = next(floors)
                 level = j * step_scaled
                 u = [level] * span
-                integral_u0 = level * span
                 trims = 0
-                while True:
-                    hit = -1
-                    for s in range(start, top):
-                        row = work[s]
-                        overhang = 0
-                        for offset in range(span):
-                            gap = u[offset] - row[base + offset]
-                            if gap > 0:
-                                overhang += gap
-                        if integrals[s] + overhang > tf:
-                            hit = s
-                            break
-                    if hit < 0:
-                        break
-                    row = work[hit]
-                    for offset in range(span):
-                        if u[offset] > row[base + offset]:
-                            u[offset] = row[base + offset]
-                    trims += 1
-                    # Each cap removes more than delta_t from the integral
-                    # of u, so the count stays below integral(u)/delta_t.
-                    assert trims * budget_num * (scale << depth) < (
-                        integral_u0 * budget_den << (attempt + 1)
-                    )
+                if _above(u, lows, base):
+                    hit = _first_raise(u, work, integrals, members, base, tf)
+                    while hit >= 0:
+                        row = work[hit]
+                        for offset, c in enumerate(cells):
+                            if u[offset] > row[c]:
+                                u[offset] = row[c]
+                        trims += 1
+                        # Each cap removes more than delta_t from the integral
+                        # of u, so the count stays below integral(u)/delta_t.
+                        removed = trims * budget_num * (scale << depth)
+                        assert removed.bit_length() <= attempt + 1 or removed < (
+                            level * span * budget_den << (attempt + 1)
+                        )
+                        hit = (
+                            _first_raise(u, work, integrals, members, base, tf)
+                            if _above(u, lows, base)
+                            else -1
+                        )
+                    if _above(u, lows, base):
+                        # Rows that gain nothing keep their bound: tf never
+                        # decreases.
+                        for s in members:
+                            row = work[s]
+                            gained = 0
+                            for offset, c in enumerate(cells):
+                                gap = u[offset] - row[c]
+                                if gap > 0:
+                                    row[c] += gap
+                                    gained += gap
+                            if gained:
+                                integrals[s] += gained
+                                assert integrals[s] <= tf
+                        for offset, c in enumerate(cells):
+                            if u[offset] > lows[c]:
+                                lows[c] = u[offset]
                 changed = False
-                for s in range(start, top):
-                    row = work[s]
-                    gained = 0
-                    for offset in range(span):
-                        gap = u[offset] - row[base + offset]
-                        if gap > 0:
-                            row[base + offset] += gap
-                            gained += gap
-                    if gained:
-                        integrals[s] += gained
-                    assert integrals[s] <= tf
-                for offset in range(span):
-                    if u[offset] > phi[base + offset]:
-                        phi[base + offset] = u[offset]
+                for offset, c in enumerate(cells):
+                    if u[offset] > phi[c]:
+                        phi[c] = u[offset]
                         changed = True
                 if changed:
                     log.append((attempt, start, word, Fraction(j, 1 << g), trims))
     phi_fn = StepFunction(depth, tuple(Fraction(v, scale) for v in phi))
-    return FatouResult(phi_fn, theta, tuple(log), grid)
+    return FatouResult(phi_fn, schedule.theta_after(attempt + 1), tuple(log), grid)
 
 
 def verify_fatou(

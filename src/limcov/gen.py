@@ -14,7 +14,14 @@ import random
 from fractions import Fraction
 
 from . import traces
-from .kernel import CylinderSet, InputError, ZERO, format_rational, word_to_text
+from .kernel import (
+    CylinderSet,
+    InputError,
+    ZERO,
+    format_rational,
+    is_natural,
+    word_to_text,
+)
 
 __all__ = [
     "NMAX_CAP",
@@ -281,7 +288,7 @@ def parse_function_table(text: str | bytes) -> dict[int, str]:
     out: dict[int, str] = {}
     for lineno, line in enumerate(lines, start=1):
         fields = line.split(" ")
-        if len(fields) != 2 or "" in fields or not fields[0].isdigit():
+        if len(fields) != 2 or "" in fields or not is_natural(fields[0]):
             raise traces.ParseError(lineno, "expected '<i> <token>'")
         i = int(fields[0])
         if i in out:

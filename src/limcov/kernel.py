@@ -28,6 +28,7 @@ __all__ = [
     "RealInterval",
     "cell_span",
     "format_rational",
+    "is_natural",
     "is_word",
     "parse_rational",
     "word_from_text",
@@ -57,6 +58,12 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Render as ``p/q``, or a bare integer when the denominator is 1."""
     return str(value)
+
+
+def is_natural(text: str) -> bool:
+    """True for non-empty runs of ASCII digits 0-9 (no signs, no Unicode
+    digits such as '²' or '١' that str.isdigit() also accepts)."""
+    return text.isascii() and text.isdigit()
 
 
 def is_word(text: str) -> bool:

@@ -27,19 +27,25 @@ union of the block intersections plus the tail intersection covers the
 liminf within eps'.
 
 Internally the working sets live as bit masks over the 2^depth cells of the
-family's depth, so measure comparisons are integer popcounts; thresholds
-stay exact Fractions and comparisons use floor(theta * 2^depth), which is
-exact for cell counts.  Results are converted back to canonical
-CylinderSets; the verifier works purely on those plus the liminf oracle.
+family's depth, so measure comparisons are integer popcounts (one cached
+per member).  Cell counts are compared with floor(theta_t * 2^depth),
+which is exact; DeltaSchedule computes it in integers from the closed form
+theta_t = eps' - (eps'-eps) * 2^-(t+1); it is constant after a number of
+attempts logarithmic in 2^depth and the denominators, so no threshold is
+accumulated.  An attempt whose candidate lies inside every member from its
+start index on is skipped without a scan: it can trim nothing and change
+no mask.  Results are converted back to canonical CylinderSets; the
+verifier works purely on those plus the liminf oracle.
 
 Runs are single-threaded and deterministic; results are immutable.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import traces
 from .kernel import (
@@ -69,17 +75,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DeltaSchedule:
-    """Per-attempt threshold increments delta_t = budget * 2^-(t+1).
+    """Per-attempt threshold increments delta_t = budget * 2^-(t+1) above eps.
 
-    All increments are positive and their total stays strictly below the
-    budget, so the running threshold never reaches eps'.
+    Attempt t runs at theta_t = eps + delta_0 + ... + delta_t, which in closed
+    form is eps' - budget * 2^-(t+1) with eps' = eps + budget.  All increments
+    are positive and their total stays strictly below the budget, so the
+    threshold never reaches eps'.
     """
 
     budget: Fraction
+    eps: Fraction = ZERO
 
     def __post_init__(self):
         if self.budget <= 0:
             raise InputError("threshold budget must be positive")
+
+    @property
+    def eps_prime(self) -> Fraction:
+        return self.eps + self.budget
 
     def delta(self, attempt: int) -> Fraction:
         return self.budget * Fraction(1, 1 << (attempt + 1))
@@ -88,6 +101,58 @@ class DeltaSchedule:
         """ceil(1 / delta_t); trim counts must stay strictly below it."""
         num, den = self.budget.numerator, self.budget.denominator
         return -((-(den << (attempt + 1))) // num)
+
+    def allows_trims(self, attempt: int, trims: int) -> bool:
+        """trims < trim_limit(attempt), i.e. trims * num < den * 2^(attempt+1).
+
+        When trims * num has at most attempt+1 bits the inequality holds for
+        any den >= 1, so the 2^attempt-sized numbers are only built early on.
+        """
+        if (trims * self.budget.numerator).bit_length() <= attempt + 1:
+            return True
+        return trims < self.trim_limit(attempt)
+
+    def theta_after(self, attempts: int) -> Fraction:
+        """The threshold once ``attempts`` increments have been added."""
+        return self.eps_prime - self.budget / (1 << attempts)
+
+    def theta_floors(self, scale: int) -> Iterator[int]:
+        """floor(theta_t * scale) for t = 0, 1, 2, ... in integer arithmetic.
+
+        theta_t * scale = top - y_t with top = eps' * scale and
+        y_t = budget * scale * 2^-(t+1) falling to 0, so the floor settles at
+        ceil(top) - 1 as soon as y_t <= top - (ceil(top) - 1); from there on
+        the same integer repeats.
+        """
+        top = self.eps_prime * scale
+        settled = -(-top.numerator // top.denominator) - 1
+        gap = top - settled  # in (0, 1]
+        p, q = top.numerator, top.denominator
+        a, b = self.budget.numerator * scale, self.budget.denominator
+        shift = 1
+        while a * gap.denominator > gap.numerator * (b << shift):
+            # (p*b*2^shift - a*q) / (q*b*2^shift) = top - y_t, t = shift - 1
+            yield ((p * b << shift) - a * q) // (q * b << shift)
+            shift += 1
+        yield from itertools.repeat(settled)
+
+    def format_theta(self, theta: Fraction) -> str:
+        """Render theta as ``eps'-budget*2^-T`` when it is theta_after(T).
+
+        The digits of theta grow with T, past what str() of an int may
+        render; this form stays exact in O(log T) characters.  Other values
+        fall back to ``p/q``.
+        """
+        gap = self.eps_prime - theta
+        if gap > 0:
+            power = self.budget / gap
+            n = power.numerator
+            if power.denominator == 1 and n & (n - 1) == 0:
+                return (
+                    f"{format_rational(self.eps_prime)}-{format_rational(self.budget)}"
+                    f"*2^-{n.bit_length() - 1}"
+                )
+        return format_rational(theta)
 
 
 @dataclass(frozen=True)
@@ -162,9 +227,14 @@ def _mask_set(mask: int, depth: int) -> CylinderSet:
     return CylinderSet(cells)
 
 
-def _theta_floor(theta: Fraction, depth: int) -> int:
-    """floor(theta * 2^depth): cell counts above it exceed theta exactly."""
-    return (theta.numerator << depth) // theta.denominator
+def _first_overflow(
+    candidate: int, masks: list[int], counts: list[int], members: range, tf: int
+) -> int:
+    """First m in ``members`` with |masks[m] | candidate| > tf, else -1."""
+    for m in members:
+        if counts[m] + (candidate & ~masks[m]).bit_count() > tf:
+            return m
+    return -1
 
 
 def _cover_run(
@@ -176,45 +246,56 @@ def _cover_run(
     opens = _check_open_pre(family, eps, eps_prime)
     depth = family.depth
     assert depth is not None
-    schedule = DeltaSchedule(eps_prime - eps)
+    schedule = DeltaSchedule(eps_prime - eps, eps)
+    floors = schedule.theta_floors(1 << depth)
 
     masks = [_set_mask(s, depth) for s in opens]
     masks.append(masks[-1])  # index nmax: the shared tail
+    counts = [m.bit_count() for m in masks]
     top = family.nmax + 1
     words = words_up_to(depth)
+    word_masks = [_word_mask(w, depth) for w in words]
 
-    theta = eps
     cover_mask = 0
     pieces: list[Piece] = []
     trim_events: list[tuple[int, int]] = []
     attempt = -1
     for start in range(top):
-        for word in words:
+        members = range(start, top)
+        # The suffix AND of masks[start:].  A commit adds the candidate to
+        # every member, so it joins this AND too.  A candidate inside it
+        # overflows no member and changes no mask, so no scan is needed.
+        inside = -1
+        for m in members:
+            inside &= masks[m]
+        for word, candidate in zip(words, word_masks):
             attempt += 1
-            theta += schedule.delta(attempt)
-            tf = _theta_floor(theta, depth)
-            candidate = _word_mask(word, depth)
+            tf = next(floors)
             trims = 0
-            if trim:
-                while True:
-                    hit = -1
-                    for m in range(start, top):
-                        if (masks[m] | candidate).bit_count() > tf:
-                            hit = m
-                            break
-                    if hit < 0:
-                        break
-                    candidate &= masks[hit]
-                    trims += 1
-                    assert trims < schedule.trim_limit(attempt)
-            else:
-                if any((masks[m] | candidate).bit_count() > tf for m in range(start, top)):
-                    continue
-            if trims:
-                trim_events.append((attempt, trims))
-            for n in range(start, top):
-                masks[n] |= candidate
-            assert all(m.bit_count() <= tf for m in masks)
+            if candidate & ~inside:
+                hit = _first_overflow(candidate, masks, counts, members, tf)
+                if hit >= 0:
+                    if not trim:
+                        continue
+                    while hit >= 0:
+                        candidate &= masks[hit]
+                        trims += 1
+                        assert schedule.allows_trims(attempt, trims)
+                        hit = (
+                            _first_overflow(candidate, masks, counts, members, tf)
+                            if candidate & ~inside
+                            else -1
+                        )
+                    trim_events.append((attempt, trims))
+                if candidate & ~inside:
+                    # Masks left alone still hold the bound: tf never decreases.
+                    for n in members:
+                        grown = masks[n] | candidate
+                        if grown != masks[n]:
+                            masks[n] = grown
+                            counts[n] = grown.bit_count()
+                            assert counts[n] <= tf
+                    inside |= candidate
             if candidate & ~cover_mask:
                 pieces.append(
                     Piece(word, start, None, attempt, trims, _mask_set(candidate, depth))
@@ -224,7 +305,7 @@ def _cover_run(
         "trim" if trim else "naive",
         _mask_set(cover_mask, depth),
         tuple(pieces),
-        theta,
+        schedule.theta_after(attempt + 1),
         tuple(trim_events),
         eps,
         eps_prime,
@@ -253,7 +334,9 @@ def run_block_cover(
     opens = _check_open_pre(family, eps, eps_prime)
     depth = family.depth
     assert depth is not None
-    budget = eps_prime - eps
+    # Block j is held to eps_j = theta_after(j), the threshold of attempt j-1.
+    schedule = DeltaSchedule(eps_prime - eps, eps)
+    floors = schedule.theta_floors(1 << depth)
 
     masks = [_set_mask(s, depth) for s in opens]
     masks.append(masks[-1])
@@ -264,11 +347,9 @@ def run_block_cover(
     union_mask = 0
     start = 0
     block_index = 0
-    eps_j = eps
     while True:
         block_index += 1
-        eps_j = eps + budget * (1 - Fraction(1, 1 << block_index))
-        tf = _theta_floor(eps_j, depth)
+        tf = next(floors)
         stop = -1
         inter = ~0
         for k in range(start, last + 1):
@@ -289,12 +370,12 @@ def run_block_cover(
 
     pieces.append(Piece(None, family.nmax, None, -1, 0, _mask_set(tail, depth)))
     union_mask |= tail
-    assert union_mask.bit_count() <= _theta_floor(eps_j, depth)
+    assert union_mask.bit_count() <= tf
     return OpenCoverResult(
         "blocks",
         _mask_set(union_mask, depth),
         tuple(pieces),
-        eps_j,
+        schedule.theta_after(block_index),
         (),
         eps,
         eps_prime,
@@ -344,7 +425,7 @@ def verify_open_cover(
     schedule = DeltaSchedule(eps_prime - eps)
     trim_witness = ""
     for attempt, count in result.trim_events:
-        if count >= schedule.trim_limit(attempt):
+        if not schedule.allows_trims(attempt, count):
             trim_witness = f"attempt {attempt}: {count} trims"
             break
     checks.append(Check("trim-bound", not trim_witness, trim_witness))

@@ -29,6 +29,7 @@ from .kernel import (
     InputError,
     ZERO,
     format_rational,
+    is_natural,
     word_from_text,
     word_to_text,
 )
@@ -232,7 +233,7 @@ def parse_test_table(text: str | bytes, c: int) -> TestApproximation:
         fields = line.split(" ")
         if len(fields) != 3 or "" in fields:
             raise traces.ParseError(lineno, "expected '<i> <n> <word>'")
-        if not fields[0].isdigit() or not fields[1].isdigit():
+        if not is_natural(fields[0]) or not is_natural(fields[1]):
             raise traces.ParseError(lineno, "indices must be non-negative integers")
         i, n = int(fields[0]), int(fields[1])
         if (i, n) in table:

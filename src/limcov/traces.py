@@ -36,13 +36,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
 
 from .kernel import (
     CylinderSet,
     InputError,
     ZERO,
     format_rational,
+    is_natural,
     parse_rational,
     word_from_text,
     word_to_text,
@@ -147,7 +147,7 @@ def _parse_header(line: str) -> tuple[str, int, int | None]:
 
     def keyed(field: str, key: str) -> int:
         prefix = key + "="
-        if not field.startswith(prefix) or not field[len(prefix):].isdigit():
+        if not field.startswith(prefix) or not is_natural(field[len(prefix):]):
             raise ParseError(1, f"expected {key}=<INT>, got {field!r}")
         return int(field[len(prefix):])
 
@@ -163,7 +163,7 @@ def _parse_header(line: str) -> tuple[str, int, int | None]:
 
 
 def _parse_index(lineno: int, field: str, nmax: int) -> int:
-    if not field.isdigit():
+    if not is_natural(field):
         raise ParseError(lineno, f"bad index {field!r}")
     n = int(field)
     if n >= nmax:
@@ -391,15 +391,3 @@ def check_tree_tables(family: StabilizedFamily) -> None:
                     f"a_{n} violates the tree constraint at word {word_to_text(y)}: "
                     f"{format_rational(table.get(y, ZERO))} < {format_rational(need)}"
                 )
-
-
-def sequence_values(family: StabilizedFamily, points: Sequence[str]) -> dict[str, list[Fraction]]:
-    """Value rows (one list per point, indexed by n) for reporting."""
-    tables = values_by_index(family)
-    out: dict[str, list[Fraction]] = {}
-    for p in points:
-        if family.kind == "func":
-            out[p] = [func_eval(t, p, family.depth) for t in tables]
-        else:
-            out[p] = [t.get(p, ZERO) for t in tables]
-    return out

@@ -1,10 +1,14 @@
 """CLI behavior: reports, exit codes, diagnostics, determinism, goldens."""
 
+import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from limcov import fatou, gen, opencover, traces
 from limcov.cli import main
+from limcov.measurecover import RationalGrid
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -224,3 +228,59 @@ def test_failing_verdict_exits_one(tmp_path, capsys, monkeypatch):
     assert "VERDICT forced FAIL" in out
     assert "WITNESS forced witness-here" in out
     assert "RESULT FAIL" in out
+
+
+def parse_threshold(report: str) -> Fraction:
+    """Read back a THRESHOLD line rendered as eps'-budget*2^-T."""
+    line = next(l for l in report.splitlines() if l.startswith("THRESHOLD "))
+    match = re.fullmatch(r"THRESHOLD ([0-9/]+)-([0-9/]+)\*2\^-([0-9]+)", line)
+    assert match, line
+    top, budget, attempts = match.groups()
+    return Fraction(top) - Fraction(budget) / (1 << int(attempts))
+
+
+# Past about 14.3k attempts theta has over 4300 digits, beyond what str() of
+# an int renders: these sizes crashed the report with a traceback.
+@pytest.mark.parametrize(
+    "kind,nmax,depth,extra",
+    [
+        ("open", 32, 8, ["--mode", "trim"]),
+        ("open", 32, 8, ["--mode", "naive"]),
+        ("func", 16, 6, ["--grid", "3"]),
+    ],
+)
+def test_long_runs_render_their_threshold(tmp_path, capsys, kind, nmax, depth, extra):
+    eps, eps_prime = Fraction(1, 4), Fraction(3, 8)
+    text = gen.gen_trace(kind, nmax, seed=1, depth=depth, eps=eps)
+    trace = tmp_path / "big.trace"
+    trace.write_text(text)
+    command = "opencover" if kind == "open" else "fatou"
+    code, out, err = run(
+        capsys, command, "--trace", str(trace), "--eps", "1/4", "--eps-prime", "3/8", *extra
+    )
+    assert code == 0 and err == ""
+    assert "RESULT PASS" in out
+    family = traces.parse_trace(text)
+    if kind == "open":
+        runner = {"trim": opencover.run_trim_cover, "naive": opencover.run_naive_cover}
+        result = runner[extra[1]](family, eps, eps_prime)
+    else:
+        result = fatou.run_fatou(family, eps, eps_prime, RationalGrid(3))
+    assert parse_threshold(out) == result.theta
+
+
+@pytest.mark.parametrize(
+    "text,lineno",
+    [
+        ("family sets nmax=\u00b2\nadd 0 a\n", 1),
+        ("family open nmax=1 depth=\u00b2\nadd 0 0\n", 1),
+        ("family sets nmax=2\nadd \u0661 a\n", 2),
+        ("family sets nmax=2\nadd +1 a\n", 2),
+    ],
+)
+def test_non_ascii_digits_are_input_errors(tmp_path, capsys, text, lineno):
+    trace = tmp_path / "digits.trace"
+    trace.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "setcover", "--trace", str(trace), "--k", "1")
+    assert code == 2 and out == ""
+    assert f"digits.trace: line {lineno}:" in err

@@ -20,7 +20,10 @@ ZERO = F(0)
 
 
 def literal_fatou(family, eps, eps_prime, grid):
-    """Reference run in plain Fractions over StepFunction operations."""
+    """Reference run in plain Fractions over StepFunction operations.
+
+    Returns (phi, theta, log) with log rows (attempt, start, word, level,
+    trims) for the attempts that grew phi."""
     depth = family.depth
     fns = [
         StepFunction.from_table(t, depth) for t in traces.values_by_index(family)
@@ -33,6 +36,7 @@ def literal_fatou(family, eps, eps_prime, grid):
     levels = max(1 << g, math.ceil(maxval * (1 << g)))
     theta = eps
     phi = StepFunction.zero(depth)
+    log = []
     attempt = -1
     for start in range(top):
         for word in words_up_to(depth):
@@ -40,6 +44,7 @@ def literal_fatou(family, eps, eps_prime, grid):
                 attempt += 1
                 theta += budget / (1 << (attempt + 1))
                 u = StepFunction.indicator(word, depth, F(j, 1 << g))
+                trims = 0
                 while True:
                     hit = -1
                     for s in range(start, top):
@@ -49,10 +54,14 @@ def literal_fatou(family, eps, eps_prime, grid):
                     if hit < 0:
                         break
                     u = u.pointwise_min(working[hit])
+                    trims += 1
                 for s in range(start, top):
                     working[s] = working[s].pointwise_max(u)
-                phi = phi.pointwise_max(u)
-    return phi, theta
+                grown = phi.pointwise_max(u)
+                if grown != phi:
+                    log.append((attempt, start, word, F(j, 1 << g), trims))
+                phi = grown
+    return phi, theta, log
 
 
 def test_step_function_basics():
@@ -127,14 +136,15 @@ def test_values_above_one_are_still_dominated():
 def test_matches_literal_reference():
     rng = random.Random(31)
     for i in range(12):
-        nmax, depth = rng.randint(1, 3), rng.randint(1, 2)
+        nmax, depth = rng.randint(1, 4), rng.randint(1, 3)
         eps = rng.choice([F(1, 4), F(1, 2)])
         fam = parse_trace(gen.gen_trace("func", nmax, seed=9000 + i, depth=depth, eps=eps))
         grid = RationalGrid(rng.randint(1, 2))
         fast = run_fatou(fam, eps, eps + F(1, 8), grid)
-        phi, theta = literal_fatou(fam, eps, eps + F(1, 8), grid)
+        phi, theta, log = literal_fatou(fam, eps, eps + F(1, 8), grid)
         assert fast.phi == phi
         assert fast.theta == theta
+        assert list(fast.log) == log
 
 
 def test_random_sweep():

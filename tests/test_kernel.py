@@ -11,6 +11,7 @@ from limcov.kernel import (
     InputError,
     RealInterval,
     cell_span,
+    is_natural,
     parse_rational,
     word_from_text,
     word_to_text,
@@ -156,6 +157,12 @@ def test_parse_rational():
         parse_rational("3/0")
     with pytest.raises(InputError):
         parse_rational("x")
+
+
+def test_is_natural_takes_ascii_digits_only():
+    assert is_natural("0") and is_natural("0042")
+    for text in ("", "-1", "+1", "1 ", "\u00b2", "\u0661", "\uff11", "1_000"):
+        assert not is_natural(text), text
 
 
 def test_word_text_round_trip():

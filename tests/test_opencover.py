@@ -5,6 +5,7 @@ families against a literal reference that manipulates canonical CylinderSets
 and exact Fraction thresholds directly.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -29,19 +30,25 @@ ALL_RUNNERS = (run_trim_cover, run_naive_cover, run_block_cover)
 
 
 def literal_cover(family, eps, eps_prime, trim):
-    """Reference trim/naive run on CylinderSets with Fraction thresholds."""
+    """Reference trim/naive run on CylinderSets with Fraction thresholds.
+
+    Returns (cover, theta, pieces, trim_events) with pieces as (word, start,
+    attempt, trims, added) tuples."""
     opens = traces.opens_by_index(family)
     working = list(opens) + [opens[-1]]
     top = family.nmax + 1
     budget = eps_prime - eps
     theta = eps
     cover = CylinderSet.empty()
+    pieces = []
+    trim_events = []
     attempt = -1
     for start in range(top):
         for word in words_up_to(family.depth):
             attempt += 1
             theta += budget / (1 << (attempt + 1))
             candidate = CylinderSet([word])
+            trims = 0
             if trim:
                 while True:
                     hit = -1
@@ -52,15 +59,24 @@ def literal_cover(family, eps, eps_prime, trim):
                     if hit < 0:
                         break
                     candidate = candidate & working[hit]
+                    trims += 1
             else:
                 if any(
                     (working[m] | candidate).measure() > theta for m in range(start, top)
                 ):
                     continue
+            if trims:
+                trim_events.append((attempt, trims))
             for n in range(start, top):
                 working[n] = working[n] | candidate
+            if not candidate.subset(cover):
+                pieces.append((word, start, attempt, trims, candidate))
             cover = cover | candidate
-    return cover, theta
+    return cover, theta, pieces, trim_events
+
+
+def piece_rows(result):
+    return [(p.word, p.start, p.attempt, p.trims, p.added) for p in result.pieces]
 
 
 def test_delta_schedule_sums_below_budget():
@@ -68,6 +84,25 @@ def test_delta_schedule_sums_below_budget():
     total = sum((schedule.delta(t) for t in range(40)), F(0))
     assert 0 < total < F(1, 8)
     assert schedule.trim_limit(0) == 16  # ceil(1 / (1/16))
+
+
+def test_schedule_closed_forms_match_running_sums():
+    for eps, eps_prime in [(F(1, 4), F(3, 8)), (F(1, 3), F(1, 2)), (F(2, 7), F(5, 7))]:
+        schedule = DeltaSchedule(eps_prime - eps, eps)
+        for scale in (1, 4, 256, 3 << 10):
+            floors = schedule.theta_floors(scale)
+            theta = eps
+            for t in range(80):
+                theta += schedule.delta(t)
+                assert schedule.theta_after(t + 1) == theta
+                assert next(floors) == math.floor(theta * scale), (eps, scale, t)
+        assert schedule.format_theta(schedule.theta_after(21)) == (
+            f"{eps_prime}-{eps_prime - eps}*2^-21"
+        )
+    schedule = DeltaSchedule(F(3, 8))
+    for t in range(12):
+        for trims in range(0, 2 * schedule.trim_limit(t)):
+            assert schedule.allows_trims(t, trims) == (trims < schedule.trim_limit(t))
 
 
 def test_constant_family_all_modes():
@@ -180,7 +215,7 @@ def test_mutated_piece_flips_verdict():
 def test_matches_literal_reference():
     rng = random.Random(21)
     for i in range(25):
-        nmax, depth = rng.randint(1, 3), rng.randint(1, 3)
+        nmax, depth = rng.randint(1, 6), rng.randint(1, 4)
         eps = rng.choice([F(1, 4), F(1, 2)])
         eps_prime = eps + F(1, 8)
         text = gen.gen_trace("open", nmax, seed=7000 + i, depth=depth, eps=eps)
@@ -188,9 +223,23 @@ def test_matches_literal_reference():
         for trim in (True, False):
             runner = run_trim_cover if trim else run_naive_cover
             fast = runner(fam, eps, eps_prime)
-            cover, theta = literal_cover(fam, eps, eps_prime, trim)
+            cover, theta, pieces, trim_events = literal_cover(fam, eps, eps_prime, trim)
             assert fast.cover == cover, (text, trim)
             assert fast.theta == theta
+            assert piece_rows(fast) == pieces, (text, trim)
+            assert list(fast.trim_events) == trim_events, (text, trim)
+
+
+def test_naive_piece_inside_every_later_member():
+    # Word 0 lies inside U_0, U_1 and the tail: the attempt changes no
+    # member, yet its cylinder is new to the cover and must become a piece.
+    fam = parse_trace("family open nmax=2 depth=2\nadd 0 0\nadd 1 0\n")
+    res = run_naive_cover(fam, F(1, 2), F(3, 4))
+    assert piece_rows(res)[0] == ("0", 0, 1, 0, CylinderSet(["0"]))
+    cover, theta, pieces, trim_events = literal_cover(fam, F(1, 2), F(3, 4), False)
+    assert (res.cover, res.theta, piece_rows(res), list(res.trim_events)) == (
+        cover, theta, pieces, trim_events
+    )
 
 
 def test_random_sweep_all_modes():

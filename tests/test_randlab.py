@@ -163,6 +163,9 @@ def test_parse_test_table():
         parse_test_table("0 2 01\n0 2 11\n", 0)
     with pytest.raises(traces.ParseError):
         parse_test_table("2 1 0\n", 0)
+    with pytest.raises(traces.ParseError) as err:
+        parse_test_table("0 2 01\n\u0661 2 1\n", 0)
+    assert err.value.lineno == 2
 
 
 def test_stabilize_random_tables():

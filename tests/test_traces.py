@@ -63,6 +63,10 @@ def test_parse_accepts_bytes_and_missing_final_newline():
         ("family measure nmax=1\nraise 0 x -1/2\n", 2),
         ("family measure nmax=1\nraise 0 x 1/0\n", 2),
         ("family measure nmax=1\nraise 0 x% 1/2\n", 2),
+        # str.isdigit() accepts these; integers are ASCII [0-9]+ only
+        ("family sets nmax=\u00b2\n", 1),
+        ("family open nmax=1 depth=\u0663\n", 1),
+        ("family sets nmax=2\nadd \u0661 a\n", 2),
     ],
 )
 def test_parse_errors_name_the_line(text, lineno):
