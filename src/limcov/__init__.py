@@ -54,6 +54,7 @@ from .traces import (
     format_trace,
     liminf_open,
     liminf_sets,
+    liminf_table,
     liminf_values,
     parse_trace,
 )

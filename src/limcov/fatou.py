@@ -31,7 +31,6 @@ StepFunction itself stays in Fractions.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -186,10 +185,7 @@ def run_fatou(
             )
 
     # Rescale everything to a common integer denominator.
-    scale = 1 << grid.resolution
-    for cells in tables:
-        for v in cells:
-            scale = math.lcm(scale, v.denominator)
+    scale = grid.common_scale(v for cells in tables for v in cells)
     work = [[int(v * scale) for v in cells] for cells in tables]
     work.append(list(work[-1]))  # index nmax: the shared tail
     integrals = [sum(cells) for cells in work]
@@ -293,9 +289,10 @@ def verify_fatou(
             "" if result.theta <= eps_prime else format_rational(result.theta),
         ),
     ]
+    limits = traces.liminf_table(family, sorted(CylinderSet.full().cells(family.depth)))
     witness = ""
-    for cell in sorted(CylinderSet.full().cells(family.depth)):
-        need = grid.floor(traces.liminf_values(family, cell))
+    for cell, limit in limits.items():
+        need = grid.floor(limit)
         if result.phi.value(cell) < need:
             witness = f"{cell} below {format_rational(need)}"
             break
@@ -370,9 +367,10 @@ def fatou_specializes(
         eps = max(max(integrals, default=ZERO), Fraction(1, 1 << (depth + 1)))
         table = measurecover.run_measure_cover(family, grid)
         outcome = run_fatou(embedded, eps, 2 * eps, grid)
+        limits = traces.liminf_table(family, univ)
         rows = []
         for u in univ:
-            need = grid.floor(traces.liminf_values(family, u))
+            need = grid.floor(limits[u])
             got = outcome.phi.value(cell_of[u])
             ok = got >= need and table.table.get(u, ZERO) >= need
             rows.append(

@@ -26,13 +26,24 @@ The headroom formula picks up the slack along the ancestor path:
 cap_n(x) = a_n(x) + sum of slack_n(y) over proper ancestors y
 + (1 - a_n(root)), which telescopes to at most 1.
 
+The tree run works in integers: every value is rescaled to one common
+denominator (the lcm of 2^g and the trace's denominators, as in fatou), and
+each working tree is a flat list in heap order, word w at index
+2^len(w) - 1 + int(w, 2), which is the order of words_up_to, with the parent
+of i at (i - 1) >> 1 and its children at 2i + 1 and 2i + 2.  Grid floors are
+integer floors to multiples of scale / 2^g, and the results are converted
+back to Fractions, so tables and logs are exactly those of the Fraction
+formulation.
+
 All runs are single-threaded and deterministic on private working copies.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Mapping
 
 from . import traces
@@ -79,6 +90,14 @@ class RationalGrid:
         g = self.resolution
         return Fraction((value.numerator << g) // value.denominator, 1 << g)
 
+    def common_scale(self, values: Iterable[Fraction]) -> int:
+        """The lcm of 2^g and the denominators of ``values``: every value and
+        every grid point is an integer multiple of 1/scale."""
+        scale = 1 << self.resolution
+        for v in values:
+            scale = math.lcm(scale, v.denominator)
+        return scale
+
 
 @dataclass(frozen=True)
 class MeasureCoverResult:
@@ -99,6 +118,13 @@ class TreeCoverResult:
     log: tuple[tuple[str, int, Fraction], ...]
     grid: RationalGrid
     depth: int
+
+
+def _suffix_minima(values: list) -> list:
+    """min(values[n:]) for every n, in one backward pass."""
+    out = list(accumulate(reversed(values), min))
+    out.reverse()
+    return out
 
 
 def run_measure_cover(
@@ -127,11 +153,10 @@ def run_measure_cover(
     top = family.nmax + 1
     for u in univ:
         # Headroom of u per index; increases of u itself never change it.
-        caps = [working[n].get(u, ZERO) + 1 - sums[n] for n in range(top)]
+        caps = _suffix_minima([working[n].get(u, ZERO) + 1 - sums[n] for n in range(top)])
         best = ZERO
         for start in range(top):
-            cap = min(caps[start:])
-            r = grid.floor(cap)
+            r = grid.floor(caps[start])
             if r <= best:
                 continue
             best = r
@@ -175,9 +200,10 @@ def verify_measure_cover(
     checks.append(Check("semimeasure", ok, "" if ok else f"sum {format_rational(total)}"))
 
     univ = list(traces.universe(family)) if universe is None else list(dict.fromkeys(universe))
+    limits = traces.liminf_table(family, univ)
     floor_witness = ""
     for u in univ:
-        need = grid.floor(traces.liminf_values(family, u))
+        need = grid.floor(limits[u])
         if from_log.get(u, ZERO) < need:
             floor_witness = f"{u} below {format_rational(need)}"
             break
@@ -236,8 +262,9 @@ def verify_frequency_cover(
     witness = ""
     for x in dict.fromkeys(values.values()):
         got = result.table.get(x, ZERO)
+        mins = _suffix_minima([mu.get(x, ZERO) for mu in mus])
         for start in range(horizon):
-            need = grid.floor(min(mu.get(x, ZERO) for mu in mus[start:]))
+            need = grid.floor(mins[start])
             if got < need:
                 witness = f"{x} below {format_rational(need)} at N={start}"
                 break
@@ -249,37 +276,6 @@ def verify_frequency_cover(
         Check("semimeasure", total <= 1, "" if total <= 1 else format_rational(total))
     )
     return Verdict(tuple(checks))
-
-
-def _tree_cap(table: dict[str, Fraction], word: str) -> Fraction:
-    """Headroom of ``word``: its value plus ancestor slack plus root headroom."""
-    cap = table.get(word, ZERO) + 1 - table.get("", ZERO)
-    y = word
-    while y:
-        y = y[:-1]
-        sibling_sum = table.get(y + "0", ZERO) + table.get(y + "1", ZERO)
-        cap += table.get(y, ZERO) - sibling_sum
-    return cap
-
-
-def _tree_raise(table: dict[str, Fraction], word: str, r: Fraction) -> None:
-    """Raise table[word] to r and repair ancestors minimally upward."""
-    if table.get(word, ZERO) >= r:
-        return
-    table[word] = r
-    y = word
-    while y:
-        y = y[:-1]
-        need = table.get(y + "0", ZERO) + table.get(y + "1", ZERO)
-        if table.get(y, ZERO) >= need:
-            break
-        table[y] = need
-    assert table.get("", ZERO) <= 1
-    if __debug__:  # the tree law holds along the repaired path
-        y = word
-        while y:
-            y = y[:-1]
-            assert table.get(y, ZERO) >= table.get(y + "0", ZERO) + table.get(y + "1", ZERO)
 
 
 def run_tree_cover(
@@ -298,25 +294,57 @@ def run_tree_cover(
     assert family.depth is not None
 
     tables = traces.values_by_index(family)
-    working = [dict(t) for t in tables]
-    working.append(dict(tables[-1]))
+    scale = grid.common_scale(v for t in tables for v in t.values())
+    step = scale >> grid.resolution
+    words = words_up_to(family.depth)
+    working = []
+    for t in tables:
+        row = [0] * len(words)
+        for w, v in t.items():
+            row[(1 << len(w)) - 1 + (int(w, 2) if w else 0)] = int(v * scale)
+        working.append(row)
+    working.append(list(working[-1]))  # index nmax: the shared tail
     top = family.nmax + 1
 
     table: dict[str, Fraction] = {}
     log: list[tuple[str, int, Fraction]] = []
-    for word in words_up_to(family.depth):
-        caps = [_tree_cap(working[n], word) for n in range(top)]
-        best = ZERO
+    for i, word in enumerate(words):
+        ancestors = []
+        y = i
+        while y:
+            y = (y - 1) >> 1
+            ancestors.append(y)
+        # Headroom of the word per index: its value, the slack of every proper
+        # ancestor, and the root's headroom.
+        caps = _suffix_minima([
+            row[i] + scale - row[0]
+            + sum(row[y] - row[2 * y + 1] - row[2 * y + 2] for y in ancestors)
+            for row in working
+        ])
+        best = 0
         for start in range(top):
-            r = grid.floor(min(caps[start:]))
+            r = caps[start] // step * step
             if r <= best:
                 continue
             best = r
-            log.append((word, start, r))
+            log.append((word, start, Fraction(r, scale)))
             for n in range(start, top):
-                _tree_raise(working[n], word, r)
+                row = working[n]
+                if row[i] >= r:
+                    continue
+                # Raise the word and repair its ancestors minimally upward.
+                row[i] = r
+                for y in ancestors:
+                    need = row[2 * y + 1] + row[2 * y + 2]
+                    if row[y] >= need:
+                        break
+                    row[y] = need
+                assert row[0] <= scale
+                if __debug__:  # the tree law holds along the repaired path
+                    for y in ancestors:
+                        assert row[y] >= row[2 * y + 1] + row[2 * y + 2]
         if best > 0:
-            table[word] = best
+            table[word] = Fraction(best, scale)
     return TreeCoverResult(table, tuple(log), grid, family.depth)
 
 
@@ -351,9 +379,10 @@ def verify_tree_cover(
                 break
     checks.append(Check("tree-law", not tree_witness, tree_witness))
 
+    limits = traces.liminf_table(family, words_up_to(family.depth))
     floor_witness = ""
-    for w in words_up_to(family.depth):
-        need = grid.floor(traces.liminf_values(family, w))
+    for w, limit in limits.items():
+        need = grid.floor(limit)
         if from_log.get(w, ZERO) < need:
             floor_witness = f"{word_to_text(w)} below {format_rational(need)}"
             break

@@ -36,6 +36,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
+from typing import Iterable
 
 from .kernel import (
     CylinderSet,
@@ -60,6 +62,7 @@ __all__ = [
     "liminf_open",
     "liminf_sets",
     "liminf_sets_witness",
+    "liminf_table",
     "liminf_values",
     "open_at",
     "opens_by_index",
@@ -341,20 +344,23 @@ def liminf_open(family: StabilizedFamily) -> CylinderSet:
 
     Finite intersections of cylinder sets are clopen, so at desk scale the
     union of suffix intersections is itself a cylinder set and no interior
-    needs to be taken.
+    needs to be taken.  One backward pass keeps the running intersection of
+    U_N, U_{N+1}, ... and unions it into the result.
     """
     opens = opens_by_index(family)
-    result = CylinderSet.empty()
-    for start in range(family.nmax):
-        inter = opens[start]
-        for s in opens[start + 1:]:
-            inter = inter & s
+    inter = opens[-1]
+    result = inter
+    for s in reversed(opens[:-1]):
+        inter = inter & s
         result = result | inter
     return result
 
 
 def liminf_values(family: StabilizedFamily, point: str) -> Fraction:
-    """liminf of the values at ``point``: max over N of suffix minima."""
+    """liminf of the values at ``point``: max over N of suffix minima.
+
+    The literal definition, kept as the reference for liminf_table.
+    """
     tables = values_by_index(family)
     if family.kind == "func":
         vals = [func_eval(t, point, family.depth) for t in tables]
@@ -364,6 +370,20 @@ def liminf_values(family: StabilizedFamily, point: str) -> Fraction:
     for start in range(family.nmax):
         best = max(best, min(vals[start:]))
     return best
+
+
+def liminf_table(family: StabilizedFamily, points: Iterable[str]) -> dict[str, Fraction]:
+    """liminf_values at every point, building the value tables once and
+    taking each point's max of suffix minima in one backward pass."""
+    tables = values_by_index(family)
+    out: dict[str, Fraction] = {}
+    for point in points:
+        if family.kind == "func":
+            vals = [func_eval(t, point, family.depth) for t in tables]
+        else:
+            vals = [t.get(point, ZERO) for t in tables]
+        out[point] = max(ZERO, *accumulate(reversed(vals), min))
+    return out
 
 
 def check_semimeasures(family: StabilizedFamily) -> None:

@@ -117,6 +117,18 @@ def test_capping_preserves_surviving_cell():
     assert any(trims for *_, trims in res.log)
 
 
+def test_lowered_phi_flips_cell_domination():
+    fam = parse_trace("family func nmax=2 depth=2\nraise 0 00 1\nraise 1 11 1\n")
+    grid = RationalGrid(2)
+    res = run_fatou(fam, F(1, 4), F(1, 2), grid)
+    assert traces.liminf_values(fam, "11") == 1
+    cells = list(res.phi.cells)
+    cells[0b11] = F(3, 4)
+    lowered = type(res)(StepFunction(2, tuple(cells)), res.theta, res.log, grid)
+    failed = verify_fatou(fam, F(1, 4), F(1, 2), grid, lowered).failures()
+    assert [c.name for c in failed] == ["cell-domination"]
+
+
 def test_integral_precondition_names_index():
     fam = parse_trace("family func nmax=2 depth=2\nraise 1 0 1\n")
     with pytest.raises(InputError, match="f_1"):

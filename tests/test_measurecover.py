@@ -58,7 +58,10 @@ def literal_measure_cover(family, grid, universe=None):
 
 
 def literal_tree_cover(family, grid):
-    """Reference: increase with full upward repair, root checked per index."""
+    """Reference: increase with full upward repair, root checked per index.
+
+    Returns (table, log); the log holds, per (word, N), the largest accepted
+    r when it exceeds every r accepted for the word before."""
     tables = traces.values_by_index(family)
     working = [dict(t) for t in tables] + [dict(tables[-1])]
     top = family.nmax + 1
@@ -76,18 +79,23 @@ def literal_tree_cover(family, grid):
         return t
 
     out = {}
+    log = []
     for word in words_up_to(family.depth):
         best = ZERO
         for start in range(top):
+            accepted = ZERO
             for r in grid.values():
                 candidates = [raised(working[n], word, r) for n in range(start, top)]
                 if all(t.get("", ZERO) <= 1 for t in candidates):
                     for n, t in zip(range(start, top), candidates):
                         working[n] = t
-                    best = max(best, r)
+                    accepted = r
+            if accepted > best:
+                best = accepted
+                log.append((word, start, accepted))
         if best > 0:
             out[word] = best
-    return out
+    return out, log
 
 
 def test_grid():
@@ -254,10 +262,29 @@ def test_tree_precondition_names_word_and_index():
 def test_tree_matches_literal_reference():
     rng = random.Random(13)
     for i in range(30):
-        fam = parse_trace(gen.gen_trace("tree", rng.randint(1, 3), seed=5000 + i, depth=rng.randint(1, 3)))
-        grid = RationalGrid(rng.randint(1, 3))
+        fam = parse_trace(gen.gen_trace("tree", rng.randint(1, 6), seed=5000 + i, depth=rng.randint(1, 4)))
+        grid = RationalGrid(rng.randint(1, 5))
         fast = run_tree_cover(fam, grid)
-        assert fast.table == literal_tree_cover(fam, grid)
+        table, log = literal_tree_cover(fam, grid)
+        assert fast.table == table
+        assert list(fast.log) == log
+
+
+# Caps of 1/3 and 2/3 floor to the 1/8 grid; the common denominator is 24.
+NON_DYADIC_TREE = (
+    "family tree nmax=2 depth=1\n"
+    "raise 0 e 2/3\nraise 0 1 2/3\nraise 1 e 1/3\nraise 1 1 1/3\n"
+)
+
+
+def test_tree_non_dyadic_values_floor_exactly():
+    fam = parse_trace(NON_DYADIC_TREE)
+    grid = RationalGrid(3)
+    res = run_tree_cover(fam, grid)
+    assert res.table == {"": 1, "0": F(5, 8), "1": F(3, 8)}
+    assert res.log == (("", 0, 1), ("0", 0, F(1, 4)), ("0", 1, F(5, 8)), ("1", 0, F(3, 8)))
+    assert (res.table, list(res.log)) == literal_tree_cover(fam, grid)
+    assert verify_tree_cover(fam, grid, res).passed
 
 
 def test_tree_sweep_keeps_law_and_floor():
@@ -268,3 +295,25 @@ def test_tree_sweep_keeps_law_and_floor():
         res = run_tree_cover(fam, grid)
         verdict = verify_tree_cover(fam, grid, res)
         assert verdict.passed, verdict.failures()
+
+
+def test_tree_mutations_flip_their_checks():
+    fam = parse_trace(NON_DYADIC_TREE)
+    grid = RationalGrid(3)
+    res = run_tree_cover(fam, grid)
+    assert verify_tree_cover(fam, grid, res).passed
+
+    dropped = type(res)(res.table, res.log[:-1], grid, res.depth)
+    failed = verify_tree_cover(fam, grid, dropped).failures()
+    assert "log-consistency" in [c.name for c in failed]
+
+    # "1" has liminf 1/3, floor 1/4 on the 1/8 grid; 1/8 keeps log and tree law.
+    assert traces.liminf_values(fam, "1") == F(1, 3)
+    lowered = type(res)(
+        {**res.table, "1": F(1, 8)},
+        tuple((w, n, F(1, 8) if w == "1" else r) for w, n, r in res.log),
+        grid,
+        res.depth,
+    )
+    failed = verify_tree_cover(fam, grid, lowered).failures()
+    assert [c.name for c in failed] == ["grid-floor"]

@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from limcov import traces
-from limcov.kernel import CylinderSet, InputError
+from limcov import gen, traces
+from limcov.kernel import CylinderSet, InputError, words_up_to
 from limcov.traces import (
     ParseError,
     at_stage,
@@ -14,6 +16,7 @@ from limcov.traces import (
     liminf_open,
     liminf_sets,
     liminf_sets_witness,
+    liminf_table,
     liminf_values,
     parse_trace,
 )
@@ -170,6 +173,28 @@ def test_liminf_open_examples(text, expected):
 def test_liminf_values_examples(lines, expected):
     fam = parse_trace("family measure nmax=3\n" + "".join(l + "\n" for l in lines))
     assert liminf_values(fam, "x") == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["measure", "tree", "func"]),
+    nmax=st.integers(1, 6),
+    depth=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_liminf_table_agrees_with_liminf_values(kind, nmax, depth, seed):
+    if kind == "measure":
+        fam = parse_trace(gen.gen_trace(kind, nmax, seed, universe=6))
+        points = list(traces.universe(fam)) + ["absent"]
+    else:
+        fam = parse_trace(gen.gen_trace(kind, nmax, seed, depth=depth, eps=F(1, 2)))
+        points = words_up_to(depth) if kind == "tree" else sorted(CylinderSet.full().cells(depth))
+    table = liminf_table(fam, points)
+    assert list(table) == points
+    for p in points:
+        assert table[p] == liminf_values(fam, p)
+        # Tail identity: under the tail rule the liminf is member nmax-1's value.
+        assert table[p] == traces.value_at(fam, nmax - 1, p)
 
 
 def test_liminf_open_agrees_with_cell_decomposition():
