@@ -24,13 +24,34 @@ the levels are exactly the grid).
 Internally one run rescales all values to a common integer denominator, so
 the inner comparisons are integer sums against floor(theta_t * 2^D * scale),
 taken from the integer closed form of opencover.DeltaSchedule; this is
-exact.  Where the candidate stays under every member from the start index
-on, the attempt caps and commits nothing and skips the member scan.
+exact.  The members' integer cell rows are built from the trace by one
+top-down prefix-max pass over the words (traces.func_cell_rows).
 StepFunction itself stays in Fractions.
+
+Two rules skip work without changing phi, the log or theta; every attempt
+still counts and consumes its threshold.  For a fixed (m, U) the levels
+rise with the attempts:
+
+- Fast path.  When r <= min over the cylinder of the cellwise minimum of
+  f_m, f_{m+1}, ..., no member gains anything, so the attempt caps and
+  commits nothing; only the fold of r into phi remains.
+- Replica.  Take a simulated attempt at level L whose first overflowing
+  member is s1, with L >= max of f_{s1} on the cylinder, so that its first
+  cap sets u to f_{s1} there, and which committed nothing.  A later attempt
+  at L' > L overflows at s1 too (the gain is monotone in the level).  If
+  the integer threshold is unchanged, nothing has committed since and no
+  member in [m, s1) overflows at L', its first cap leaves the same u, so the
+  rest of the process and the final u are the same; phi already holds u, so
+  nothing is logged.  The last condition holds when the least slack
+  tf - integral(max(f_s, u)) over [m, s1) at L is at least (L' - L) * span,
+  since the gain rises by at most span (the cylinder's cell count) per
+  level step; otherwise the member scan decides it, as the first hit being
+  s1 again.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -128,21 +149,6 @@ class FatouResult:
     grid: RationalGrid
 
 
-def _family_step_tables(family: traces.StabilizedFamily) -> list[list[Fraction]]:
-    assert family.depth is not None
-    depth = family.depth
-    out = []
-    for table in traces.values_by_index(family):
-        fn = StepFunction.from_table(table, depth)
-        out.append(list(fn.cells))
-    return out
-
-
-def _above(u: list[int], lows: list[int], base: int) -> bool:
-    """True when u exceeds lows somewhere on the cells from base on."""
-    return any(map(operator.gt, u, lows[base:base + len(u)]))
-
-
 def _first_raise(
     u: list[int],
     work: list[list[int]],
@@ -150,13 +156,19 @@ def _first_raise(
     members: range,
     base: int,
     tf: int,
-) -> int:
-    """First s in members whose integral max(f_s, u) exceeds tf, else -1."""
+) -> tuple[int, int | None]:
+    """First s in members whose integral of max(f_s, u) exceeds tf (-1 if
+    none), and the least slack tf - integral(max(f_r, u)) over the members r
+    scanned before it (None if there are none)."""
+    slack = None
     for s in members:
         row = work[s][base:base + len(u)]
-        if integrals[s] + sum(map(max, u, row)) - sum(row) > tf:
-            return s
-    return -1
+        room = tf - integrals[s] - sum(map(max, u, row)) + sum(row)
+        if room < 0:
+            return s, slack
+        if slack is None or room < slack:
+            slack = room
+    return -1, slack
 
 
 def run_fatou(
@@ -175,30 +187,31 @@ def run_fatou(
     depth = family.depth
     assert depth is not None
     ncells = 1 << depth
-    tables = _family_step_tables(family)
-    for n, cells in enumerate(tables):
-        integral = sum(cells, ZERO) / ncells
-        if integral > eps:
+
+    # Everything in integers over a common denominator; integrals in units
+    # of 1 / (scale * 2^depth).
+    scale = grid.common_scale(e.value for e in family.events)
+    unit = scale << depth
+    work = traces.func_cell_rows(family, scale)
+    integrals = [sum(cells) for cells in work]
+    for n, integral in enumerate(integrals):
+        if integral > eps * unit:
             raise InputError(
-                f"f_{n} has integral {format_rational(integral)}, "
+                f"f_{n} has integral {format_rational(Fraction(integral, unit))}, "
                 f"above eps={format_rational(eps)}"
             )
-
-    # Rescale everything to a common integer denominator.
-    scale = grid.common_scale(v for cells in tables for v in cells)
-    work = [[int(v * scale) for v in cells] for cells in tables]
     work.append(list(work[-1]))  # index nmax: the shared tail
-    integrals = [sum(cells) for cells in work]
+    integrals.append(integrals[-1])
     top = family.nmax + 1
 
     # Candidate levels: positive grid multiples up to the largest value seen.
     g = grid.resolution
-    max_scaled = max((max(cells, default=0) for cells in work), default=0)
+    max_scaled = max(max(cells) for cells in work)
     levels = max(1 << g, -((-max_scaled << g) // scale))
     step_scaled = scale >> g
 
     schedule = DeltaSchedule(eps_prime - eps, eps)
-    floors = schedule.theta_floors(scale << depth)
+    floors = schedule.theta_floors(unit)
     budget_num = schedule.budget.numerator
     budget_den = schedule.budget.denominator
     words = words_up_to(depth)
@@ -213,55 +226,73 @@ def run_fatou(
         lows = [min(column) for column in zip(*work[start:])]
         for word in words:
             base, span = cell_span(word, depth)
-            cells = range(base, base + span)
+            end = base + span
+            cyl_lows = lows[base:end]
+            low = min(cyl_lows)
+            # (tf, first hit, highest level known to replay) of the last
+            # attempt that later ones replay exactly; see the module docstring.
+            replica = None
             for j in range(1, levels + 1):
                 attempt += 1
                 tf = next(floors)
                 level = j * step_scaled
+                if level <= low:
+                    if level > min(phi[base:end]):
+                        phi[base:end] = [max(v, level) for v in phi[base:end]]
+                        log.append((attempt, start, word, Fraction(j, 1 << g), 0))
+                    continue
+                # A replayed attempt has the same trims as the original at a
+                # larger level and attempt number, so it keeps the trim-count
+                # bound a fortiori.
+                if replica is not None and replica[0] == tf and level <= replica[2]:
+                    continue
                 u = [level] * span
                 trims = 0
-                if _above(u, lows, base):
-                    hit = _first_raise(u, work, integrals, members, base, tf)
-                    while hit >= 0:
-                        row = work[hit]
-                        for offset, c in enumerate(cells):
-                            if u[offset] > row[c]:
-                                u[offset] = row[c]
-                        trims += 1
-                        # Each cap removes more than delta_t from the integral
-                        # of u, so the count stays below integral(u)/delta_t.
-                        removed = trims * budget_num * (scale << depth)
-                        assert removed.bit_length() <= attempt + 1 or removed < (
-                            level * span * budget_den << (attempt + 1)
-                        )
-                        hit = (
-                            _first_raise(u, work, integrals, members, base, tf)
-                            if _above(u, lows, base)
-                            else -1
-                        )
-                    if _above(u, lows, base):
-                        # Rows that gain nothing keep their bound: tf never
-                        # decreases.
-                        for s in members:
-                            row = work[s]
-                            gained = 0
-                            for offset, c in enumerate(cells):
-                                gap = u[offset] - row[c]
-                                if gap > 0:
-                                    row[c] += gap
-                                    gained += gap
-                            if gained:
-                                integrals[s] += gained
-                                assert integrals[s] <= tf
-                        for offset, c in enumerate(cells):
-                            if u[offset] > lows[c]:
-                                lows[c] = u[offset]
-                changed = False
-                for offset, c in enumerate(cells):
-                    if u[offset] > phi[c]:
-                        phi[c] = u[offset]
-                        changed = True
-                if changed:
+                hit, slack = _first_raise(u, work, integrals, members, base, tf)
+                if hit >= 0 and level >= max(work[hit][base:end]):
+                    # The first cap sets u to work[hit] on the cylinder, and
+                    # each level step adds at most span to a member's gain.
+                    reach = (levels * step_scaled if slack is None
+                             else level + slack // span)
+                    replayed = replica is not None and replica[:2] == (tf, hit)
+                    replica = (tf, hit, reach)
+                    if replayed:
+                        continue
+                else:
+                    replica = None
+                while hit >= 0:
+                    u = list(map(min, u, work[hit][base:end]))
+                    trims += 1
+                    # Each cap removes more than delta_t from the integral
+                    # of u, so the count stays below integral(u)/delta_t.
+                    removed = trims * budget_num * unit
+                    assert removed.bit_length() <= attempt + 1 or removed < (
+                        level * span * budget_den << (attempt + 1)
+                    )
+                    if not any(map(operator.gt, u, cyl_lows)):
+                        break
+                    hit = _first_raise(u, work, integrals, members, base, tf)[0]
+                else:
+                    # No member overflows and u rises above some member:
+                    # commit.  Rows that gain nothing keep their bound: tf
+                    # never decreases.
+                    for s in members:
+                        row = work[s]
+                        old = row[base:end]
+                        new = list(map(max, u, old))
+                        gained = sum(new) - sum(old)
+                        if gained:
+                            row[base:end] = new
+                            integrals[s] += gained
+                            assert integrals[s] <= tf
+                    cyl_lows = list(map(max, u, cyl_lows))
+                    lows[base:end] = cyl_lows
+                    low = min(cyl_lows)
+                    replica = None
+                old = phi[base:end]
+                new = list(map(max, u, old))
+                if new != old:
+                    phi[base:end] = new
                     log.append((attempt, start, word, Fraction(j, 1 << g), trims))
     phi_fn = StepFunction(depth, tuple(Fraction(v, scale) for v in phi))
     return FatouResult(phi_fn, schedule.theta_after(attempt + 1), tuple(log), grid)
@@ -274,9 +305,21 @@ def verify_fatou(
     grid: RationalGrid,
     result: FatouResult,
 ) -> Verdict:
-    """Check the integral bound and cellwise domination via the oracle."""
+    """Check the integral bound, the threshold and cellwise domination.
+
+    The threshold is re-derived from the input: a run makes one attempt per
+    (start, word, level), (nmax+1) * (2^(depth+1)-1) * levels in all, with
+    levels the grid multiples up to the largest value in the trace.
+    """
     assert family.depth is not None
     integral = result.phi.integral()
+    g = grid.resolution
+    top = max((e.value for e in family.events), default=ZERO)
+    levels = max(1 << g, math.ceil(top * (1 << g)))
+    attempts = (family.nmax + 1) * ((2 << family.depth) - 1) * levels
+    schedule = DeltaSchedule(eps_prime - eps, eps)
+    theta = schedule.theta_after(attempts)
+    theta_ok = result.theta == theta and theta <= eps_prime
     checks = [
         Check(
             "integral-bound",
@@ -285,8 +328,8 @@ def verify_fatou(
         ),
         Check(
             "threshold-bound",
-            result.theta <= eps_prime,
-            "" if result.theta <= eps_prime else format_rational(result.theta),
+            theta_ok,
+            "" if theta_ok else schedule.format_theta(result.theta),
         ),
     ]
     limits = traces.liminf_table(family, sorted(CylinderSet.full().cells(family.depth)))

@@ -47,8 +47,27 @@ class InputError(ValueError):
     """A precondition on library input is violated."""
 
 
+# CPython's default limit on the digits of an int converted to or from str.
+_MAX_DECIMAL_DIGITS = 4300
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse ``p/q`` or decimal notation into an exact Fraction."""
+    """Parse ``p/q`` or decimal notation into an exact Fraction.
+
+    A decimal whose mantissa digits plus absolute exponent exceed 4300 is
+    refused before its power of ten is built, so every accepted value stays
+    small enough to render with str().
+    """
+    if "/" not in text:
+        mantissa, _, exponent = text.lower().partition("e")
+        try:
+            power = abs(int(exponent)) if exponent else 0
+        except ValueError:
+            raise InputError(f"not a rational number: {text!r}") from None
+        if sum(ch.isdigit() for ch in mantissa) + power > _MAX_DECIMAL_DIGITS:
+            raise InputError(
+                f"decimal {text!r} has more than {_MAX_DECIMAL_DIGITS} digits"
+            )
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

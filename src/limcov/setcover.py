@@ -19,7 +19,7 @@ logs and covers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import traces
 from .kernel import InputError
@@ -89,7 +89,6 @@ def verify_set_cover(
     family: traces.StabilizedFamily,
     k: int,
     result: SetCoverResult,
-    extra_universe: Sequence[str] = (),
 ) -> Verdict:
     """Check a cover against the liminf oracle, trusting only the log.
 
@@ -98,7 +97,6 @@ def verify_set_cover(
     the liminf from the defining formula and shares no logic with
     run_set_cover.
     """
-    del extra_universe  # the verdict depends only on the trace and the log
     bound = 1 << k
     from_log = [u for _, u in result.log]
     consistent = frozenset(from_log) == result.cover and len(from_log) == len(set(from_log))

@@ -12,7 +12,9 @@ how the covering modules simulate their oracle queries.  This module also
 provides the brute-force liminf oracles those constructions are verified
 against; the oracles compute the defining union-of-suffix-intersections (or
 max-of-suffix-minima) formulas directly and share no logic with the covering
-processes.
+processes beyond reading the family (values_by_index, and func_cell_rows for
+step functions).  liminf_values and func_eval stay literal references for
+those readers.
 
 Trace grammar (UTF-8, LF line endings, single spaces)::
 
@@ -33,6 +35,7 @@ mutable copies and may be run concurrently on the same family.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -45,6 +48,7 @@ from .kernel import (
     ZERO,
     format_rational,
     is_natural,
+    is_word,
     parse_rational,
     word_from_text,
     word_to_text,
@@ -58,6 +62,7 @@ __all__ = [
     "StageApproximation",
     "at_stage",
     "format_trace",
+    "func_cell_rows",
     "func_eval",
     "liminf_open",
     "liminf_sets",
@@ -372,17 +377,57 @@ def liminf_values(family: StabilizedFamily, point: str) -> Fraction:
     return best
 
 
+def func_cell_rows(family: StabilizedFamily, scale: int) -> list[list[int]]:
+    """Each func member's depth-level cell values times ``scale``, as ints.
+
+    ``scale`` must be a common multiple of the value denominators.  The
+    words of a table sit in heap order, word w at 2^len(w) - 1 + int(w, 2),
+    and one top-down pass raises every word to its parent's value, so the
+    last 2^depth entries hold the maxima over each cell's prefixes.
+    """
+    if family.kind != "func":
+        raise InputError(f"expected a func family, got {family.kind!r}")
+    assert family.depth is not None
+    size = (2 << family.depth) - 1
+    rows = []
+    for table in values_by_index(family):
+        heap = [0] * size
+        for word, value in table.items():
+            index = (1 << len(word)) - 1 + (int(word, 2) if word else 0)
+            heap[index] = value.numerator * (scale // value.denominator)
+        for i in range(1, size):
+            heap[i] = max(heap[i], heap[(i - 1) >> 1])
+        rows.append(heap[size >> 1:])
+    return rows
+
+
 def liminf_table(family: StabilizedFamily, points: Iterable[str]) -> dict[str, Fraction]:
-    """liminf_values at every point, building the value tables once and
-    taking each point's max of suffix minima in one backward pass."""
-    tables = values_by_index(family)
+    """liminf_values at every point, from one build of the value tables.
+
+    The values are rescaled to integers over the lcm of their denominators,
+    so each point's max of suffix minima is one backward pass of int
+    comparisons; the results are converted back to Fractions.  A func
+    family's cell rows come from func_cell_rows.
+    """
+    scale = math.lcm(*(e.value.denominator for e in family.events if e.value is not None))
+    if family.kind == "func":
+        columns = list(zip(*func_cell_rows(family, scale)))
+    else:
+        tables = [
+            {key: v.numerator * (scale // v.denominator) for key, v in table.items()}
+            for table in values_by_index(family)
+        ]
     out: dict[str, Fraction] = {}
     for point in points:
         if family.kind == "func":
-            vals = [func_eval(t, point, family.depth) for t in tables]
+            if len(point) != family.depth or not is_word(point):
+                raise InputError(
+                    f"func points are cells of length {family.depth}, got {point!r}"
+                )
+            vals = columns[int(point, 2)]
         else:
-            vals = [t.get(point, ZERO) for t in tables]
-        out[point] = max(ZERO, *accumulate(reversed(vals), min))
+            vals = [table.get(point, 0) for table in tables]
+        out[point] = Fraction(max(0, *accumulate(reversed(vals), min)), scale)
     return out
 
 

@@ -1,6 +1,7 @@
 """CLI behavior: reports, exit codes, diagnostics, determinism, goldens."""
 
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -284,3 +285,21 @@ def test_non_ascii_digits_are_input_errors(tmp_path, capsys, text, lineno):
     code, out, err = run(capsys, "setcover", "--trace", str(trace), "--k", "1")
     assert code == 2 and out == ""
     assert f"digits.trace: line {lineno}:" in err
+
+
+@pytest.mark.parametrize("where", ["trace", "eps"])
+def test_huge_decimal_exponent_is_input_error(tmp_path, capsys, where):
+    huge = "1e999999999"
+    trace = tmp_path / "huge.trace"
+    value = huge if where == "trace" else "1/4"
+    trace.write_text(f"family func nmax=1 depth=1\nraise 0 0 {value}\n")
+    eps = huge if where == "eps" else "1/4"
+    began = time.perf_counter()
+    code, out, err = run(
+        capsys, "fatou", "--trace", str(trace), "--eps", eps, "--eps-prime", "3/8"
+    )
+    assert time.perf_counter() - began < 1
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and "4300 digits" in err
+    if where == "trace":
+        assert "huge.trace: line 2:" in err

@@ -13,6 +13,7 @@ from limcov import gen, traces
 from limcov.fatou import StepFunction, fatou_specializes, run_fatou, verify_fatou
 from limcov.kernel import InputError, words_up_to
 from limcov.measurecover import RationalGrid
+from limcov.opencover import DeltaSchedule
 from limcov.traces import parse_trace
 
 F = Fraction
@@ -147,16 +148,83 @@ def test_values_above_one_are_still_dominated():
 
 def test_matches_literal_reference():
     rng = random.Random(31)
-    for i in range(12):
-        nmax, depth = rng.randint(1, 4), rng.randint(1, 3)
+    for i in range(40):
+        nmax, depth = rng.randint(1, 6), rng.randint(1, 4)
         eps = rng.choice([F(1, 4), F(1, 2)])
         fam = parse_trace(gen.gen_trace("func", nmax, seed=9000 + i, depth=depth, eps=eps))
-        grid = RationalGrid(rng.randint(1, 2))
+        grid = RationalGrid(rng.randint(1, 4))
         fast = run_fatou(fam, eps, eps + F(1, 8), grid)
         phi, theta, log = literal_fatou(fam, eps, eps + F(1, 8), grid)
         assert fast.phi == phi
         assert fast.theta == theta
         assert list(fast.log) == log
+
+
+# Generated families are dyadic and bounded by 1.  These have values above 1
+# (more levels than grid points) or non-dyadic values (a scale that is not a
+# power of two); each takes the fast path, replays and commits.
+@pytest.mark.parametrize(
+    "text,eps,eps_prime,g",
+    [
+        (
+            "family func nmax=3 depth=2\nraise 0 00 3\nraise 1 0 5/3\n"
+            "raise 2 00 7/3\nraise 2 1 1/3\n",
+            F(5, 6), F(1), 1,
+        ),
+        (
+            "family func nmax=4 depth=3\nraise 0 0 1/3\nraise 1 01 2/3\n"
+            "raise 2 1 1/3\nraise 3 0 1/3\nraise 3 110 1/5\n",
+            F(1, 3), F(1, 2), 2,
+        ),
+        (
+            "family func nmax=2 depth=3\nraise 0 e 1/3\nraise 0 01 4/3\n"
+            "raise 1 e 2/5\nraise 1 011 7/5\n",
+            F(3, 5), F(2, 3), 2,
+        ),
+        (
+            "family func nmax=3 depth=2\nraise 0 0 2/3\nraise 1 1 2/3\n"
+            "raise 2 0 1/3\nraise 2 11 5/3\n",
+            F(7, 12), F(3, 4), 3,
+        ),
+        # A member before the first hit overflows one level later although
+        # its slack exceeds the level step: the slack must cover the step
+        # once per cell of the cylinder.
+        (
+            "family func nmax=5 depth=3\nraise 1 111 5/2\nraise 0 0 5/8\n"
+            "raise 1 011 11/3\nraise 4 e 3/4\n",
+            F(43, 48), F(23, 24), 1,
+        ),
+        # The threshold floor rises between two attempts at the root that
+        # share their first hit: the later one commits, so it is no replica.
+        (
+            "family func nmax=2 depth=1\nraise 0 0 11/8\nraise 1 1 13/8\n",
+            F(13, 16), F(25, 16), 1,
+        ),
+    ],
+)
+def test_hand_written_traces_match_literal_reference(text, eps, eps_prime, g):
+    fam = parse_trace(text)
+    grid = RationalGrid(g)
+    fast = run_fatou(fam, eps, eps_prime, grid)
+    phi, theta, log = literal_fatou(fam, eps, eps_prime, grid)
+    assert fast.phi == phi
+    assert fast.theta == theta
+    assert list(fast.log) == log
+    assert any(trims for *_, trims in log)
+    assert verify_fatou(fam, eps, eps_prime, grid, fast).passed
+
+
+def test_uncounted_attempt_flips_threshold_bound():
+    fam = parse_trace("family func nmax=2 depth=2\nraise 0 00 1\nraise 1 11 3/2\n")
+    grid = RationalGrid(2)
+    eps, eps_prime = F(3, 8), F(1, 2)
+    res = run_fatou(fam, eps, eps_prime, grid)
+    attempts = 3 * 7 * 6  # (nmax+1) * (2^(depth+1)-1) * levels, levels = 3/2 * 2^2
+    schedule = DeltaSchedule(eps_prime - eps, eps)
+    assert res.theta == schedule.theta_after(attempts)
+    short = type(res)(res.phi, schedule.theta_after(attempts - 1), res.log, grid)
+    failed = verify_fatou(fam, eps, eps_prime, grid, short).failures()
+    assert [c.name for c in failed] == ["threshold-bound"]
 
 
 def test_random_sweep():

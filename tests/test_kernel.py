@@ -159,6 +159,19 @@ def test_parse_rational():
         parse_rational("x")
 
 
+def test_parse_rational_bounds_decimal_digits():
+    # Mantissa digits plus the absolute exponent may reach 4300, the digits
+    # str() renders by default, and no more.
+    assert parse_rational("1e4299") == 10**4299
+    assert parse_rational("1e-4299") == F(1, 10**4299)
+    assert parse_rational("2.5E3") == 2500
+    for text in ("1e4300", "12e4299", "1e-4300", "0." + "0" * 4300, "1e999999999"):
+        with pytest.raises(InputError, match="more than 4300 digits"):
+            parse_rational(text)
+    with pytest.raises(InputError, match="not a rational number"):
+        parse_rational("1e" + "9" * 5000)
+
+
 def test_is_natural_takes_ascii_digits_only():
     assert is_natural("0") and is_natural("0042")
     for text in ("", "-1", "+1", "1 ", "\u00b2", "\u0661", "\uff11", "1_000"):

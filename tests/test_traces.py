@@ -197,6 +197,34 @@ def test_liminf_table_agrees_with_liminf_values(kind, nmax, depth, seed):
         assert table[p] == traces.value_at(fam, nmax - 1, p)
 
 
+# Generated families are dyadic; these values make the oracle's common
+# denominator an odd lcm (15, 21, 35).
+@pytest.mark.parametrize(
+    "text",
+    [
+        "family measure nmax=3\nraise 0 a 1/3\nraise 1 a 2/5\nraise 2 a 1/3\n"
+        "raise 1 b 1/5\nraise 2 b 2/15\nraise 0 c 3/5\n",
+        "family tree nmax=3 depth=2\nraise 0 e 2/3\nraise 0 0 1/3\nraise 1 e 5/7\n"
+        "raise 1 0 2/7\nraise 1 01 1/7\nraise 2 e 2/3\nraise 2 0 1/3\nraise 2 01 1/7\n",
+        "family func nmax=3 depth=3\nraise 0 e 1/3\nraise 0 01 4/5\nraise 1 0 2/5\n"
+        "raise 1 011 6/7\nraise 2 e 1/5\nraise 2 01 5/7\nraise 2 110 1/3\n",
+    ],
+)
+def test_liminf_table_non_dyadic_values(text):
+    fam = parse_trace(text)
+    if fam.kind == "measure":
+        points = list(traces.universe(fam)) + ["absent"]
+    elif fam.kind == "tree":
+        points = words_up_to(fam.depth)
+    else:
+        points = sorted(CylinderSet.full().cells(fam.depth))
+    table = liminf_table(fam, points)
+    assert list(table) == points
+    assert any(v.denominator % 2 for v in table.values() if v)
+    for p in points:
+        assert table[p] == liminf_values(fam, p)
+
+
 def test_liminf_open_agrees_with_cell_decomposition():
     # Decompose each member into depth-level cells and take the sets-liminf.
     rng = random.Random(77)
