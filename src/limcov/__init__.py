@@ -36,7 +36,6 @@ from .opencover import (
 )
 from .randlab import (
     DecoderTable,
-    DeficiencyProfile,
     TestApproximation,
     bar_deficiency,
     deficiency_cover_family,
@@ -49,7 +48,6 @@ from .setcover import SetCoverResult, run_set_cover, verify_set_cover
 from .traces import (
     ParseError,
     StabilizedFamily,
-    StageApproximation,
     at_stage,
     format_trace,
     liminf_open,

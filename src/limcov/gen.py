@@ -76,6 +76,10 @@ def gen_trace(
     else:
         depth = None
     _check_caps(nmax, depth)
+    if bound is not None and bound < 0:
+        raise InputError("bound must be non-negative")
+    if eps is not None and eps < 0:
+        raise InputError("eps must be non-negative")
     rng = random.Random(seed)
     builder = {
         "sets": _gen_sets,
@@ -277,14 +281,7 @@ def gen_function_text(seed: int, horizon: int, value_range: int = 8, density: in
 
 def parse_function_table(text: str | bytes) -> dict[int, str]:
     """Parse ``<i> <token>`` lines into a partial map (missing i = undefined)."""
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise traces.ParseError(1, f"not valid UTF-8: {exc}") from None
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    lines = traces.split_lines(text)
     out: dict[int, str] = {}
     for lineno, line in enumerate(lines, start=1):
         fields = line.split(" ")

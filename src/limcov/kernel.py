@@ -17,6 +17,7 @@ threads; the operations are pure functions.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -25,6 +26,7 @@ __all__ = [
     "CylinderSet",
     "EMPTY_WORD_TEXT",
     "InputError",
+    "MAX_EXPONENT",
     "RealInterval",
     "cell_span",
     "format_rational",
@@ -49,15 +51,26 @@ class InputError(ValueError):
 
 # CPython's default limit on the digits of an int converted to or from str.
 _MAX_DECIMAL_DIGITS = 4300
+# The largest k whose 2^k has at most that many digits: reports render 2^k
+# and 2^-k, so larger exponents are refused before 1 << k is built.
+MAX_EXPONENT = 14284
+
+_RATIONAL_RE = re.compile(
+    r"[+-]?(?:[0-9]+/[0-9]+|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+)
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``p/q`` or decimal notation into an exact Fraction.
 
-    A decimal whose mantissa digits plus absolute exponent exceed 4300 is
+    Only ASCII is accepted: ``[+-]digits[/digits]`` or a decimal with an
+    optional exponent; no spaces, underscores or other Unicode digits.  A
+    decimal whose mantissa digits plus absolute exponent exceed 4300 is
     refused before its power of ten is built, so every accepted value stays
     small enough to render with str().
     """
+    if not _RATIONAL_RE.fullmatch(text):
+        raise InputError(f"not a rational number: {text!r}")
     if "/" not in text:
         mantissa, _, exponent = text.lower().partition("e")
         try:

@@ -75,10 +75,6 @@ class RationalGrid:
         if self.resolution < 1:
             raise InputError("grid resolution must be positive")
 
-    @property
-    def step(self) -> Fraction:
-        return Fraction(1, 1 << self.resolution)
-
     def values(self) -> list[Fraction]:
         g = self.resolution
         return [Fraction(j, 1 << g) for j in range(1, (1 << g) + 1)]
@@ -172,6 +168,26 @@ def run_measure_cover(
     return MeasureCoverResult(table, tuple(log), grid)
 
 
+def _replay_log(
+    result: MeasureCoverResult | TreeCoverResult,
+) -> tuple[dict[str, Fraction], Check]:
+    """The table rebuilt from an increase log, and the log-consistency check:
+    every entry must raise its key to a new maximum, and the maxima must be
+    exactly the result's table."""
+    from_log: dict[str, Fraction] = {}
+    ordered = True
+    for key, _, r in result.log:
+        if r <= from_log.get(key, ZERO):
+            ordered = False
+        from_log[key] = max(from_log.get(key, ZERO), r)
+    consistent = ordered and from_log == result.table
+    return from_log, Check(
+        "log-consistency",
+        consistent,
+        "" if consistent else "table disagrees with the acceptance log",
+    )
+
+
 def verify_measure_cover(
     family: traces.StabilizedFamily,
     grid: RationalGrid,
@@ -179,20 +195,8 @@ def verify_measure_cover(
     universe: Iterable[str] | None = None,
 ) -> Verdict:
     """Check m' against the liminf oracle, trusting only the log."""
-    from_log: dict[str, Fraction] = {}
-    ordered = True
-    for u, _, r in result.log:
-        if r <= from_log.get(u, ZERO):
-            ordered = False
-        from_log[u] = max(from_log.get(u, ZERO), r)
-    consistent = ordered and from_log == result.table
-    checks = [
-        Check(
-            "log-consistency",
-            consistent,
-            "" if consistent else "table disagrees with the acceptance log",
-        )
-    ]
+    from_log, consistency = _replay_log(result)
+    checks = [consistency]
 
     total = sum(from_log.values(), ZERO)
     nonneg = all(v >= 0 for v in from_log.values())
@@ -352,20 +356,8 @@ def verify_tree_cover(
     family: traces.StabilizedFamily, grid: RationalGrid, result: TreeCoverResult
 ) -> Verdict:
     """Check the output tree law and the grid-floor bound via the oracle."""
-    from_log: dict[str, Fraction] = {}
-    ordered = True
-    for w, _, r in result.log:
-        if r <= from_log.get(w, ZERO):
-            ordered = False
-        from_log[w] = max(from_log.get(w, ZERO), r)
-    consistent = ordered and from_log == result.table
-    checks = [
-        Check(
-            "log-consistency",
-            consistent,
-            "" if consistent else "table disagrees with the acceptance log",
-        )
-    ]
+    from_log, consistency = _replay_log(result)
+    checks = [consistency]
 
     assert family.depth is not None
     tree_witness = ""

@@ -391,7 +391,11 @@ def verify_open_cover(
     """Re-check the cover from its pieces against the liminf oracle.
 
     Works entirely on canonical CylinderSets and exact Fractions; shares no
-    working-set machinery with the construction runs.
+    working-set machinery with the construction runs.  The threshold is
+    re-derived from the input: trim and naive runs make one attempt per
+    (start, word), (nmax+1) * (2^(depth+1)-1) in all, and a blocks run takes
+    one increment per block piece, every piece but the tail.  The trim-bound
+    check still reads the run's own trim_events.
     """
     union = CylinderSet.empty()
     for piece in result.pieces:
@@ -409,11 +413,19 @@ def verify_open_cover(
     checks.append(
         Check("measure-bound", mu <= eps_prime, "" if mu <= eps_prime else format_rational(mu))
     )
+    assert family.depth is not None
+    schedule = DeltaSchedule(eps_prime - eps, eps)
+    if result.mode == "blocks":
+        attempts = len(result.pieces) - 1
+    else:
+        attempts = (family.nmax + 1) * ((2 << family.depth) - 1)
+    theta = schedule.theta_after(attempts)
+    theta_ok = result.theta == theta and theta <= eps_prime
     checks.append(
         Check(
             "threshold-bound",
-            result.theta <= eps_prime,
-            "" if result.theta <= eps_prime else format_rational(result.theta),
+            theta_ok,
+            "" if theta_ok else schedule.format_theta(result.theta),
         )
     )
 
@@ -422,7 +434,6 @@ def verify_open_cover(
     missing = "" if covered else word_to_text(sorted(limit.words)[0])
     checks.append(Check("coverage", covered, missing))
 
-    schedule = DeltaSchedule(eps_prime - eps)
     trim_witness = ""
     for attempt, count in result.trim_events:
         if not schedule.allows_trims(attempt, count):

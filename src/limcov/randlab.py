@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from . import opencover, traces
 from .kernel import (
+    MAX_EXPONENT,
     CylinderSet,
     InputError,
     ZERO,
@@ -37,16 +38,18 @@ from .verdict import Check, Verdict
 
 __all__ = [
     "DecoderTable",
-    "DeficiencyProfile",
     "StabilizeResult",
     "TestApproximation",
     "bar_deficiency",
+    "deficiency_bound",
     "deficiency_cover_family",
     "deficiency_pipeline",
     "deficiency_sets",
     "parse_decoder",
     "parse_test_table",
     "stabilize_test",
+    "verify_bar_deficiency",
+    "verify_deficiency_sets",
 ]
 
 
@@ -79,14 +82,7 @@ class DecoderTable:
 
 def parse_decoder(text: str | bytes) -> DecoderTable:
     """Parse lines ``<program> <output>`` (binary words, ``e`` for empty)."""
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise traces.ParseError(1, f"not valid UTF-8: {exc}") from None
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    lines = traces.split_lines(text)
     entries = []
     seen = set()
     for lineno, line in enumerate(lines, start=1):
@@ -105,22 +101,6 @@ def parse_decoder(text: str | bytes) -> DecoderTable:
     return DecoderTable(tuple(entries))
 
 
-@dataclass(frozen=True)
-class DeficiencyProfile:
-    """Per-string complexity and deficiency |u| - C(u) under a decoder.
-
-    ``deficiency`` omits undescribed strings (their complexity is infinite).
-    """
-
-    complexity: dict[str, int]
-    deficiency: dict[str, int]
-
-    @classmethod
-    def of(cls, decoder: DecoderTable) -> "DeficiencyProfile":
-        complexity = decoder.complexity()
-        return cls(complexity, {u: len(u) - c for u, c in complexity.items()})
-
-
 def deficiency_sets(decoder: DecoderTable, n: int, c: int) -> frozenset[str]:
     """Strings of length n with complexity below n - c.
 
@@ -134,6 +114,39 @@ def deficiency_sets(decoder: DecoderTable, n: int, c: int) -> frozenset[str]:
         output
         for program, output in decoder.entries
         if len(output) == n and len(program) < cutoff
+    )
+
+
+def deficiency_bound(n: int, c: int) -> int:
+    """2^(n-c) - 1, or 0 when c >= n: the number of programs shorter than
+    n - c, and so the most strings deficiency_sets(decoder, n, c) holds."""
+    return (1 << max(n - c, 0)) - 1
+
+
+def verify_deficiency_sets(
+    decoder: DecoderTable, n: int, c: int, dset: frozenset[str]
+) -> Verdict:
+    """Check a deficiency set against an exhaustive oracle and against
+    deficiency_bound.
+
+    The oracle scores every string of length n by its complexity instead of
+    collecting decoder outputs, so it is limited to n <= 16.
+    """
+    if n > 16:
+        raise InputError("n beyond exhaustive-verification scale (max 16)")
+    complexity = decoder.complexity()
+    expected = {
+        u
+        for u in (format(i, f"0{n}b") if n else "" for i in range(1 << n))
+        if complexity.get(u, n + 1) < n - c
+    }
+    agree = dset == expected
+    within = len(dset) <= deficiency_bound(n, c)
+    return Verdict(
+        (
+            Check("oracle-agreement", agree, "" if agree else "enumeration differs"),
+            Check("count-bound", within, "" if within else str(len(dset))),
+        )
     )
 
 
@@ -161,6 +174,8 @@ def deficiency_pipeline(
     eps' = 2^-(c-1); requires c >= 1 so that eps' <= 1."""
     if c < 1:
         raise InputError("the covering step needs c >= 1 (eps' = 2^-(c-1))")
+    if c > MAX_EXPONENT:
+        raise InputError(f"c must be at most {MAX_EXPONENT}")
     family = deficiency_cover_family(decoder, c, nmax, depth)
     eps = Fraction(1, 1 << c)
     eps_prime = Fraction(1, 1 << (c - 1))
@@ -182,12 +197,34 @@ def bar_deficiency(decoder: DecoderTable, x: str, limit: int) -> int | None:
     if len(x) > limit:
         raise InputError(f"|x| = {len(x)} exceeds the bound {limit}")
     best: int | None = None
-    for output, c in DeficiencyProfile.of(decoder).complexity.items():
+    for output, c in decoder.complexity().items():
         if len(output) <= limit and output.startswith(x):
             d = len(output) - c
             if best is None or d < best:
                 best = d
     return best
+
+
+def verify_bar_deficiency(
+    decoder: DecoderTable, x: str, limit: int, value: int | None
+) -> Verdict:
+    """Check bar_deficiency against an explicit enumeration of every
+    extension of x up to length ``limit``, at most 16 bits past x."""
+    if limit - len(x) > 16:
+        raise InputError("extension range beyond exhaustive-verification scale")
+    complexity = decoder.complexity()
+    expected = None
+    for extra in range(limit - len(x) + 1):
+        for j in range(1 << extra):
+            y = x + (format(j, f"0{extra}b") if extra else "")
+            if y in complexity:
+                d = len(y) - complexity[y]
+                if expected is None or d < expected:
+                    expected = d
+    agree = value == expected
+    return Verdict(
+        (Check("oracle-agreement", agree, "" if agree else f"{value} vs {expected}"),)
+    )
 
 
 @dataclass(frozen=True)
@@ -220,14 +257,9 @@ class TestApproximation:
 
 def parse_test_table(text: str | bytes, c: int) -> TestApproximation:
     """Parse lines ``<i> <n> <word>`` into a TestApproximation."""
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise traces.ParseError(1, f"not valid UTF-8: {exc}") from None
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    if c < 0:
+        raise InputError("c must be non-negative")
+    lines = traces.split_lines(text)
     table: dict[tuple[int, int], str] = {}
     for lineno, line in enumerate(lines, start=1):
         fields = line.split(" ")
@@ -341,7 +373,7 @@ def deficiency_family_verdict(
         expected = {
             u for u, k in complexity.items() if len(u) == n and k < n - c
         }
-        if len(expected) > max(0, (1 << max(n - c, 0)) - 1) and not witness_count:
+        if len(expected) > deficiency_bound(n, c) and not witness_count:
             witness_count = f"n={n}"
         mu = CylinderSet(expected).measure()
         if mu > Fraction(1, 1 << c) and not witness_measure:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import traces
-from .kernel import InputError
+from .kernel import MAX_EXPONENT, InputError
 from .verdict import Check, Verdict
 
 __all__ = ["SetCoverResult", "run_set_cover", "verify_set_cover"]
@@ -52,6 +52,8 @@ def run_set_cover(
     """
     if k < 0:
         raise InputError("k must be non-negative")
+    if k > MAX_EXPONENT:
+        raise InputError(f"k must be at most {MAX_EXPONENT}")
     bound = 1 << k
     sets_ = traces.sets_by_index(family)
     for n, s in enumerate(sets_):

@@ -3,8 +3,9 @@
 A trace file presents finitely many enumeration events for a family of
 objects U_0 .. U_{nmax-1}; every index n >= nmax denotes the same object as
 index nmax-1 (the stabilized tail).  Line order is enumeration time: the
-trace truncated to its first t events is the stage-t approximation of the
-family, and the full trace plays the role of complete oracle knowledge.
+trace truncated to its first t events, at_stage(family, t), is the stage-t
+approximation of the family, and the full trace plays the role of complete
+oracle knowledge.
 
 Under the tail rule every "for almost all n" question about a family is
 decidable by scanning n in [N, nmax-1] plus one tail check, which is exactly
@@ -25,9 +26,10 @@ Trace grammar (UTF-8, LF line endings, single spaces)::
     raise <n> <token> <value>             measure
     raise <n> <word> <value>              tree, func
 
-Values are positive rationals written as p/q or in decimal notation.  A
-duplicate add is idempotent and a raise below the current value is a no-op,
-so objects grow monotonically with the stage.
+Values are positive ASCII rationals written as p/q or in decimal notation.
+A duplicate add is idempotent and a raise below the current value is a
+no-op, so objects grow monotonically with the stage.  Traces, partial maps,
+decoder tables and interval tables are all read by split_lines.
 
 Parsed families are immutable; the covering modules operate on private
 mutable copies and may be run concurrently on the same family.
@@ -59,7 +61,6 @@ __all__ = [
     "KINDS",
     "ParseError",
     "StabilizedFamily",
-    "StageApproximation",
     "at_stage",
     "format_trace",
     "func_cell_rows",
@@ -74,6 +75,7 @@ __all__ = [
     "parse_trace",
     "set_at",
     "sets_by_index",
+    "split_lines",
     "universe",
     "value_at",
     "values_by_index",
@@ -127,19 +129,25 @@ class StabilizedFamily:
         return len(self.events)
 
 
-@dataclass(frozen=True)
-class StageApproximation:
+def at_stage(family: StabilizedFamily, stage: int) -> StabilizedFamily:
     """The family as known after ``stage`` enumeration steps."""
-
-    stage: int
-    family: StabilizedFamily
-
-
-def at_stage(family: StabilizedFamily, stage: int) -> StageApproximation:
     if stage < 0:
         raise InputError("stage must be non-negative")
-    truncated = replace(family, events=family.events[:stage])
-    return StageApproximation(stage, truncated)
+    return replace(family, events=family.events[:stage])
+
+
+def split_lines(text: str | bytes) -> list[str]:
+    """The LF-separated lines of an input, without the empty string after a
+    final LF; bytes are decoded as UTF-8 first (ParseError on line 1)."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(1, f"not valid UTF-8: {exc}") from None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 def _parse_header(line: str) -> tuple[str, int, int | None]:
@@ -196,14 +204,7 @@ def _parse_key(lineno: int, field: str, kind: str, depth: int | None) -> str:
 
 def parse_trace(text: str | bytes) -> StabilizedFamily:
     """Parse a trace; raises ParseError naming the offending line."""
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(1, f"not valid UTF-8: {exc}") from None
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    lines = split_lines(text)
     if not lines:
         raise ParseError(1, "empty trace")
     kind, nmax, depth = _parse_header(lines[0])

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from limcov import fatou, gen, opencover, traces
-from limcov.cli import main
+from limcov.cli import COMMANDS, main
 from limcov.measurecover import RationalGrid
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -170,6 +170,15 @@ def test_gen_single_member_family(tmp_path, capsys):
     assert out.read_text().startswith("family sets nmax=1")
 
 
+@pytest.mark.parametrize("kind", traces.KINDS)
+def test_sweep_every_kind(capsys, kind):
+    code, out, err = run(capsys, "sweep", "--kind", kind, "--count", "2", "--seed", "1")
+    assert code == 0 and err == ""
+    assert [l for l in out.splitlines() if l.startswith("SWEEP")] == [
+        "SWEEP seed=1 PASS", "SWEEP seed=2 PASS"
+    ]
+
+
 def test_sweep(capsys):
     code, out, _ = run(
         capsys, "sweep", "--kind", "measure", "--count", "3", "--seed", "5",
@@ -231,6 +240,20 @@ def test_failing_verdict_exits_one(tmp_path, capsys, monkeypatch):
     assert "RESULT FAIL" in out
 
 
+def test_failing_sweep_seed_names_its_witness(capsys, monkeypatch):
+    from limcov.verdict import Check, Verdict
+
+    monkeypatch.setattr(
+        "limcov.setcover.verify_set_cover",
+        lambda *a, **k: Verdict((Check("forced", False, "witness-here"),)),
+    )
+    code, out, _ = run(capsys, "sweep", "--kind", "sets", "--count", "2", "--seed", "3")
+    assert code == 1
+    assert out.endswith(
+        "SWEEP seed=3 FAIL witness=forced\nSWEEP seed=4 FAIL witness=forced\nRESULT FAIL\n"
+    )
+
+
 def parse_threshold(report: str) -> Fraction:
     """Read back a THRESHOLD line rendered as eps'-budget*2^-T."""
     line = next(l for l in report.splitlines() if l.startswith("THRESHOLD "))
@@ -277,6 +300,7 @@ def test_long_runs_render_their_threshold(tmp_path, capsys, kind, nmax, depth, e
         ("family open nmax=1 depth=\u00b2\nadd 0 0\n", 1),
         ("family sets nmax=2\nadd \u0661 a\n", 2),
         ("family sets nmax=2\nadd +1 a\n", 2),
+        ("family measure nmax=1\nraise 0 a \u0661/\u0662\n", 2),
     ],
 )
 def test_non_ascii_digits_are_input_errors(tmp_path, capsys, text, lineno):
@@ -303,3 +327,77 @@ def test_huge_decimal_exponent_is_input_error(tmp_path, capsys, where):
     assert "Traceback" not in err and "4300 digits" in err
     if where == "trace":
         assert "huge.trace: line 2:" in err
+
+
+# The flags, besides its input file, that make each file-reading command valid.
+OTHER_FLAGS = {
+    "setcover": ["--k", "1"],
+    "measurecover": [],
+    "treecover": [],
+    "freq": ["--horizon", "3"],
+    "opencover": ["--eps", "1/4", "--eps-prime", "1/2"],
+    "fatou": ["--eps", "1/4", "--eps-prime", "1/2"],
+    "randlab deficiency": ["--n", "2", "--c", "0"],
+    "randlab cover": ["--c", "1", "--nmax", "3", "--depth", "3"],
+    "randlab stabilize": ["--c", "0"],
+    "randlab bard": ["--x", "0", "--length", "2"],
+}
+
+
+def exit_two_cases():
+    """(argv, input bytes or None for a missing file, expected stderr part);
+    "{input}" stands for the input file's path."""
+    for name, command in COMMANDS.items():
+        if command.source:
+            argv = [*name.split(), f"--{command.source}", "{input}", *OTHER_FLAGS[name]]
+            yield pytest.param(argv, None, "{input}", id=f"{name}-missing")
+            yield pytest.param(
+                argv, b"\xff\xfe", "{input}: line 1: not valid UTF-8", id=f"{name}-bad-utf8"
+            )
+    # Flags that used to crash with a traceback (or, for stabilize, blamed
+    # the input file for a flag).
+    sets = SHIFT_TRACE.encode()
+    for case_id, argv, data, message in [
+        ("gen-bound", ["gen", "--kind", "sets", "--nmax", "4", "--seed", "1", "--bound", "-1"],
+         None, "bound must be non-negative"),
+        ("sweep-bound", ["sweep", "--kind", "sets", "--count", "2", "--bound", "-1"], None,
+         "bound must be non-negative"),
+        ("gen-eps", ["gen", "--kind", "func", "--nmax", "4", "--depth", "3", "--seed", "1",
+                     "--eps", "-1"], None, "eps must be non-negative"),
+        ("setcover-k", ["setcover", "--trace", "{input}", "--k", "20000"], sets,
+         "k must be at most 14284"),
+        ("setcover-huge-k", ["setcover", "--trace", "{input}", "--k", "99999999999"], sets,
+         "k must be at most 14284"),
+        ("randlab-cover-c", ["randlab", "cover", "--decoder", "{input}", "--c", "20000",
+                             "--nmax", "3", "--depth", "3"], b"0 00\n", "c must be at most 14284"),
+        ("randlab-stabilize-c", ["randlab", "stabilize", "--table", "{input}", "--c", "-1"],
+         b"0 2 01\n", "limcov: c must be non-negative\n"),
+    ]:
+        yield pytest.param(argv, data, message, id=case_id)
+
+
+@pytest.mark.parametrize("argv,data,message", exit_two_cases())
+def test_bad_inputs_and_flags_exit_two(tmp_path, capsys, argv, data, message):
+    path = tmp_path / "input.txt"
+    if data is not None:
+        path.write_bytes(data)
+    code, out, err = run(capsys, *(a.replace("{input}", str(path)) for a in argv))
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    assert message.replace("{input}", str(path)) in err
+
+
+def test_largest_exponent_still_renders(tmp_path, capsys):
+    trace = tmp_path / "f.trace"
+    trace.write_text(SHIFT_TRACE)
+    code, out, err = run(capsys, "setcover", "--trace", str(trace), "--k", "14284")
+    assert code == 0 and err == ""
+    assert out.splitlines()[3] == f"BOUND {1 << 14284}"
+    decoder = tmp_path / "d.txt"
+    decoder.write_text("0 00\n")
+    code, out, err = run(
+        capsys, "randlab", "cover", "--decoder", str(decoder), "--c", "14284",
+        "--nmax", "3", "--depth", "3",
+    )
+    assert code == 0 and err == ""
+    assert f"EPS 1/{1 << 14284}" in out.splitlines()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from limcov.kernel import (
     CylinderSet,
+    MAX_EXPONENT,
     InputError,
     RealInterval,
     cell_span,
@@ -170,6 +171,23 @@ def test_parse_rational_bounds_decimal_digits():
             parse_rational(text)
     with pytest.raises(InputError, match="not a rational number"):
         parse_rational("1e" + "9" * 5000)
+
+
+def test_parse_rational_takes_ascii_only():
+    for text, value in (("-3/4", F(-3, 4)), ("+3/4", F(3, 4)), (".5", F(1, 2)),
+                        ("5.", F(5)), ("1.5e-3", F(3, 2000)), ("1E2", F(100))):
+        assert parse_rational(text) == value, text
+    for text in ("\u0661/\u0662", "\uff11", "1_000", " 1/2", "1/2 ", "1 / 2",
+                 "1/-2", "1/+2", "1.5/2", "1e", "e3", ".", "", "1/2e3", "inf"):
+        with pytest.raises(InputError, match="not a rational number"):
+            parse_rational(text)
+
+
+def test_max_exponent_is_the_last_power_of_two_str_renders():
+    # 2^MAX_EXPONENT has 4300 digits, the most str() of an int renders by
+    # default; the next power of two has 4301.
+    assert 10**4299 <= 1 << MAX_EXPONENT < 10**4300 < 1 << (MAX_EXPONENT + 1)
+    assert len(str(1 << MAX_EXPONENT)) == 4300
 
 
 def test_is_natural_takes_ascii_digits_only():

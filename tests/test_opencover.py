@@ -5,6 +5,7 @@ families against a literal reference that manipulates canonical CylinderSets
 and exact Fraction thresholds directly.
 """
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -210,6 +211,23 @@ def test_mutated_piece_flips_verdict():
     )
     verdict = verify_open_cover(fam, F(1, 4), F(1, 2), inflated)
     assert not verdict.passed
+
+
+@pytest.mark.parametrize("runner", ALL_RUNNERS)
+def test_uncounted_attempt_flips_threshold_bound(runner):
+    fam = parse_trace(DRIFT)
+    eps, eps_prime = F(1, 4), F(1, 2)
+    res = runner(fam, eps, eps_prime)
+    # trim and naive: (nmax+1) * (2^(depth+1)-1) attempts; blocks: one per
+    # block piece, every piece but the tail.
+    attempts = len(res.pieces) - 1 if res.mode == "blocks" else 3 * 7
+    schedule = DeltaSchedule(eps_prime - eps, eps)
+    assert res.theta == schedule.theta_after(attempts)
+    assert verify_open_cover(fam, eps, eps_prime, res).passed
+    for forged in (schedule.theta_after(attempts - 1), eps):
+        short = dataclasses.replace(res, theta=forged)
+        failed = verify_open_cover(fam, eps, eps_prime, short).failures()
+        assert [c.name for c in failed] == ["threshold-bound"]
 
 
 def test_matches_literal_reference():

@@ -9,9 +9,9 @@ from limcov import gen, traces
 from limcov.kernel import CylinderSet, InputError
 from limcov.randlab import (
     DecoderTable,
-    DeficiencyProfile,
     TestApproximation,
     bar_deficiency,
+    deficiency_bound,
     deficiency_cover_family,
     deficiency_family_verdict,
     deficiency_pipeline,
@@ -19,6 +19,8 @@ from limcov.randlab import (
     parse_decoder,
     parse_test_table,
     stabilize_test,
+    verify_bar_deficiency,
+    verify_deficiency_sets,
 )
 
 F = Fraction
@@ -42,8 +44,7 @@ def test_parse_decoder():
 def test_complexity_takes_the_shortest_program():
     dec = DecoderTable((("0", "1"), ("00", "1"), ("111", "0")))
     assert dec.complexity() == {"1": 1, "0": 3}
-    profile = DeficiencyProfile.of(dec)
-    assert profile.deficiency == {"1": 0, "0": -2}
+    assert {u: len(u) - k for u, k in dec.complexity().items()} == {"1": 0, "0": -2}
 
 
 def test_deficiency_set_examples():
@@ -109,12 +110,36 @@ def test_bar_deficiency_is_bounded_by_described_witnesses():
     rng = random.Random(44)
     for i in range(40):
         dec = random_decoder(12_000 + i)
-        profile = DeficiencyProfile.of(dec)
-        for y, d in profile.deficiency.items():
+        for y, k in dec.complexity().items():
+            d = len(y) - k
             for cut in range(len(y) + 1):
                 x = y[:cut]
                 got = bar_deficiency(dec, x, max(len(y), len(x)))
                 assert got is not None and got <= d
+
+
+def test_deficiency_oracle_catches_wrong_sets():
+    dec = DecoderTable((("0", "00"), ("1", "01"), ("00", "10")))
+    dset = deficiency_sets(dec, 2, 0)
+    assert dset == frozenset({"00", "01"}) and deficiency_bound(2, 0) == 3
+    assert verify_deficiency_sets(dec, 2, 0, dset).passed
+    for wrong, failing in ((dset - {"01"}, ["oracle-agreement"]),
+                           (dset | {"11"}, ["oracle-agreement"]),
+                           (frozenset({"00", "01", "10", "11"}), ["oracle-agreement", "count-bound"])):
+        failed = verify_deficiency_sets(dec, 2, 0, wrong).failures()
+        assert [c.name for c in failed] == failing
+    with pytest.raises(InputError, match="max 16"):
+        verify_deficiency_sets(dec, 17, 0, frozenset())
+
+
+def test_bar_deficiency_oracle_catches_wrong_values():
+    assert verify_bar_deficiency(ONE_ENTRY, "0", 2, 1).passed
+    assert verify_bar_deficiency(DecoderTable(()), "0", 4, None).passed
+    for wrong in (0, 2, None):
+        failed = verify_bar_deficiency(ONE_ENTRY, "0", 2, wrong).failures()
+        assert [c.name for c in failed] == ["oracle-agreement"]
+    with pytest.raises(InputError, match="exhaustive-verification scale"):
+        verify_bar_deficiency(ONE_ENTRY, "", 17, None)
 
 
 def test_stabilize_single_interval():

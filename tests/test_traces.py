@@ -109,12 +109,12 @@ def test_stage_truncation_is_monotone():
     previous = [frozenset()] * fam.nmax
     for t in range(fam.stages + 1):
         stage = at_stage(fam, t)
-        assert stage.stage == t
-        current = traces.sets_by_index(stage.family)
+        assert stage.stages == t
+        current = traces.sets_by_index(stage)
         for before, now in zip(previous, current):
             assert before <= now
         previous = current
-    assert traces.sets_by_index(at_stage(fam, fam.stages).family) == traces.sets_by_index(fam)
+    assert traces.sets_by_index(at_stage(fam, fam.stages)) == traces.sets_by_index(fam)
 
 
 def test_value_stage_monotone():
@@ -126,7 +126,7 @@ def test_value_stage_monotone():
     for point in traces.universe(fam):
         last = [F(0)] * fam.nmax
         for t in range(fam.stages + 1):
-            tables = traces.values_by_index(at_stage(fam, t).family)
+            tables = traces.values_by_index(at_stage(fam, t))
             now = [tab.get(point, F(0)) for tab in tables]
             assert all(a <= b for a, b in zip(last, now))
             last = now
