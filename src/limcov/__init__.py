@@ -15,7 +15,6 @@ from .kernel import CylinderSet, InputError, RealInterval, parse_rational
 from .measurecover import (
     MeasureCoverResult,
     RationalGrid,
-    TreeCoverResult,
     frequency_semimeasures,
     frequency_trace,
     run_measure_cover,
@@ -32,6 +31,7 @@ from .opencover import (
     run_block_cover,
     run_naive_cover,
     run_trim_cover,
+    verify_omega_family,
     verify_open_cover,
 )
 from .randlab import (
@@ -43,12 +43,12 @@ from .randlab import (
     deficiency_sets,
     parse_decoder,
     stabilize_test,
+    verify_stabilize,
 )
 from .setcover import SetCoverResult, run_set_cover, verify_set_cover
 from .traces import (
     ParseError,
     StabilizedFamily,
-    at_stage,
     format_trace,
     liminf_open,
     liminf_sets,

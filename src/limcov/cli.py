@@ -8,9 +8,10 @@ COVER / MEASURE / BOUND / VERDICT / WITNESS-style lines with exact rationals
 rendered as p/q; a THRESHOLD, whose denominator doubles with every attempt,
 is rendered exactly by its closed form eps'-budget*2^-T.
 
-Each subcommand is a row of COMMANDS whose body parses, runs and verifies;
-one writer frames every report with its REPORT, INPUT, PARAM, VERDICT and
-RESULT lines.
+Each subcommand is a row of COMMANDS whose layers parse the input file, run
+the construction, verify its result and render it; main chains them, and
+one writer frames every report with its REPORT, INPUT, PARAM and RESULT
+lines.  sweep runs and verifies generated families through the same rows.
 
 Exit codes: 0 when every verdict passes, 1 when some verdict fails, and 2
 for input or usage errors (reported as one line naming file and line).
@@ -32,10 +33,6 @@ from .measurecover import RationalGrid
 from .verdict import Check, Verdict
 
 __all__ = ["COMMANDS", "Command", "main"]
-
-# What a report body returns: the PARAM text, the report lines between PARAM
-# and the verdict, and the verdict.
-Report = tuple[str, list[str], Verdict]
 
 
 def _verdict_lines(verdict: Verdict) -> list[str]:
@@ -60,12 +57,7 @@ def _rational(text: str) -> Fraction:
 
 
 def _rational_list(text: str) -> list[Fraction]:
-    if not text:
-        return []
-    try:
-        return [parse_rational(part) for part in text.split(",")]
-    except InputError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return [_rational(part) for part in text.split(",")] if text else []
 
 
 def _write(text: str, out: str | None) -> None:
@@ -76,34 +68,29 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _write_report(
-    name: str,
-    data: bytes | None,
-    report: Report,
-    render: Callable[[Verdict], list[str]],
-    out: str | None,
+    name: str, data: bytes | None, param: str, lines: list[str], passed: bool, out: str | None
 ) -> int:
-    """Frame a body's report and write it; INPUT digests the input file's
-    bytes, or the PARAM text for commands that read no file."""
-    param, lines, verdict = report
+    """Frame a report and write it; INPUT digests the input file's bytes, or
+    the PARAM text for commands that read no file."""
     digest = hashlib.sha256(param.encode() if data is None else data).hexdigest()
     text = "\n".join([
         f"REPORT {name}",
         f"INPUT sha256:{digest}",
         f"PARAM {param}",
         *lines,
-        *render(verdict),
-        f"RESULT {'PASS' if verdict.passed else 'FAIL'}",
+        f"RESULT {'PASS' if passed else 'FAIL'}",
     ])
     _write(text + "\n", out)
-    return 0 if verdict.passed else 1
+    return 0 if passed else 1
 
 
-# Bodies call into the construction modules at call time, never through
-# references taken at import, so a test may replace any of those functions.
-def _setcover(args, data: bytes) -> Report:
-    family = traces.parse_trace(data)
-    result = setcover.run_set_cover(family, args.k)
-    verdict = setcover.verify_set_cover(family, args.k, result)
+# The layers of the rows below call into the construction modules at call
+# time, never through references taken at import, so a test may replace any
+# of those functions.  A render returns the PARAM text and the report lines
+# between PARAM and the verdict.
+
+
+def _render_setcover(args, family, result: setcover.SetCoverResult):
     limit, witness = traces.liminf_sets_witness(family)
     return f"k={args.k}", [
         f"BOUND {result.bound}",
@@ -111,59 +98,48 @@ def _setcover(args, data: bytes) -> Report:
         " ".join(["LIMINF", *sorted(limit)]),
         f"LIMINF-WITNESS N={witness}",
         *(f"OP {n} {u}" for n, u in result.log),
-    ], verdict
+    ]
 
 
 def _mprime_lines(result: measurecover.MeasureCoverResult) -> list[str]:
     return [f"MPRIME {u} {format_rational(v)}" for u, v in sorted(result.table.items())]
 
 
-def _measurecover(args, data: bytes) -> Report:
-    family = traces.parse_trace(data)
-    grid = RationalGrid(args.grid)
-    result = measurecover.run_measure_cover(family, grid)
-    verdict = measurecover.verify_measure_cover(family, grid, result)
+def _render_measurecover(args, family, result: measurecover.MeasureCoverResult):
     return f"grid={args.grid}", [
         f"SUM {format_rational(sum(result.table.values(), Fraction(0)))}",
         *_mprime_lines(result),
         *(f"OP {u} {n} {format_rational(r)}" for u, n, r in result.log),
-    ], verdict
+    ]
 
 
-def _treecover(args, data: bytes) -> Report:
-    family = traces.parse_trace(data)
-    grid = RationalGrid(args.grid)
-    result = measurecover.run_tree_cover(family, grid)
-    verdict = measurecover.verify_tree_cover(family, grid, result)
+def _render_treecover(args, family, result: measurecover.MeasureCoverResult):
     by_word = sorted(result.table.items(), key=lambda kv: (len(kv[0]), kv[0]))
     return f"grid={args.grid}", [
         *(f"APRIME {word_to_text(w)} {format_rational(v)}" for w, v in by_word),
-    ], verdict
+    ]
 
 
-def _freq(args, data: bytes) -> Report:
-    values = gen.parse_function_table(data)
+def _run_freq(args, values: dict[int, str]) -> measurecover.MeasureCoverResult:
     grid = RationalGrid(args.grid)
     family = measurecover.frequency_trace(values, args.horizon)
     if args.emit_trace:
         Path(args.emit_trace).write_text(traces.format_trace(family), encoding="utf-8")
-    result = measurecover.run_measure_cover(family, grid)
-    verdict = measurecover.verify_frequency_cover(values, args.horizon, grid, result)
+    return measurecover.run_measure_cover(family, grid)
+
+
+def _render_freq(args, values: dict[int, str], result: measurecover.MeasureCoverResult):
     final = measurecover.frequency_semimeasures(values, args.horizon)[-1]
     return f"horizon={args.horizon} grid={args.grid}", [
         *(f"FREQ {x} {format_rational(v)}" for x, v in sorted(final.items())),
         *_mprime_lines(result),
-    ], verdict
+    ]
 
 
 _OPEN_RUNNERS = {"trim": "run_trim_cover", "naive": "run_naive_cover", "blocks": "run_block_cover"}
 
 
-def _opencover(args, data: bytes) -> Report:
-    family = traces.parse_trace(data)
-    runner = getattr(opencover, _OPEN_RUNNERS[args.mode])
-    result = runner(family, args.eps, args.eps_prime)
-    verdict = opencover.verify_open_cover(family, args.eps, args.eps_prime, result)
+def _render_opencover(args, family, result: opencover.OpenCoverResult):
     cover_words = " ".join(word_to_text(w) for w in sorted(result.cover.words))
     param = (
         f"mode={args.mode} eps={format_rational(args.eps)} "
@@ -175,16 +151,15 @@ def _opencover(args, data: bytes) -> Report:
         f"COVER {cover_words}".rstrip(),
         f"PIECES {len(result.pieces)}",
         f"TRIMS {sum(count for _, count in result.trim_events)}",
-    ], verdict
+    ]
 
 
-def _omegademo(args, data: None) -> Report:
+def _render_omegademo(args, _, result: opencover.OmegaFamilyResult):
     key = (
         f"prefix={','.join(map(format_rational, args.prefix))};"
         f"cycle={','.join(map(format_rational, args.cycle))};"
         f"eps={format_rational(args.eps)}"
     )
-    result = opencover.omega_family(args.prefix, args.cycle, args.eps)
     return key, [
         f"WMIN {format_rational(result.w_min)}",
         *(
@@ -192,14 +167,10 @@ def _omegademo(args, data: None) -> Report:
             f"{format_rational(iv.measure())}"
             for i, iv in enumerate(result.intervals)
         ),
-    ], result.verdict
+    ]
 
 
-def _fatou(args, data: bytes) -> Report:
-    family = traces.parse_trace(data)
-    grid = RationalGrid(args.grid)
-    result = fatou.run_fatou(family, args.eps, args.eps_prime, grid)
-    verdict = fatou.verify_fatou(family, args.eps, args.eps_prime, grid, result)
+def _render_fatou(args, family, result: fatou.FatouResult):
     depth = result.phi.depth
     param = (
         f"eps={format_rational(args.eps)} "
@@ -213,38 +184,47 @@ def _fatou(args, data: bytes) -> Report:
             for i, v in enumerate(result.phi.cells)
             if v > 0
         ),
-    ], verdict
+    ]
 
 
-def _randlab_deficiency(args, data: bytes) -> Report:
-    decoder = randlab.parse_decoder(data)
-    dset = randlab.deficiency_sets(decoder, args.n, args.c)
-    verdict = randlab.verify_deficiency_sets(decoder, args.n, args.c, dset)
+def _render_deficiency(args, decoder, dset: frozenset[str]):
     return f"n={args.n} c={args.c}", [
         " ".join(["DSET", *sorted(dset)]),
         f"COUNT {len(dset)}",
         f"BOUND {randlab.deficiency_bound(args.n, args.c)}",
-    ], verdict
+    ]
 
 
-def _randlab_cover(args, data: bytes) -> Report:
-    decoder = randlab.parse_decoder(data)
-    family, result, verdict = randlab.deficiency_pipeline(
-        decoder, args.c, args.nmax, args.depth
+def _run_randlab_cover(args, decoder):
+    """The deficiency family and its trim cover: deficiency_pipeline without
+    its verdict, which the row's verify derives."""
+    eps, eps_prime = randlab.deficiency_eps(args.c)
+    family = randlab.deficiency_cover_family(decoder, args.c, args.nmax, args.depth)
+    return family, opencover.run_trim_cover(family, eps, eps_prime)
+
+
+def _verify_randlab_cover(args, decoder, run) -> Verdict:
+    family, result = run
+    eps, eps_prime = randlab.deficiency_eps(args.c)
+    return Verdict(
+        randlab.deficiency_family_verdict(decoder, args.c, family).checks
+        + opencover.verify_open_cover(family, eps, eps_prime, result).checks
     )
-    family_verdict = randlab.deficiency_family_verdict(decoder, args.c, family)
-    combined = Verdict(family_verdict.checks + verdict.checks)
-    cover_words = " ".join(word_to_text(w) for w in sorted(result.cover.words))
+
+
+def _render_randlab_cover(args, decoder, run):
+    eps, eps_prime = randlab.deficiency_eps(args.c)
+    cover = run[1].cover
+    cover_words = " ".join(word_to_text(w) for w in sorted(cover.words))
     return f"c={args.c} nmax={args.nmax} depth={args.depth}", [
-        f"EPS {format_rational(Fraction(1, 1 << args.c))}",
-        f"EPS-PRIME {format_rational(Fraction(1, 1 << (args.c - 1)))}",
-        f"MEASURE {format_rational(result.cover.measure())}",
+        f"EPS {format_rational(eps)}",
+        f"EPS-PRIME {format_rational(eps_prime)}",
+        f"MEASURE {format_rational(cover.measure())}",
         f"COVER {cover_words}".rstrip(),
-    ], combined
+    ]
 
 
-def _randlab_stabilize(args, data: bytes) -> Report:
-    result = randlab.stabilize_test(randlab.parse_test_table(data, args.c))
+def _render_stabilize(args, test, result: randlab.StabilizeResult):
     lines = []
     for n in sorted(result.covered):
         lines.append(" ".join([f"SN {n}", *result.covered[n]]).rstrip())
@@ -252,90 +232,58 @@ def _randlab_stabilize(args, data: bytes) -> Report:
         for u in result.covered[n]:
             lines.append(f"CODE {u} {word_to_text(result.codes[n][u])}")
     lines.extend(f"DELETED {i} {n}" for i, n in result.deleted)
-    return f"c={args.c}", lines, result.verdict
+    return f"c={args.c}", lines
 
 
-def _randlab_bard(args, data: bytes) -> Report:
-    decoder = randlab.parse_decoder(data)
-    x = word_from_text(args.x)
-    value = randlab.bar_deficiency(decoder, x, args.length)
-    verdict = randlab.verify_bar_deficiency(decoder, x, args.length, value)
-    return f"x={word_to_text(x)} length={args.length}", [
+def _render_bard(args, decoder, value: int | None):
+    return f"x={args.x} length={args.length}", [
         f"BARD {'none' if value is None else value}",
         f"TRUNCATION L={args.length}",
-    ], verdict
+    ]
 
 
-def _gen(args, data: None) -> str:
+def _run_gen(args, _) -> str:
     return gen.gen_trace(
         args.kind, args.nmax, args.seed, depth=args.depth, universe=args.universe,
         bound=args.bound, eps=args.eps,
     )
 
 
-def _sweep_sets(family: traces.StabilizedFamily, args) -> Verdict:
-    k = (args.bound - 1).bit_length() if args.bound > 1 else 0
-    return setcover.verify_set_cover(family, k, setcover.run_set_cover(family, k))
-
-
-def _sweep_measure(family: traces.StabilizedFamily, args) -> Verdict:
-    grid = RationalGrid(args.grid)
-    result = measurecover.run_measure_cover(family, grid)
-    return measurecover.verify_measure_cover(family, grid, result)
-
-
-def _sweep_tree(family: traces.StabilizedFamily, args) -> Verdict:
-    grid = RationalGrid(args.grid)
-    result = measurecover.run_tree_cover(family, grid)
-    return measurecover.verify_tree_cover(family, grid, result)
-
-
-def _sweep_open(family: traces.StabilizedFamily, args) -> Verdict:
-    checks = []
-    for name in _OPEN_RUNNERS.values():
-        result = getattr(opencover, name)(family, args.eps, args.eps_prime)
-        verdict = opencover.verify_open_cover(family, args.eps, args.eps_prime, result)
-        checks.extend(verdict.checks)
-    return Verdict(tuple(checks))
-
-
-def _sweep_func(family: traces.StabilizedFamily, args) -> Verdict:
-    grid = RationalGrid(args.grid)
-    result = fatou.run_fatou(family, args.eps, args.eps_prime, grid)
-    return fatou.verify_fatou(family, args.eps, args.eps_prime, grid, result)
-
-
-# The run/verify step of each family kind, for sweep.
-_SWEEP_STEPS = {
-    "sets": _sweep_sets,
-    "open": _sweep_open,
-    "measure": _sweep_measure,
-    "tree": _sweep_tree,
-    "func": _sweep_func,
-}
-
-
-def _sweep(args, data: None) -> Report:
+def _run_sweep(args, _) -> Verdict:
+    """Each seed's family through every row that takes its kind: one run per
+    --mode choice for open families, and k from --bound for sets."""
     if args.count < 1:
         raise InputError("count must be positive")
     depth = args.depth if args.kind in ("open", "tree", "func") else None
     eps = args.eps if args.kind in ("open", "func") else None
+    k = (args.bound - 1).bit_length() if args.bound > 1 else 0
+    modes = _OPEN_RUNNERS if args.kind == "open" else (None,)
+    rows = [row for row in COMMANDS.values() if row.family == args.kind]
     checks = []
     for seed in range(args.seed, args.seed + args.count):
         text = gen.gen_trace(
             args.kind, args.nmax, seed, depth=depth, universe=args.universe,
             bound=args.bound, eps=eps,
         )
-        verdict = _SWEEP_STEPS[args.kind](traces.parse_trace(text), args)
-        witness = "" if verdict.passed else verdict.failures()[0].name
-        checks.append(Check(f"seed={seed}", verdict.passed, witness))
+        family = traces.parse_trace(text)
+        found = []
+        for row in rows:
+            for mode in modes:
+                row_args = argparse.Namespace(**vars(args), k=k, mode=mode)
+                result = row.run(row_args, family)
+                found.extend(row.verify(row_args, family, result).failures())
+        checks.append(Check(f"seed={seed}", not found, found[0].name if found else ""))
+    return Verdict(tuple(checks))
+
+
+def _render_sweep(args, _, verdict: Verdict):
     key = (
         f"kind={args.kind} count={args.count} seed={args.seed} nmax={args.nmax} "
         f"depth={args.depth} universe={args.universe} bound={args.bound} "
         f"grid={args.grid} eps={format_rational(args.eps)} "
         f"eps-prime={format_rational(args.eps_prime)}"
     )
-    return key, [], Verdict(tuple(checks))
+    return key, []
 
 
 def _sweep_lines(verdict: Verdict) -> list[str]:
@@ -347,22 +295,40 @@ def _sweep_lines(verdict: Verdict) -> list[str]:
     ]
 
 
+# The input formats, by the dest of a row's input-file flag.
+_PARSERS = {
+    "trace": lambda args, data: traces.parse_trace(data),
+    "fn": lambda args, data: gen.parse_function_table(data),
+    "decoder": lambda args, data: randlab.parse_decoder(data),
+    "table": lambda args, data: randlab.parse_test_table(data, args.c),
+}
+
+
 @dataclass(frozen=True)
 class Command:
-    """One subcommand: its help, its body, the dest of its input-file flag
-    and its flags in usage order (every command also takes --out).
+    """One subcommand: its help, the dest of its input-file flag, its flags
+    in usage order (every command also takes --out) and its layers.
 
-    A body maps the parsed flags and the input file's bytes (None without
-    one) to a Report, whose verdict ``render`` turns into report lines.
-    With ``render`` None the command writes no report: gen's body returns
-    the trace text, written as it is.
+    ``run(args, input)`` executes the construction on the parsed input file
+    (None without one), ``verify(args, input, result)`` checks the result,
+    and ``render(args, input, result)`` gives the PARAM text and the report
+    lines before the verdict's lines.  gen has no verify: its run returns
+    the trace it writes.  ``family`` is the kind of family the row's trace
+    holds, by which sweep finds the row.
     """
 
     help: str
-    body: Callable[..., Any]
     source: str | None
     flags: tuple[tuple[str, dict], ...]
-    render: Callable[[Verdict], list[str]] | None = _verdict_lines
+    run: Callable[..., Any]
+    verify: Callable[..., Verdict] | None = None
+    render: Callable[..., tuple[str, list[str]]] | None = None
+    family: str | None = None
+    verdict_lines: Callable[[Verdict], list[str]] = _verdict_lines
+
+    def parse(self, args, data: bytes) -> Any:
+        """The input file's contents, read in the format its flag names."""
+        return _PARSERS[self.source](args, data)
 
 
 _INT = {"type": int, "required": True}
@@ -372,66 +338,111 @@ _DECODER = ("--decoder", {"required": True})
 _GRID = ("--grid", {"type": int, "default": 4})
 _EPS = (("--eps", _RATIONAL), ("--eps-prime", _RATIONAL))
 
+
 # Keyed by the words of the command line: "randlab cover" is the cover
 # command of the randlab group.  The rows are in the order of the usage text.
 COMMANDS: dict[str, Command] = {
     "setcover": Command(
-        "cover the liminf of small finite sets", _setcover, "trace",
+        "cover the liminf of small finite sets", "trace",
         (_TRACE, ("--k", {**_INT, "help": "cardinality bound exponent"})),
+        run=lambda a, f: setcover.run_set_cover(f, a.k),
+        verify=lambda a, f, r: setcover.verify_set_cover(f, a.k, r),
+        render=_render_setcover,
+        family="sets",
     ),
     "measurecover": Command(
-        "dominate the liminf of semimeasures", _measurecover, "trace",
+        "dominate the liminf of semimeasures", "trace",
         (_TRACE, ("--grid", {"type": int, "default": 4, "help": "dyadic grid resolution g"})),
+        run=lambda a, f: measurecover.run_measure_cover(f, RationalGrid(a.grid)),
+        verify=lambda a, f, r: measurecover.verify_measure_cover(f, RationalGrid(a.grid), r),
+        render=_render_measurecover,
+        family="measure",
     ),
     "treecover": Command(
-        "dominate the liminf of tree semimeasures", _treecover, "trace", (_TRACE, _GRID)
+        "dominate the liminf of tree semimeasures", "trace", (_TRACE, _GRID),
+        run=lambda a, f: measurecover.run_tree_cover(f, RationalGrid(a.grid)),
+        verify=lambda a, f, r: measurecover.verify_tree_cover(f, RationalGrid(a.grid), r),
+        render=_render_treecover,
+        family="tree",
     ),
     "freq": Command(
-        "frequency semimeasures of a partial map", _freq, "fn",
+        "frequency semimeasures of a partial map", "fn",
         (
             ("--fn", {"required": True, "help": "partial map file: '<i> <token>' lines"}),
             ("--horizon", _INT),
             _GRID,
             ("--emit-trace", {"help": "also write the induced measure trace here"}),
         ),
+        run=_run_freq,
+        verify=lambda a, v, r: measurecover.verify_frequency_cover(
+            v, a.horizon, RationalGrid(a.grid), r
+        ),
+        render=_render_freq,
     ),
     "opencover": Command(
-        "cover the liminf of open sets", _opencover, "trace",
+        "cover the liminf of open sets", "trace",
         (_TRACE, ("--mode", {"choices": sorted(_OPEN_RUNNERS), "default": "trim"}), *_EPS),
+        run=lambda a, f: getattr(opencover, _OPEN_RUNNERS[a.mode])(f, a.eps, a.eps_prime),
+        verify=lambda a, f, r: opencover.verify_open_cover(f, a.eps, a.eps_prime, r),
+        render=_render_opencover,
+        family="open",
     ),
     "omegademo": Command(
-        "interval family over an eventually periodic sequence", _omegademo, None,
+        "interval family over an eventually periodic sequence", None,
         (
             ("--prefix", {"type": _rational_list, "default": ()}),
             ("--cycle", {"type": _rational_list, "required": True}),
             _EPS[0],
         ),
+        run=lambda a, _: opencover.omega_family(a.prefix, a.cycle, a.eps),
+        verify=lambda a, _, r: opencover.verify_omega_family(a.prefix, a.cycle, a.eps, r),
+        render=_render_omegademo,
     ),
     "fatou": Command(
-        "dominate the liminf of step functions", _fatou, "trace", (_TRACE, *_EPS, _GRID)
+        "dominate the liminf of step functions", "trace", (_TRACE, *_EPS, _GRID),
+        run=lambda a, f: fatou.run_fatou(f, a.eps, a.eps_prime, RationalGrid(a.grid)),
+        verify=lambda a, f, r: fatou.verify_fatou(
+            f, a.eps, a.eps_prime, RationalGrid(a.grid), r
+        ),
+        render=_render_fatou,
+        family="func",
     ),
     "randlab deficiency": Command(
-        "strings of length n with deficiency above c", _randlab_deficiency, "decoder",
+        "strings of length n with deficiency above c", "decoder",
         (_DECODER, ("--n", _INT), ("--c", _INT)),
+        run=lambda a, d: randlab.deficiency_sets(d, a.n, a.c),
+        verify=lambda a, d, r: randlab.verify_deficiency_sets(d, a.n, a.c, r),
+        render=_render_deficiency,
     ),
     "randlab cover": Command(
-        "cover the liminf of the deficiency family", _randlab_cover, "decoder",
+        "cover the liminf of the deficiency family", "decoder",
         (_DECODER, ("--c", _INT), ("--nmax", _INT), ("--depth", _INT)),
+        run=_run_randlab_cover,
+        verify=_verify_randlab_cover,
+        render=_render_randlab_cover,
     ),
     "randlab stabilize": Command(
-        "normalize and code an interval approximation table", _randlab_stabilize, "table",
+        "normalize and code an interval approximation table", "table",
         (("--table", {"required": True}), ("--c", _INT)),
+        run=lambda a, t: randlab.stabilize_test(t),
+        verify=lambda a, t, r: randlab.verify_stabilize(t, r),
+        render=_render_stabilize,
     ),
     "randlab bard": Command(
-        "least deficiency over described extensions", _randlab_bard, "decoder",
+        "least deficiency over described extensions", "decoder",
         (
             _DECODER,
             ("--x", {"required": True, "help": "binary word (e for the root)"}),
             ("--length", {**_INT, "help": "extension length bound"}),
         ),
+        run=lambda a, d: randlab.bar_deficiency(d, word_from_text(a.x), a.length),
+        verify=lambda a, d, r: randlab.verify_bar_deficiency(
+            d, word_from_text(a.x), a.length, r
+        ),
+        render=_render_bard,
     ),
     "gen": Command(
-        "generate a random precondition-satisfying trace", _gen, None,
+        "generate a random precondition-satisfying trace", None,
         (
             ("--kind", {"choices": traces.KINDS, "required": True}),
             ("--nmax", _INT),
@@ -441,10 +452,10 @@ COMMANDS: dict[str, Command] = {
             ("--bound", {"type": int}),
             ("--eps", {"type": _rational}),
         ),
-        render=None,
+        run=_run_gen,
     ),
     "sweep": Command(
-        "generate, run and verify many seeded instances", _sweep, None,
+        "generate, run and verify many seeded instances", None,
         (
             ("--kind", {"choices": traces.KINDS, "required": True}),
             ("--count", _INT),
@@ -457,7 +468,10 @@ COMMANDS: dict[str, Command] = {
             ("--eps", {"type": _rational, "default": Fraction(1, 4)}),
             ("--eps-prime", {"type": _rational, "default": Fraction(3, 8)}),
         ),
-        render=_sweep_lines,
+        run=_run_sweep,
+        verify=lambda a, _, verdict: verdict,
+        render=_render_sweep,
+        verdict_lines=_sweep_lines,
     ),
 }
 
@@ -494,11 +508,16 @@ def main(argv: list[str] | None = None) -> int:
     source = getattr(args, command.source) if command.source else None
     try:
         data = Path(source).read_bytes() if source is not None else None
-        if command.render is None:
-            _write(command.body(args, data), args.out)
+        given = command.parse(args, data) if data is not None else None
+        result = command.run(args, given)
+        if command.verify is None:
+            _write(result, args.out)
             return 0
+        verdict = command.verify(args, given, result)
+        param, lines = command.render(args, given, result)
+        lines += command.verdict_lines(verdict)
         name = args.row.replace(" ", "-")
-        return _write_report(name, data, command.body(args, data), command.render, args.out)
+        return _write_report(name, data, param, lines, verdict.passed, args.out)
     except traces.ParseError as exc:
         print(f"limcov: {source or 'input'}: {exc}", file=sys.stderr)
         return 2

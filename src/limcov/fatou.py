@@ -55,7 +55,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from . import measurecover, setcover, traces
 from .kernel import (
@@ -64,7 +64,6 @@ from .kernel import (
     ZERO,
     cell_span,
     format_rational,
-    word_to_text,
     words_up_to,
 )
 from .measurecover import RationalGrid
@@ -96,29 +95,6 @@ class StepFunction:
         if any(v < 0 for v in self.cells):
             raise InputError("step functions are non-negative")
 
-    @classmethod
-    def zero(cls, depth: int) -> "StepFunction":
-        return cls(depth, (ZERO,) * (1 << depth))
-
-    @classmethod
-    def indicator(cls, word: str, depth: int, level: Fraction = Fraction(1)) -> "StepFunction":
-        base, span = cell_span(word, depth)
-        cells = [ZERO] * (1 << depth)
-        for i in range(base, base + span):
-            cells[i] = level
-        return cls(depth, tuple(cells))
-
-    @classmethod
-    def from_table(cls, table: Mapping[str, Fraction], depth: int) -> "StepFunction":
-        """Pointwise maximum of level-on-cylinder entries (word -> level)."""
-        cells = [ZERO] * (1 << depth)
-        for word, level in table.items():
-            base, span = cell_span(word, depth)
-            for i in range(base, base + span):
-                if cells[i] < level:
-                    cells[i] = level
-        return cls(depth, tuple(cells))
-
     def value(self, cell: str) -> Fraction:
         if len(cell) != self.depth:
             raise InputError(f"cells have length {self.depth}, got {cell!r}")
@@ -127,18 +103,6 @@ class StepFunction:
     def integral(self) -> Fraction:
         return sum(self.cells, ZERO) * Fraction(1, 1 << self.depth)
 
-    def pointwise_max(self, other: "StepFunction") -> "StepFunction":
-        self._same_depth(other)
-        return StepFunction(self.depth, tuple(map(max, self.cells, other.cells)))
-
-    def pointwise_min(self, other: "StepFunction") -> "StepFunction":
-        self._same_depth(other)
-        return StepFunction(self.depth, tuple(map(min, self.cells, other.cells)))
-
-    def _same_depth(self, other: "StepFunction") -> None:
-        if self.depth != other.depth:
-            raise InputError(f"depth mismatch: {self.depth} vs {other.depth}")
-
 
 @dataclass(frozen=True)
 class FatouResult:
@@ -146,7 +110,6 @@ class FatouResult:
     theta: Fraction
     log: tuple[tuple[int, int, str, Fraction, int], ...]
     """(attempt, start, word, level, trims) for attempts that grew phi."""
-    grid: RationalGrid
 
 
 def _first_raise(
@@ -295,7 +258,7 @@ def run_fatou(
                     phi[base:end] = new
                     log.append((attempt, start, word, Fraction(j, 1 << g), trims))
     phi_fn = StepFunction(depth, tuple(Fraction(v, scale) for v in phi))
-    return FatouResult(phi_fn, schedule.theta_after(attempt + 1), tuple(log), grid)
+    return FatouResult(phi_fn, schedule.theta_after(attempt + 1), tuple(log))
 
 
 def verify_fatou(
@@ -348,9 +311,6 @@ class SpecializeReport:
     """Per-element agreement between the step-function pipeline and the
     set/semimeasure pipelines on an embedded family."""
 
-    kind: str
-    depth: int
-    cell_of: dict[str, str]
     rows: tuple[tuple[str, bool, str], ...]
     verdict: Verdict
 
@@ -379,14 +339,17 @@ def fatou_specializes(
     measure family the check per element is that both phi on the cell and m'
     dominate the grid floor of the element's tail value.
     """
+    if family.kind not in ("sets", "measure"):
+        raise InputError(f"specialization takes sets or measure families, got {family.kind!r}")
+    univ = traces.universe(family)
+    depth, cell_of = _embedding(univ, depth)
+    # An added element (no value) is worth 1 on its cell.
+    events = tuple(
+        traces.Event(e.index, cell_of[e.key], e.value or Fraction(1)) for e in family.events
+    )
+    embedded = traces.StabilizedFamily("func", family.nmax, depth, events)
     if family.kind == "sets":
         sets_ = traces.sets_by_index(family)
-        univ = traces.universe(family)
-        depth, cell_of = _embedding(univ, depth)
-        events = tuple(
-            traces.Event(e.index, cell_of[e.key], Fraction(1)) for e in family.events
-        )
-        embedded = traces.StabilizedFamily("func", family.nmax, depth, events)
         biggest = max((len(s) for s in sets_), default=0)
         k = max(0, biggest - 1).bit_length() if biggest > 1 else 0
         eps = max(Fraction(biggest, 1 << depth), Fraction(1, 1 << (depth + 1)))
@@ -397,13 +360,7 @@ def fatou_specializes(
             got = outcome.phi.value(cell_of[u])
             ok = got >= 1 and u in cover.cover
             rows.append((u, ok, f"phi={format_rational(got)} covered={u in cover.cover}"))
-    elif family.kind == "measure":
-        univ = traces.universe(family)
-        depth, cell_of = _embedding(univ, depth)
-        events = tuple(
-            traces.Event(e.index, cell_of[e.key], e.value) for e in family.events
-        )
-        embedded = traces.StabilizedFamily("func", family.nmax, depth, events)
+    else:
         integrals = [
             sum(t.values(), ZERO) / (1 << depth) for t in traces.values_by_index(family)
         ]
@@ -424,11 +381,9 @@ def fatou_specializes(
                     f"floor={format_rational(need)}",
                 )
             )
-    else:
-        raise InputError(f"specialization takes sets or measure families, got {family.kind!r}")
 
     failed = [u for u, ok, _ in rows if not ok]
     verdict = Verdict(
         (Check("specialization", not failed, failed[0] if failed else ""),)
     )
-    return SpecializeReport(family.kind, depth, cell_of, tuple(rows), verdict)
+    return SpecializeReport(tuple(rows), verdict)

@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 # The root word (whole space) is the empty string in memory and "e" on disk.
 EMPTY_WORD_TEXT = "e"
@@ -241,10 +240,6 @@ class RealInterval:
 
     lo: Fraction
     hi: Fraction
-
-    @property
-    def is_empty(self) -> bool:
-        return self.hi <= self.lo
 
     def measure(self) -> Fraction:
         return max(ZERO, self.hi - self.lo)

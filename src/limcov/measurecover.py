@@ -53,7 +53,6 @@ from .verdict import Check, Verdict
 __all__ = [
     "MeasureCoverResult",
     "RationalGrid",
-    "TreeCoverResult",
     "frequency_semimeasures",
     "frequency_trace",
     "run_measure_cover",
@@ -75,10 +74,6 @@ class RationalGrid:
         if self.resolution < 1:
             raise InputError("grid resolution must be positive")
 
-    def values(self) -> list[Fraction]:
-        g = self.resolution
-        return [Fraction(j, 1 << g) for j in range(1, (1 << g) + 1)]
-
     def floor(self, value: Fraction) -> Fraction:
         """Largest grid multiple <= value (0 below the first grid point)."""
         if value <= 0:
@@ -97,7 +92,8 @@ class RationalGrid:
 
 @dataclass(frozen=True)
 class MeasureCoverResult:
-    """Output table m', its high-water acceptance log, and the grid.
+    """Output table m' and its high-water acceptance log, of the flat and
+    the tree increase process alike.
 
     The log holds one entry (u, N, r) per increase that pushed m'(u) to a
     new maximum, in iteration order; m'(u) is the largest logged r for u.
@@ -105,15 +101,6 @@ class MeasureCoverResult:
 
     table: dict[str, Fraction]
     log: tuple[tuple[str, int, Fraction], ...]
-    grid: RationalGrid
-
-
-@dataclass(frozen=True)
-class TreeCoverResult:
-    table: dict[str, Fraction]
-    log: tuple[tuple[str, int, Fraction], ...]
-    grid: RationalGrid
-    depth: int
 
 
 def _suffix_minima(values: list) -> list:
@@ -124,16 +111,10 @@ def _suffix_minima(values: list) -> list:
 
 
 def run_measure_cover(
-    family: traces.StabilizedFamily,
-    grid: RationalGrid,
-    universe: Iterable[str] | None = None,
+    family: traces.StabilizedFamily, grid: RationalGrid
 ) -> MeasureCoverResult:
-    """Run the increase process; m' dominates the grid floor of every tail value.
-
-    ``universe`` defaults to the elements appearing in the trace; pass a
-    wider one to let the process raise elements the trace never mentions
-    (their liminf is 0, so m' is an upper bound for it either way).
-    """
+    """Run the increase process over the elements appearing in the trace;
+    m' dominates the grid floor of every tail value."""
     if family.kind != "measure":
         raise InputError(f"expected a measure family, got {family.kind!r}")
     traces.check_semimeasures(family)
@@ -143,11 +124,10 @@ def run_measure_cover(
     working.append(dict(tables[-1]))  # index nmax: the shared tail
     sums = [sum(t.values(), ZERO) for t in working]
 
-    univ = list(traces.universe(family)) if universe is None else list(dict.fromkeys(universe))
     table: dict[str, Fraction] = {}
     log: list[tuple[str, int, Fraction]] = []
     top = family.nmax + 1
-    for u in univ:
+    for u in traces.universe(family):
         # Headroom of u per index; increases of u itself never change it.
         caps = _suffix_minima([working[n].get(u, ZERO) + 1 - sums[n] for n in range(top)])
         best = ZERO
@@ -165,12 +145,10 @@ def run_measure_cover(
                 assert sums[n] <= 1
         if best > 0:
             table[u] = best
-    return MeasureCoverResult(table, tuple(log), grid)
+    return MeasureCoverResult(table, tuple(log))
 
 
-def _replay_log(
-    result: MeasureCoverResult | TreeCoverResult,
-) -> tuple[dict[str, Fraction], Check]:
+def _replay_log(result: MeasureCoverResult) -> tuple[dict[str, Fraction], Check]:
     """The table rebuilt from an increase log, and the log-consistency check:
     every entry must raise its key to a new maximum, and the maxima must be
     exactly the result's table."""
@@ -192,7 +170,6 @@ def verify_measure_cover(
     family: traces.StabilizedFamily,
     grid: RationalGrid,
     result: MeasureCoverResult,
-    universe: Iterable[str] | None = None,
 ) -> Verdict:
     """Check m' against the liminf oracle, trusting only the log."""
     from_log, consistency = _replay_log(result)
@@ -203,11 +180,10 @@ def verify_measure_cover(
     ok = total <= 1 and nonneg
     checks.append(Check("semimeasure", ok, "" if ok else f"sum {format_rational(total)}"))
 
-    univ = list(traces.universe(family)) if universe is None else list(dict.fromkeys(universe))
-    limits = traces.liminf_table(family, univ)
+    limits = traces.liminf_table(family, traces.universe(family))
     floor_witness = ""
-    for u in univ:
-        need = grid.floor(limits[u])
+    for u, limit in limits.items():
+        need = grid.floor(limit)
         if from_log.get(u, ZERO) < need:
             floor_witness = f"{u} below {format_rational(need)}"
             break
@@ -284,7 +260,7 @@ def verify_frequency_cover(
 
 def run_tree_cover(
     family: traces.StabilizedFamily, grid: RationalGrid
-) -> TreeCoverResult:
+) -> MeasureCoverResult:
     """The increase process on binary-tree semimeasures.
 
     Words are visited in length-lexicographic order over all words up to the
@@ -349,11 +325,11 @@ def run_tree_cover(
                         assert row[y] >= row[2 * y + 1] + row[2 * y + 2]
         if best > 0:
             table[word] = Fraction(best, scale)
-    return TreeCoverResult(table, tuple(log), grid, family.depth)
+    return MeasureCoverResult(table, tuple(log))
 
 
 def verify_tree_cover(
-    family: traces.StabilizedFamily, grid: RationalGrid, result: TreeCoverResult
+    family: traces.StabilizedFamily, grid: RationalGrid, result: MeasureCoverResult
 ) -> Verdict:
     """Check the output tree law and the grid-floor bound via the oracle."""
     from_log, consistency = _replay_log(result)

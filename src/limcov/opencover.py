@@ -69,6 +69,7 @@ __all__ = [
     "run_block_cover",
     "run_naive_cover",
     "run_trim_cover",
+    "verify_omega_family",
     "verify_open_cover",
 ]
 
@@ -93,9 +94,6 @@ class DeltaSchedule:
     @property
     def eps_prime(self) -> Fraction:
         return self.eps + self.budget
-
-    def delta(self, attempt: int) -> Fraction:
-        return self.budget * Fraction(1, 1 << (attempt + 1))
 
     def trim_limit(self, attempt: int) -> int:
         """ceil(1 / delta_t); trim counts must stay strictly below it."""
@@ -180,8 +178,6 @@ class OpenCoverResult:
     pieces: tuple[Piece, ...]
     theta: Fraction
     trim_events: tuple[tuple[int, int], ...]
-    eps: Fraction
-    eps_prime: Fraction
 
 
 def _check_open_pre(
@@ -307,8 +303,6 @@ def _cover_run(
         tuple(pieces),
         schedule.theta_after(attempt + 1),
         tuple(trim_events),
-        eps,
-        eps_prime,
     )
 
 
@@ -377,8 +371,6 @@ def run_block_cover(
         tuple(pieces),
         schedule.theta_after(block_index),
         (),
-        eps,
-        eps_prime,
     )
 
 
@@ -447,22 +439,10 @@ def verify_open_cover(
 class OmegaFamilyResult:
     """The interval family built from an eventually periodic rational
     sequence, materialized for two full periods past the prefix; members
-    beyond that repeat with the cycle, see interval_at."""
+    beyond that repeat with the cycle."""
 
     intervals: tuple[RealInterval, ...]
     w_min: Fraction
-    prefix_len: int
-    period: int
-    eps: Fraction
-    verdict: Verdict
-
-    def interval_at(self, i: int) -> RealInterval:
-        """U_i for arbitrary i, by the closed form of the periodic tail."""
-        if i < 0:
-            raise InputError("interval index must be non-negative")
-        if i < len(self.intervals):
-            return self.intervals[i]
-        return self.intervals[self.prefix_len + (i - self.prefix_len) % self.period]
 
 
 def omega_family(
@@ -472,55 +452,53 @@ def omega_family(
     w that runs through ``prefix`` and then repeats ``cycle`` forever.
 
     Past the prefix the infimum is always the cycle minimum w_min, so the
-    tail intervals repeat with the cycle.  The result records exact checks:
-    w_min lies in every tail interval, tail intervals at cycle-minimum
-    positions have measure exactly 2*eps/3 (in particular, below eps
-    infinitely often), and every other tail interval has measure
-    w_i - w_min + 2*eps/3.
+    tail intervals repeat with the cycle.
     """
     if not cycle:
         raise InputError("cycle must be nonempty")
     if eps <= 0:
         raise InputError("eps must be positive")
-    prefix = list(prefix)
-    cycle = list(cycle)
     w_min = min(cycle)
     third = eps / 3
-    count = len(prefix) + 2 * len(cycle)
-
-    def w(i: int) -> Fraction:
-        if i < len(prefix):
-            return prefix[i]
-        return cycle[(i - len(prefix)) % len(cycle)]
-
-    def inf_from(i: int) -> Fraction:
-        # The cycle repeats forever, so every tail infimum is w_min.
-        return min(min(prefix[i:], default=w_min), w_min) if i < len(prefix) else w_min
-
+    # The cycle repeats forever, so the infimum from i on is the least of
+    # the prefix's rest and w_min.
     intervals = tuple(
-        RealInterval(inf_from(i) - third, w(i) + third) for i in range(count)
+        RealInterval(min([*prefix[i:], w_min]) - third, w_i + third)
+        for i, w_i in enumerate([*prefix, *cycle, *cycle])
     )
+    return OmegaFamilyResult(intervals, w_min)
 
-    member_witness = ""
-    small_witness = ""
-    shape_witness = ""
-    for i in range(len(prefix), count):
-        interval = intervals[i]
-        if not interval.contains(w_min):
-            member_witness = f"i={i}"
-            break
-        expected = w(i) - w_min + 2 * third
-        if interval.measure() != expected:
-            shape_witness = f"i={i}"
-            break
-        if w(i) == w_min and interval.measure() != 2 * third:
-            small_witness = f"i={i}"
-            break
-    checks = (
-        Check("tail-membership", not member_witness, member_witness),
-        Check("min-position-measure", not small_witness, small_witness),
-        Check("tail-measure-identity", not shape_witness, shape_witness),
-    )
-    return OmegaFamilyResult(
-        intervals, w_min, len(prefix), len(cycle), eps, Verdict(checks)
+
+def verify_omega_family(
+    prefix: Sequence[Fraction],
+    cycle: Sequence[Fraction],
+    eps: Fraction,
+    result: OmegaFamilyResult,
+) -> Verdict:
+    """Check the tail intervals against the sequence itself.
+
+    The cycle minimum w_min, recomputed from ``cycle``, must be the result's
+    and lie in every tail interval; tail intervals at cycle-minimum positions
+    have measure exactly 2*eps/3 (in particular, below eps infinitely
+    often), and every other tail interval has measure w_i - w_min + 2*eps/3.
+    Each failing check names the first index that breaks it.
+    """
+    w_min = min(cycle)
+    third = eps / 3
+    member = "" if result.w_min == w_min else f"w_min={format_rational(result.w_min)}"
+    small = shape = ""
+    for i, interval in enumerate(result.intervals[len(prefix):], start=len(prefix)):
+        w_i = cycle[(i - len(prefix)) % len(cycle)]
+        if not member and not interval.contains(w_min):
+            member = f"i={i}"
+        if not shape and interval.measure() != w_i - w_min + 2 * third:
+            shape = f"i={i}"
+        if not small and w_i == w_min and interval.measure() != 2 * third:
+            small = f"i={i}"
+    return Verdict(
+        (
+            Check("tail-membership", not member, member),
+            Check("min-position-measure", not small, small),
+            Check("tail-measure-identity", not shape, shape),
+        )
     )

@@ -43,6 +43,7 @@ __all__ = [
     "bar_deficiency",
     "deficiency_bound",
     "deficiency_cover_family",
+    "deficiency_eps",
     "deficiency_pipeline",
     "deficiency_sets",
     "parse_decoder",
@@ -50,6 +51,7 @@ __all__ = [
     "stabilize_test",
     "verify_bar_deficiency",
     "verify_deficiency_sets",
+    "verify_stabilize",
 ]
 
 
@@ -167,18 +169,22 @@ def deficiency_cover_family(
     return traces.StabilizedFamily("open", nmax, depth, tuple(events))
 
 
-def deficiency_pipeline(
-    decoder: DecoderTable, c: int, nmax: int, depth: int
-) -> tuple[traces.StabilizedFamily, opencover.OpenCoverResult, Verdict]:
-    """Build the deficiency family and cover its liminf at eps = 2^-c,
-    eps' = 2^-(c-1); requires c >= 1 so that eps' <= 1."""
+def deficiency_eps(c: int) -> tuple[Fraction, Fraction]:
+    """eps = 2^-c and eps' = 2^-(c-1), the bounds the deficiency family is
+    covered at; requires c >= 1 so that eps' <= 1."""
     if c < 1:
         raise InputError("the covering step needs c >= 1 (eps' = 2^-(c-1))")
     if c > MAX_EXPONENT:
         raise InputError(f"c must be at most {MAX_EXPONENT}")
+    return Fraction(1, 1 << c), Fraction(1, 1 << (c - 1))
+
+
+def deficiency_pipeline(
+    decoder: DecoderTable, c: int, nmax: int, depth: int
+) -> tuple[traces.StabilizedFamily, opencover.OpenCoverResult, Verdict]:
+    """Build the deficiency family and cover its liminf at deficiency_eps(c)."""
+    eps, eps_prime = deficiency_eps(c)
     family = deficiency_cover_family(decoder, c, nmax, depth)
-    eps = Fraction(1, 1 << c)
-    eps_prime = Fraction(1, 1 << (c - 1))
     result = opencover.run_trim_cover(family, eps, eps_prime)
     verdict = opencover.verify_open_cover(family, eps, eps_prime, result)
     return family, result, verdict
@@ -287,7 +293,6 @@ class StabilizeResult:
     covered: dict[int, tuple[str, ...]]
     codes: dict[int, dict[str, str]]
     totals: dict[int, Fraction]
-    verdict: Verdict
 
 
 def stabilize_test(test: TestApproximation) -> StabilizeResult:
@@ -298,9 +303,15 @@ def stabilize_test(test: TestApproximation) -> StabilizeResult:
     above 2^-c; stabilization of the limit intervals means every limit
     interval is eventually let through.  The strings of length n covered by
     the survivors number at most 2^(n-c) and are coded by the (n-c)-bit
-    binary form of their lexicographic rank.
+    binary form of their lexicographic rank.  They are listed one by one,
+    so a table with n - c above 16 at some interval is refused.
     """
     c = test.c
+    for i, n in test.intervals:
+        if n - c > 16:
+            raise InputError(
+                f"interval at (i={i}, n={n}): n - c beyond exhaustive-expansion scale (max 16)"
+            )
     cap = Fraction(1, 1 << c)
     by_n: dict[int, list[tuple[int, str]]] = {}
     for (i, n), word in sorted(test.intervals.items(), key=lambda kv: (kv[0][1], kv[0][0])):
@@ -311,7 +322,6 @@ def stabilize_test(test: TestApproximation) -> StabilizeResult:
     covered: dict[int, tuple[str, ...]] = {}
     codes: dict[int, dict[str, str]] = {}
     totals: dict[int, Fraction] = {}
-    witness = ""
     for n, column in by_n.items():
         total = ZERO
         kept: list[str] = []
@@ -331,11 +341,6 @@ def stabilize_test(test: TestApproximation) -> StabilizeResult:
             strings.update(
                 word + format(j, f"0{pad}b") if pad else word for j in range(1 << pad)
             )
-        if n < c and strings:
-            raise InputError(f"covered strings at n={n} below c={c}")
-        bound = 1 << (n - c) if n >= c else 0
-        if len(strings) > bound and not witness:
-            witness = f"n={n}: {len(strings)} strings"
         ranked = sorted(strings)
         covered[n] = tuple(ranked)
         width = n - c
@@ -343,21 +348,49 @@ def stabilize_test(test: TestApproximation) -> StabilizeResult:
             u: (format(rank, f"0{width}b") if width else "")
             for rank, u in enumerate(ranked)
         }
+    return StabilizeResult(surviving, tuple(deleted), covered, codes, totals)
 
-    injective = all(
-        len(set(column.values())) == len(column) for column in codes.values()
-    )
-    checks = (
-        Check("count-bound", not witness, witness),
-        Check(
-            "measure-bound",
-            all(t <= cap for t in totals.values()),
-            "",
-        ),
-        Check("code-injectivity", injective, ""),
-    )
-    return StabilizeResult(
-        surviving, tuple(deleted), covered, codes, totals, Verdict(checks)
+
+def verify_stabilize(test: TestApproximation, result: StabilizeResult) -> Verdict:
+    """Re-derive the bounds of a stabilization from the input table and the
+    result's survivors and codes, per second index n of the table.
+
+    measure-bound: every survivor is an interval of the table, and those at
+    n have total measure at most 2^-c, which is the result's total.
+    count-bound: the length-n strings they cover (expanded here through
+    CylinderSet.cells) are the result's covered strings and number at most
+    2^(n-c).  code-injectivity: the codes map exactly those strings to
+    distinct (n-c)-bit words.  Each failing check names where it failed.
+    """
+    c = test.c
+    cap = Fraction(1, 1 << c)
+    kept: dict[int, list[str]] = {}
+    measure = count = code = ""
+    for (i, n), word in result.surviving.items():
+        if not measure and test.intervals.get((i, n)) != word:
+            measure = f"({i}, {n}) is not an interval of the table"
+        kept.setdefault(n, []).append(word)
+    for n in sorted({n for _, n in test.intervals}):
+        total = sum((Fraction(1, 1 << len(w)) for w in kept.get(n, ())), ZERO)
+        if not measure and (total > cap or result.totals.get(n) != total):
+            measure = f"n={n}: {format_rational(total)}"
+        strings = sorted(CylinderSet(kept.get(n, ())).cells(n))
+        bound = 1 << (n - c) if n >= c else 0
+        if not count and (len(strings) > bound or result.covered.get(n) != tuple(strings)):
+            count = f"n={n}: {len(strings)} strings"
+        column = result.codes.get(n, {})
+        if not code and (
+            sorted(column) != strings
+            or len(set(column.values())) != len(column)
+            or any(len(v) != n - c for v in column.values())
+        ):
+            code = f"n={n}"
+    return Verdict(
+        (
+            Check("count-bound", not count, count),
+            Check("measure-bound", not measure, measure),
+            Check("code-injectivity", not code, code),
+        )
     )
 
 

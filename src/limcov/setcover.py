@@ -19,7 +19,6 @@ logs and covers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from . import traces
 from .kernel import MAX_EXPONENT, InputError
@@ -37,18 +36,13 @@ class SetCoverResult:
     bound: int
 
 
-def run_set_cover(
-    family: traces.StabilizedFamily,
-    k: int,
-    extra_universe: Iterable[str] = (),
-) -> SetCoverResult:
+def run_set_cover(family: traces.StabilizedFamily, k: int) -> SetCoverResult:
     """Run the covering pass at cardinality bound 2^k.
 
     Pairs (N, u) are visited with N ascending over [0, nmax] (index nmax
     addresses the tail, i.e. all n >= nmax at once) and u in first-appearance
     order over the trace universe.  Elements never enumerated cannot belong
-    to the liminf nor block an addition, so the universe suffices;
-    ``extra_universe`` widens it when callers care about absent elements.
+    to the liminf nor block an addition, so the universe suffices.
     """
     if k < 0:
         raise InputError("k must be non-negative")
@@ -64,11 +58,7 @@ def run_set_cover(
     working: list[set[str]] = [set(s) for s in sets_]
     working.append(set(sets_[-1]))
 
-    univ = list(traces.universe(family))
-    for u in extra_universe:
-        if u not in univ:
-            univ.append(u)
-
+    univ = traces.universe(family)
     covered: set[str] = set()
     log: list[tuple[int, str]] = []
     for start in range(family.nmax + 1):

@@ -2,10 +2,8 @@
 
 A trace file presents finitely many enumeration events for a family of
 objects U_0 .. U_{nmax-1}; every index n >= nmax denotes the same object as
-index nmax-1 (the stabilized tail).  Line order is enumeration time: the
-trace truncated to its first t events, at_stage(family, t), is the stage-t
-approximation of the family, and the full trace plays the role of complete
-oracle knowledge.
+index nmax-1 (the stabilized tail).  Line order is enumeration time, and the
+full trace plays the role of complete oracle knowledge.
 
 Under the tail rule every "for almost all n" question about a family is
 decidable by scanning n in [N, nmax-1] plus one tail check, which is exactly
@@ -39,7 +37,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable
@@ -61,7 +59,6 @@ __all__ = [
     "KINDS",
     "ParseError",
     "StabilizedFamily",
-    "at_stage",
     "format_trace",
     "func_cell_rows",
     "func_eval",
@@ -70,14 +67,11 @@ __all__ = [
     "liminf_sets_witness",
     "liminf_table",
     "liminf_values",
-    "open_at",
     "opens_by_index",
     "parse_trace",
-    "set_at",
     "sets_by_index",
     "split_lines",
     "universe",
-    "value_at",
     "values_by_index",
 ]
 
@@ -123,17 +117,6 @@ class StabilizedFamily:
         for e in self.events:
             if not 0 <= e.index < self.nmax:
                 raise InputError(f"event index {e.index} not below nmax={self.nmax}")
-
-    @property
-    def stages(self) -> int:
-        return len(self.events)
-
-
-def at_stage(family: StabilizedFamily, stage: int) -> StabilizedFamily:
-    """The family as known after ``stage`` enumeration steps."""
-    if stage < 0:
-        raise InputError("stage must be non-negative")
-    return replace(family, events=family.events[:stage])
 
 
 def split_lines(text: str | bytes) -> list[str]:
@@ -284,28 +267,6 @@ def values_by_index(family: StabilizedFamily) -> list[dict[str, Fraction]]:
         if e.value > table.get(e.key, ZERO):
             table[e.key] = e.value
     return out
-
-
-def _clamp(family: StabilizedFamily, n: int) -> int:
-    if n < 0:
-        raise InputError("family index must be non-negative")
-    return min(n, family.nmax - 1)
-
-
-def set_at(family: StabilizedFamily, n: int) -> frozenset[str]:
-    return sets_by_index(family)[_clamp(family, n)]
-
-
-def open_at(family: StabilizedFamily, n: int) -> CylinderSet:
-    return opens_by_index(family)[_clamp(family, n)]
-
-
-def value_at(family: StabilizedFamily, n: int, point: str) -> Fraction:
-    tables = values_by_index(family)
-    table = tables[_clamp(family, n)]
-    if family.kind == "func":
-        return func_eval(table, point, family.depth)
-    return table.get(point, ZERO)
 
 
 def func_eval(table: dict[str, Fraction], cell: str, depth: int | None) -> Fraction:

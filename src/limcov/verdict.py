@@ -30,6 +30,3 @@ class Verdict:
 
     def failures(self) -> tuple[Check, ...]:
         return tuple(c for c in self.checks if not c.passed)
-
-    def __bool__(self) -> bool:
-        return self.passed

@@ -1,14 +1,18 @@
 """CLI behavior: reports, exit codes, diagnostics, determinism, goldens."""
 
+import hashlib
 import re
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from limcov import fatou, gen, opencover, traces
-from limcov.cli import COMMANDS, main
+from limcov.cli import COMMANDS, _build_parser, main
+from limcov.fatou import StepFunction
+from limcov.kernel import CylinderSet, RealInterval
 from limcov.measurecover import RationalGrid
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -222,6 +226,42 @@ def test_stored_golden_reports(tmp_path, report, argv):
     assert out.read_bytes() == (GOLDENS / report).read_bytes()
 
 
+# One "<sha256 of the --out file> <argv>" line per pinned invocation; "{name}"
+# in an argv stands for the input file DIGEST_INPUTS[name].
+DIGESTS = [
+    line.split(" ", 1) for line in (GOLDENS / "report_digests.txt").read_text().splitlines()
+]
+DIGEST_INPUTS = {
+    **{name: (GOLDENS / f"{name}.trace").read_text() for name in ("shift", "drift", "halffn")},
+    "sets": gen.gen_trace("sets", 8, 1, bound=4),
+    "measure": gen.gen_trace("measure", 8, 2),
+    "tree": gen.gen_trace("tree", 6, 3, depth=4),
+    "open": gen.gen_trace("open", 6, 4, depth=4, eps=Fraction(1, 4)),
+    "open5": gen.gen_trace("open", 10, 5, depth=5, eps=Fraction(1, 4)),
+    "func": gen.gen_trace("func", 4, 6, depth=4, eps=Fraction(1, 4)),
+    "fn": gen.gen_function_text(7, 16),
+    "decoder": gen.gen_decoder_text(8),
+    "table": gen.gen_test_table_text(9, 2),
+    "table1": gen.gen_test_table_text(10, 1),
+}
+
+
+@pytest.fixture(scope="module")
+def digest_inputs(tmp_path_factory):
+    base = tmp_path_factory.mktemp("digest-inputs")
+    for name, text in DIGEST_INPUTS.items():
+        (base / name).write_text(text)
+    return {name: str(base / name) for name in DIGEST_INPUTS}
+
+
+@pytest.mark.parametrize("digest,argv", DIGESTS, ids=[argv for _, argv in DIGESTS])
+def test_report_digests(tmp_path, digest_inputs, digest, argv):
+    out = tmp_path / "report.out"
+    code = main([a.format(**digest_inputs) for a in argv.split(" ")] + ["--out", str(out)])
+    assert code in (0, 1)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_failing_verdict_exits_one(tmp_path, capsys, monkeypatch):
     # Constructions never fail verification on valid input, so force a FAIL
     # to check the verdict-to-exit-code plumbing.
@@ -372,6 +412,9 @@ def exit_two_cases():
                              "--nmax", "3", "--depth", "3"], b"0 00\n", "c must be at most 14284"),
         ("randlab-stabilize-c", ["randlab", "stabilize", "--table", "{input}", "--c", "-1"],
          b"0 2 01\n", "limcov: c must be non-negative\n"),
+        # The strings under this interval would number 2^39.
+        ("randlab-stabilize-scale", ["randlab", "stabilize", "--table", "{input}", "--c", "1"],
+         b"0 40 0\n", "n - c beyond exhaustive-expansion scale (max 16)"),
     ]:
         yield pytest.param(argv, data, message, id=case_id)
 
@@ -381,9 +424,11 @@ def test_bad_inputs_and_flags_exit_two(tmp_path, capsys, argv, data, message):
     path = tmp_path / "input.txt"
     if data is not None:
         path.write_bytes(data)
+    began = time.perf_counter()
     code, out, err = run(capsys, *(a.replace("{input}", str(path)) for a in argv))
+    assert time.perf_counter() - began < 1
     assert code == 2 and out == ""
-    assert "Traceback" not in err
+    assert "Traceback" not in err and err.count("\n") == 1
     assert message.replace("{input}", str(path)) in err
 
 
@@ -401,3 +446,70 @@ def test_largest_exponent_still_renders(tmp_path, capsys):
     )
     assert code == 0 and err == ""
     assert f"EPS 1/{1 << 14284}" in out.splitlines()
+
+
+# One corruption of a run's result per row with a verifier (sweep's verdict is
+# the other rows'): the row's flags besides its input file, the input file's
+# text, the corruption, and a check it must fail.
+MUTATIONS = {
+    "setcover": (
+        ["--k", "1"], SHIFT_TRACE,
+        lambda r: replace(r, cover=r.cover - {"c"}, log=tuple(e for e in r.log if e[1] != "c")),
+        "coverage",
+    ),
+    "measurecover": (
+        [], "family measure nmax=2\nraise 0 a 1/2\nraise 1 a 1/2\n",
+        lambda r: replace(r, log=r.log[:-1]), "log-consistency",
+    ),
+    "treecover": (
+        ["--grid", "2"], "family tree nmax=1 depth=1\nraise 0 e 3/4\nraise 0 0 3/4\n",
+        lambda r: replace(r, table={}, log=()), "grid-floor",
+    ),
+    "freq": (["--horizon", "3"], "0 a\n1 b\n2 a\n", lambda r: replace(r, table={}),
+             "suffix-domination"),
+    "opencover": (
+        ["--eps", "1/4", "--eps-prime", "1/2"], (GOLDENS / "drift.trace").read_text(),
+        lambda r: replace(r, cover=CylinderSet.empty(), pieces=()), "coverage",
+    ),
+    "omegademo": (
+        ["--cycle", "1/4,1/2", "--eps", "3/8"], None,
+        lambda r: replace(r, intervals=r.intervals[:-1] + (RealInterval(Fraction(0), Fraction(1)),)),
+        "tail-measure-identity",
+    ),
+    "fatou": (
+        ["--eps", "1/4", "--eps-prime", "1/2", "--grid", "2"],
+        (GOLDENS / "halffn.trace").read_text(),
+        lambda r: replace(r, phi=StepFunction(r.phi.depth, (Fraction(0),) * len(r.phi.cells))),
+        "cell-domination",
+    ),
+    "randlab deficiency": (["--n", "2", "--c", "0"], "0 00\n", lambda r: r | {"11"},
+                           "oracle-agreement"),
+    "randlab cover": (
+        ["--c", "1", "--nmax", "3", "--depth", "3"], "0 00\n",
+        lambda r: (replace(r[0], events=r[0].events + (traces.Event(2, "11"),)), r[1]),
+        "deficiency-counts",
+    ),
+    "randlab stabilize": (
+        ["--c", "1"], "0 3 0\n",
+        lambda r: replace(r, codes={n: dict.fromkeys(col, "00") for n, col in r.codes.items()}),
+        "code-injectivity",
+    ),
+    "randlab bard": (["--x", "0", "--length", "2"], "0 00\n", lambda r: r + 1,
+                     "oracle-agreement"),
+}
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, row in COMMANDS.items() if row.verify and name != "sweep"]
+)
+def test_corrupted_result_fails_its_row_verifier(name):
+    flags, text, corrupt, check = MUTATIONS[name]  # every verified row needs a case
+    row = COMMANDS[name]
+    source = [f"--{row.source}", "unread"] if row.source else []
+    args = _build_parser().parse_args([*name.split(), *source, *flags])
+    given = row.parse(args, text.encode()) if row.source else None
+    result = row.run(args, given)
+    assert row.verify(args, given, result).passed
+    failed = row.verify(args, given, corrupt(result)).failures()
+    assert check in [c.name for c in failed]
+    assert all(c.witness for c in failed)

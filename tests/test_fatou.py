@@ -3,15 +3,16 @@ its specialization to the set and semimeasure pipelines."""
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from limcov import gen, traces
+from limcov import fatou, gen, traces
 from limcov.fatou import StepFunction, fatou_specializes, run_fatou, verify_fatou
-from limcov.kernel import InputError, words_up_to
+from limcov.kernel import InputError, cell_span, words_up_to
 from limcov.measurecover import RationalGrid
 from limcov.opencover import DeltaSchedule
 from limcov.traces import parse_trace
@@ -20,15 +21,41 @@ F = Fraction
 ZERO = F(0)
 
 
+# The literal reference's step-function operations, on StepFunctions of
+# one depth.
+
+
+def indicator(word, depth, level=F(1)):
+    """``level`` on the cylinder of ``word``, 0 elsewhere."""
+    base, span = cell_span(word, depth)
+    cells = [ZERO] * (1 << depth)
+    cells[base:base + span] = [level] * span
+    return StepFunction(depth, tuple(cells))
+
+
+def from_table(table, depth):
+    """Pointwise maximum of level-on-cylinder entries (word -> level)."""
+    out = StepFunction(depth, (ZERO,) * (1 << depth))
+    for word, level in table.items():
+        out = pointwise_max(out, indicator(word, depth, level))
+    return out
+
+
+def pointwise_max(f, g):
+    return StepFunction(f.depth, tuple(map(max, f.cells, g.cells)))
+
+
+def pointwise_min(f, g):
+    return StepFunction(f.depth, tuple(map(min, f.cells, g.cells)))
+
+
 def literal_fatou(family, eps, eps_prime, grid):
     """Reference run in plain Fractions over StepFunction operations.
 
     Returns (phi, theta, log) with log rows (attempt, start, word, level,
     trims) for the attempts that grew phi."""
     depth = family.depth
-    fns = [
-        StepFunction.from_table(t, depth) for t in traces.values_by_index(family)
-    ]
+    fns = [from_table(t, depth) for t in traces.values_by_index(family)]
     working = fns + [fns[-1]]
     top = family.nmax + 1
     budget = eps_prime - eps
@@ -36,7 +63,7 @@ def literal_fatou(family, eps, eps_prime, grid):
     maxval = max((max(fn.cells) for fn in working), default=ZERO)
     levels = max(1 << g, math.ceil(maxval * (1 << g)))
     theta = eps
-    phi = StepFunction.zero(depth)
+    phi = StepFunction(depth, (ZERO,) * (1 << depth))
     log = []
     attempt = -1
     for start in range(top):
@@ -44,21 +71,21 @@ def literal_fatou(family, eps, eps_prime, grid):
             for j in range(1, levels + 1):
                 attempt += 1
                 theta += budget / (1 << (attempt + 1))
-                u = StepFunction.indicator(word, depth, F(j, 1 << g))
+                u = indicator(word, depth, F(j, 1 << g))
                 trims = 0
                 while True:
                     hit = -1
                     for s in range(start, top):
-                        if working[s].pointwise_max(u).integral() > theta:
+                        if pointwise_max(working[s], u).integral() > theta:
                             hit = s
                             break
                     if hit < 0:
                         break
-                    u = u.pointwise_min(working[hit])
+                    u = pointwise_min(u, working[hit])
                     trims += 1
                 for s in range(start, top):
-                    working[s] = working[s].pointwise_max(u)
-                grown = phi.pointwise_max(u)
+                    working[s] = pointwise_max(working[s], u)
+                grown = pointwise_max(phi, u)
                 if grown != phi:
                     log.append((attempt, start, word, F(j, 1 << g), trims))
                 phi = grown
@@ -66,16 +93,17 @@ def literal_fatou(family, eps, eps_prime, grid):
 
 
 def test_step_function_basics():
-    g = StepFunction.indicator("0", 1, F(1, 2))
+    g = indicator("0", 1, F(1, 2))
     assert g.integral() == F(1, 4)
-    assert StepFunction.zero(3).integral() == 0
-    h = StepFunction.indicator("00", 2)
+    assert StepFunction(3, (ZERO,) * 8).integral() == 0
+    h = indicator("00", 2)
     assert h.integral() == F(1, 4)
     assert h.value("00") == 1 and h.value("10") == 0
     with pytest.raises(InputError):
         StepFunction(1, (F(-1), F(0)))
     with pytest.raises(InputError):
-        g.pointwise_max(h)
+        StepFunction(2, (ZERO,) * 2)
+    assert from_table({"": F(1, 4), "01": F(1, 2)}, 2).cells == (F(1, 4), F(1, 2), F(1, 4), F(1, 4))
 
 
 cells4 = st.tuples(*([st.fractions(min_value=0, max_value=2, max_denominator=16)] * 4))
@@ -86,7 +114,7 @@ def test_max_min_integral_identity(a, b):
     f = StepFunction(2, a)
     g = StepFunction(2, b)
     assert (
-        f.pointwise_max(g).integral() + f.pointwise_min(g).integral()
+        pointwise_max(f, g).integral() + pointwise_min(f, g).integral()
         == f.integral() + g.integral()
     )
 
@@ -125,7 +153,7 @@ def test_lowered_phi_flips_cell_domination():
     assert traces.liminf_values(fam, "11") == 1
     cells = list(res.phi.cells)
     cells[0b11] = F(3, 4)
-    lowered = type(res)(StepFunction(2, tuple(cells)), res.theta, res.log, grid)
+    lowered = replace(res, phi=StepFunction(2, tuple(cells)))
     failed = verify_fatou(fam, F(1, 4), F(1, 2), grid, lowered).failures()
     assert [c.name for c in failed] == ["cell-domination"]
 
@@ -222,7 +250,7 @@ def test_uncounted_attempt_flips_threshold_bound():
     attempts = 3 * 7 * 6  # (nmax+1) * (2^(depth+1)-1) * levels, levels = 3/2 * 2^2
     schedule = DeltaSchedule(eps_prime - eps, eps)
     assert res.theta == schedule.theta_after(attempts)
-    short = type(res)(res.phi, schedule.theta_after(attempts - 1), res.log, grid)
+    short = replace(res, theta=schedule.theta_after(attempts - 1))
     failed = verify_fatou(fam, eps, eps_prime, grid, short).failures()
     assert [c.name for c in failed] == ["threshold-bound"]
 
@@ -259,6 +287,21 @@ def test_specializes_empty_family_vacuously():
     fam = parse_trace("family sets nmax=1\n")
     report = fatou_specializes(fam, RationalGrid(1))
     assert report.verdict.passed and report.rows == ()
+
+
+def test_lowered_phi_flips_specialization(monkeypatch):
+    fam = parse_trace("family sets nmax=2\nadd 0 a\nadd 0 b\nadd 1 a\n")
+    real = fatou.run_fatou
+
+    def lowered(family, eps, eps_prime, grid):
+        # Element a, the family's liminf, comes first and sits on cell 0.
+        res = real(family, eps, eps_prime, grid)
+        return replace(res, phi=StepFunction(res.phi.depth, (F(1, 2), *res.phi.cells[1:])))
+
+    assert fatou_specializes(fam, RationalGrid(2)).verdict.passed
+    monkeypatch.setattr(fatou, "run_fatou", lowered)
+    report = fatou_specializes(fam, RationalGrid(2))
+    assert [(c.name, c.witness) for c in report.verdict.failures()] == [("specialization", "a")]
 
 
 def test_specializes_overflow():

@@ -229,5 +229,5 @@ def test_real_interval():
     assert iv.measure() == F(1, 4)
     assert iv.contains(F(1, 4))
     assert not iv.contains(F(1, 8))  # open at the endpoints
-    assert RealInterval(F(1), F(1)).is_empty
+    assert RealInterval(F(1), F(1)).measure() == 0
     assert RealInterval(F(2), F(1)).measure() == 0

@@ -6,6 +6,7 @@ small random families against literal references that iterate every
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -28,17 +29,22 @@ F = Fraction
 ZERO = F(0)
 
 
-def literal_measure_cover(family, grid, universe=None):
+def grid_values(grid):
+    """The grid points j / 2^g, 1 <= j <= 2^g, in ascending order."""
+    g = grid.resolution
+    return [F(j, 1 << g) for j in range(1, (1 << g) + 1)]
+
+
+def literal_measure_cover(family, grid):
     """Reference: every (u, N, r) attempt, acceptability by full re-check."""
     tables = traces.values_by_index(family)
     working = [dict(t) for t in tables] + [dict(tables[-1])]
     top = family.nmax + 1
-    univ = list(traces.universe(family)) if universe is None else list(universe)
     out = {}
-    for u in univ:
+    for u in traces.universe(family):
         best = ZERO
         for start in range(top):
-            for r in grid.values():
+            for r in grid_values(grid):
                 ok = True
                 for n in range(start, top):
                     t = working[n]
@@ -84,7 +90,7 @@ def literal_tree_cover(family, grid):
         best = ZERO
         for start in range(top):
             accepted = ZERO
-            for r in grid.values():
+            for r in grid_values(grid):
                 candidates = [raised(working[n], word, r) for n in range(start, top)]
                 if all(t.get("", ZERO) <= 1 for t in candidates):
                     for n, t in zip(range(start, top), candidates):
@@ -100,7 +106,7 @@ def literal_tree_cover(family, grid):
 
 def test_grid():
     grid = RationalGrid(2)
-    assert grid.values() == [F(1, 4), F(1, 2), F(3, 4), F(1)]
+    assert grid_values(grid) == [F(1, 4), F(1, 2), F(3, 4), F(1)]
     assert grid.floor(F(2, 3)) == F(1, 2)
     assert grid.floor(F(1, 5)) == 0
     assert grid.floor(F(1)) == 1
@@ -117,10 +123,13 @@ def test_constant_value_is_kept():
 
 
 def test_all_zero_family_raises_to_one():
-    fam = traces.StabilizedFamily("measure", 1, None, ())
-    res = run_measure_cover(fam, RationalGrid(1), universe=["a"])
+    # a is 0 from member 1 on, so its liminf is 0; every member leaves it
+    # headroom 1.
+    fam = parse_trace("family measure nmax=2\nraise 0 a 1/4\n")
+    res = run_measure_cover(fam, RationalGrid(1))
+    assert traces.liminf_values(fam, "a") == 0
     assert res.table["a"] == 1  # upper bound, not equality with the liminf
-    assert verify_measure_cover(fam, RationalGrid(1), res, universe=["a"]).passed
+    assert verify_measure_cover(fam, RationalGrid(1), res).passed
 
 
 def test_two_halves_pinch_exactly():
@@ -176,7 +185,7 @@ def test_mutated_log_flips_verdict():
     grid = RationalGrid(2)
     res = run_measure_cover(fam, grid)
     assert res.log
-    broken = type(res)(table=res.table, log=res.log[:-1], grid=grid)
+    broken = replace(res, log=res.log[:-1])
     assert not verify_measure_cover(fam, grid, broken).passed
 
 
@@ -303,7 +312,7 @@ def test_tree_mutations_flip_their_checks():
     res = run_tree_cover(fam, grid)
     assert verify_tree_cover(fam, grid, res).passed
 
-    dropped = type(res)(res.table, res.log[:-1], grid, res.depth)
+    dropped = replace(res, log=res.log[:-1])
     failed = verify_tree_cover(fam, grid, dropped).failures()
     assert "log-consistency" in [c.name for c in failed]
 
@@ -312,8 +321,6 @@ def test_tree_mutations_flip_their_checks():
     lowered = type(res)(
         {**res.table, "1": F(1, 8)},
         tuple((w, n, F(1, 8) if w == "1" else r) for w, n, r in res.log),
-        grid,
-        res.depth,
     )
     failed = verify_tree_cover(fam, grid, lowered).failures()
     assert [c.name for c in failed] == ["grid-floor"]

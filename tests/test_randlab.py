@@ -1,6 +1,7 @@
 """Deficiency sets, covers, bar-deficiency, and test stabilization."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from limcov.randlab import (
     stabilize_test,
     verify_bar_deficiency,
     verify_deficiency_sets,
+    verify_stabilize,
 )
 
 F = Fraction
@@ -68,8 +70,8 @@ def test_cover_family_examples():
     fam = deficiency_cover_family(DecoderTable(()), 1, 3, 3)
     assert all(s == CylinderSet.empty() for s in traces.opens_by_index(fam))
     fam = deficiency_cover_family(ONE_ENTRY, 0, 3, 3)
-    assert traces.open_at(fam, 2) == CylinderSet({"00"})
-    assert traces.open_at(fam, 2).measure() == F(1, 4)
+    assert traces.opens_by_index(fam)[2] == CylinderSet({"00"})
+    assert traces.opens_by_index(fam)[2].measure() == F(1, 4)
     fam = deficiency_cover_family(ONE_ENTRY, 3, 3, 3)
     assert all(s == CylinderSet.empty() for s in traces.opens_by_index(fam))
 
@@ -146,7 +148,7 @@ def test_stabilize_single_interval():
     out = stabilize_test(TestApproximation({(0, 2): "01"}, 0))
     assert out.covered[2] == ("01",)
     assert out.codes[2] == {"01": "00"}
-    assert out.verdict.passed
+    assert verify_stabilize(TestApproximation({(0, 2): "01"}, 0), out).passed
 
 
 def test_stabilize_empty_table():
@@ -181,6 +183,34 @@ def test_stabilize_rejects_structural_violations():
         TestApproximation({(0, 1): "0"}, -1)
 
 
+def test_stabilize_failures_name_their_witness():
+    table = TestApproximation({(0, 3): "0", (1, 3): "1"}, 1)
+    out = stabilize_test(table)
+    assert out.deleted == ((1, 3),) and verify_stabilize(table, out).passed
+
+    def witnesses(result):
+        return {c.name: c.witness for c in verify_stabilize(table, result).failures()}
+
+    assert witnesses(replace(out, surviving={**out.surviving, (1, 3): "1"})) == {
+        "count-bound": "n=3: 8 strings", "measure-bound": "n=3: 1", "code-injectivity": "n=3"
+    }
+    assert witnesses(replace(out, totals={3: F(1, 4)})) == {"measure-bound": "n=3: 1/2"}
+    assert witnesses(replace(out, surviving={(0, 3): "00"}, totals={3: F(1, 4)})) == {
+        "count-bound": "n=3: 2 strings",
+        "measure-bound": "(0, 3) is not an interval of the table",
+        "code-injectivity": "n=3",
+    }
+    colliding = {3: dict.fromkeys(out.codes[3], "00")}
+    assert witnesses(replace(out, codes=colliding)) == {"code-injectivity": "n=3"}
+
+
+def test_stabilize_refuses_long_expansions():
+    with pytest.raises(InputError, match="max 16"):
+        stabilize_test(TestApproximation({(0, 40): "0"}, 1))
+    out = stabilize_test(TestApproximation({(0, 17): "0" * 17}, 1))  # n - c = 16
+    assert out.covered[17] == ("0" * 17,)
+
+
 def test_parse_test_table():
     t = parse_test_table("0 2 01\n1 2 1\n", 0)
     assert t.intervals == {(0, 2): "01", (1, 2): "1"}
@@ -198,8 +228,9 @@ def test_stabilize_random_tables():
     for i in range(40):
         c = rng.randint(0, 3)
         text = gen.gen_test_table_text(13_000 + i, c, max_n=7)
-        out = stabilize_test(parse_test_table(text, c))
-        assert out.verdict.passed
+        table = parse_test_table(text, c)
+        out = stabilize_test(table)
+        assert verify_stabilize(table, out).passed
         for n, strings in out.covered.items():
             assert len(strings) <= (1 << (n - c) if n >= c else 0)
             assert out.totals[n] <= F(1, 1 << c)

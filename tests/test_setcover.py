@@ -84,13 +84,6 @@ def test_redundant_duplicate_events_do_not_change_cover():
     assert run_set_cover(fam, 1).cover == run_set_cover(fam_dup, 1).cover
 
 
-def test_universe_extension_keeps_guarantees():
-    fam = parse_trace("family sets nmax=1\n")
-    res = run_set_cover(fam, 0, extra_universe=("z",))
-    assert len(res.cover) <= 1
-    assert verify_set_cover(fam, 0, res).passed
-
-
 def test_random_sweep_all_pass():
     rng = random.Random(42)
     for i in range(150):

@@ -1,6 +1,7 @@
 """Trace grammar, stabilized-tail semantics, stage monotonicity, oracles."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ from limcov import gen, traces
 from limcov.kernel import CylinderSet, InputError, words_up_to
 from limcov.traces import (
     ParseError,
-    at_stage,
     format_trace,
     liminf_open,
     liminf_sets,
@@ -24,23 +24,36 @@ from limcov.traces import (
 F = Fraction
 
 
+def at_stage(family, stage):
+    """The family as known after its first ``stage`` enumeration events."""
+    return replace(family, events=family.events[:stage])
+
+
+def value_at(family, n, point):
+    """Member n's value at ``point``; indices past nmax-1 read the tail."""
+    table = traces.values_by_index(family)[min(n, family.nmax - 1)]
+    if family.kind == "func":
+        return traces.func_eval(table, point, family.depth)
+    return table.get(point, F(0))
+
+
 def test_parse_sets_example():
     fam = parse_trace("family sets nmax=2\nadd 0 a\nadd 1 a\n")
     assert fam.kind == "sets" and fam.nmax == 2 and fam.depth is None
     assert traces.sets_by_index(fam) == [frozenset({"a"}), frozenset({"a"})]
-    assert traces.set_at(fam, 7) == frozenset({"a"})  # tail rule
+    assert traces.sets_by_index(fam)[-1] == frozenset({"a"})  # the tail, n >= 1
 
 
 def test_parse_open_example():
     fam = parse_trace("family open nmax=1 depth=2\nadd 0 01\n")
-    assert traces.open_at(fam, 0) == CylinderSet({"01"})
-    assert traces.open_at(fam, 5) == CylinderSet({"01"})
+    assert traces.opens_by_index(fam) == [CylinderSet({"01"})]
 
 
 def test_parse_measure_example():
     fam = parse_trace("family measure nmax=1\nraise 0 x 3/4\n")
-    assert traces.value_at(fam, 0, "x") == F(3, 4)
-    assert traces.value_at(fam, 0, "absent") == 0
+    assert value_at(fam, 0, "x") == F(3, 4)
+    assert value_at(fam, 5, "x") == F(3, 4)  # tail rule
+    assert value_at(fam, 0, "absent") == 0
 
 
 def test_parse_accepts_bytes_and_missing_final_newline():
@@ -89,9 +102,9 @@ def test_parse_rejects_crlf_and_bad_bytes():
 
 def test_duplicate_add_is_idempotent_and_low_raise_is_noop():
     fam = parse_trace("family sets nmax=1\nadd 0 a\nadd 0 a\n")
-    assert traces.set_at(fam, 0) == frozenset({"a"})
+    assert traces.sets_by_index(fam) == [frozenset({"a"})]
     fam = parse_trace("family measure nmax=1\nraise 0 x 3/4\nraise 0 x 1/4\n")
-    assert traces.value_at(fam, 0, "x") == F(3, 4)
+    assert value_at(fam, 0, "x") == F(3, 4)
 
 
 def test_format_trace_round_trip():
@@ -107,14 +120,14 @@ def test_stage_truncation_is_monotone():
     )
     fam = parse_trace(text)
     previous = [frozenset()] * fam.nmax
-    for t in range(fam.stages + 1):
+    for t in range(len(fam.events) + 1):
         stage = at_stage(fam, t)
-        assert stage.stages == t
+        assert len(stage.events) == t
         current = traces.sets_by_index(stage)
         for before, now in zip(previous, current):
             assert before <= now
         previous = current
-    assert traces.sets_by_index(at_stage(fam, fam.stages)) == traces.sets_by_index(fam)
+    assert traces.sets_by_index(at_stage(fam, len(fam.events))) == traces.sets_by_index(fam)
 
 
 def test_value_stage_monotone():
@@ -125,7 +138,7 @@ def test_value_stage_monotone():
     fam = parse_trace("\n".join(lines) + "\n")
     for point in traces.universe(fam):
         last = [F(0)] * fam.nmax
-        for t in range(fam.stages + 1):
+        for t in range(len(fam.events) + 1):
             tables = traces.values_by_index(at_stage(fam, t))
             now = [tab.get(point, F(0)) for tab in tables]
             assert all(a <= b for a, b in zip(last, now))
@@ -194,7 +207,7 @@ def test_liminf_table_agrees_with_liminf_values(kind, nmax, depth, seed):
     for p in points:
         assert table[p] == liminf_values(fam, p)
         # Tail identity: under the tail rule the liminf is member nmax-1's value.
-        assert table[p] == traces.value_at(fam, nmax - 1, p)
+        assert table[p] == value_at(fam, nmax - 1, p)
 
 
 # Generated families are dyadic; these values make the oracle's common
@@ -248,9 +261,9 @@ def test_liminf_open_agrees_with_cell_decomposition():
 
 def test_func_eval_uses_prefix_maxima():
     fam = parse_trace("family func nmax=1 depth=2\nraise 0 0 1/4\nraise 0 00 1/2\n")
-    assert traces.value_at(fam, 0, "00") == F(1, 2)
-    assert traces.value_at(fam, 0, "01") == F(1, 4)
-    assert traces.value_at(fam, 0, "11") == F(0)
+    assert value_at(fam, 0, "00") == F(1, 2)
+    assert value_at(fam, 0, "01") == F(1, 4)
+    assert value_at(fam, 0, "11") == F(0)
     with pytest.raises(InputError):
         liminf_values(fam, "0")  # func points are full-depth cells
 
