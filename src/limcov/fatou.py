@@ -147,6 +147,7 @@ def run_fatou(
             f"need 0 < eps < eps', got eps={format_rational(eps)}, "
             f"eps'={format_rational(eps_prime)}"
         )
+    traces.check_member_bounds(family, eps=eps)
     depth = family.depth
     assert depth is not None
     ncells = 1 << depth
@@ -157,12 +158,6 @@ def run_fatou(
     unit = scale << depth
     work = traces.func_cell_rows(family, scale)
     integrals = [sum(cells) for cells in work]
-    for n, integral in enumerate(integrals):
-        if integral > eps * unit:
-            raise InputError(
-                f"f_{n} has integral {format_rational(Fraction(integral, unit))}, "
-                f"above eps={format_rational(eps)}"
-            )
     work.append(list(work[-1]))  # index nmax: the shared tail
     integrals.append(integrals[-1])
     top = family.nmax + 1
@@ -175,8 +170,6 @@ def run_fatou(
 
     schedule = DeltaSchedule(eps_prime - eps, eps)
     floors = schedule.theta_floors(unit)
-    budget_num = schedule.budget.numerator
-    budget_den = schedule.budget.denominator
     words = words_up_to(depth)
     phi = [0] * ncells
     log: list[tuple[int, int, str, Fraction, int]] = []
@@ -227,11 +220,8 @@ def run_fatou(
                     u = list(map(min, u, work[hit][base:end]))
                     trims += 1
                     # Each cap removes more than delta_t from the integral
-                    # of u, so the count stays below integral(u)/delta_t.
-                    removed = trims * budget_num * unit
-                    assert removed.bit_length() <= attempt + 1 or removed < (
-                        level * span * budget_den << (attempt + 1)
-                    )
+                    # of u, which starts at level * span / unit.
+                    assert schedule.allows_trims(attempt, trims, level * span, unit)
                     if not any(map(operator.gt, u, cyl_lows)):
                         break
                     hit = _first_raise(u, work, integrals, members, base, tf)[0]
@@ -281,29 +271,16 @@ def verify_fatou(
     levels = max(1 << g, math.ceil(top * (1 << g)))
     attempts = (family.nmax + 1) * ((2 << family.depth) - 1) * levels
     schedule = DeltaSchedule(eps_prime - eps, eps)
-    theta = schedule.theta_after(attempts)
-    theta_ok = result.theta == theta and theta <= eps_prime
-    checks = [
+    limits = traces.liminf_table(family, sorted(CylinderSet.full().cells(family.depth)))
+    return Verdict((
         Check(
             "integral-bound",
             integral <= eps_prime,
             "" if integral <= eps_prime else format_rational(integral),
         ),
-        Check(
-            "threshold-bound",
-            theta_ok,
-            "" if theta_ok else schedule.format_theta(result.theta),
-        ),
-    ]
-    limits = traces.liminf_table(family, sorted(CylinderSet.full().cells(family.depth)))
-    witness = ""
-    for cell, limit in limits.items():
-        need = grid.floor(limit)
-        if result.phi.value(cell) < need:
-            witness = f"{cell} below {format_rational(need)}"
-            break
-    checks.append(Check("cell-domination", not witness, witness))
-    return Verdict(tuple(checks))
+        schedule.threshold_check(attempts, result.theta),
+        traces.check_liminf_domination("cell-domination", limits, result.phi.value, grid.floor),
+    ))
 
 
 @dataclass(frozen=True)

@@ -89,38 +89,9 @@ def gen_trace(
         "func": _gen_func,
     }[kind]
     text = builder(rng, nmax, depth, universe, bound, eps)
-    family = traces.parse_trace(text)  # generated traces must parse
-    _post_check(family, bound, eps)
+    # Generated traces must parse and meet their construction's hypothesis.
+    traces.check_member_bounds(traces.parse_trace(text), bound, eps)
     return text
-
-
-def _post_check(
-    family: traces.StabilizedFamily, bound: int | None, eps: Fraction | None
-) -> None:
-    if family.kind == "sets" and bound is not None:
-        for n, s in enumerate(traces.sets_by_index(family)):
-            if len(s) > bound:
-                raise AssertionError(f"generator bug: |U_{n}| = {len(s)} > {bound}")
-    if family.kind == "open" and eps is not None:
-        for n, s in enumerate(traces.opens_by_index(family)):
-            if s.measure() > eps:
-                raise AssertionError(
-                    f"generator bug: measure(U_{n}) = {format_rational(s.measure())}"
-                )
-    if family.kind == "measure":
-        traces.check_semimeasures(family)
-    if family.kind == "tree":
-        traces.check_tree_tables(family)
-    if family.kind == "func" and eps is not None:
-        for n, table in enumerate(traces.values_by_index(family)):
-            depth = family.depth
-            assert depth is not None
-            total = sum(
-                traces.func_eval(table, format(i, f"0{depth}b"), depth)
-                for i in range(1 << depth)
-            )
-            if total * Fraction(1, 1 << depth) > eps:
-                raise AssertionError(f"generator bug: integral of f_{n} above eps")
 
 
 def _emit(header: str, lines: list[str], rng: random.Random) -> str:

@@ -117,7 +117,7 @@ def run_measure_cover(
     m' dominates the grid floor of every tail value."""
     if family.kind != "measure":
         raise InputError(f"expected a measure family, got {family.kind!r}")
-    traces.check_semimeasures(family)
+    traces.check_member_bounds(family)
 
     tables = traces.values_by_index(family)
     working = [dict(t) for t in tables]
@@ -181,13 +181,9 @@ def verify_measure_cover(
     checks.append(Check("semimeasure", ok, "" if ok else f"sum {format_rational(total)}"))
 
     limits = traces.liminf_table(family, traces.universe(family))
-    floor_witness = ""
-    for u, limit in limits.items():
-        need = grid.floor(limit)
-        if from_log.get(u, ZERO) < need:
-            floor_witness = f"{u} below {format_rational(need)}"
-            break
-    checks.append(Check("grid-floor", not floor_witness, floor_witness))
+    checks.append(traces.check_liminf_domination(
+        "grid-floor", limits, lambda u: from_log.get(u, ZERO), grid.floor
+    ))
     return Verdict(tuple(checks))
 
 
@@ -270,7 +266,7 @@ def run_tree_cover(
     """
     if family.kind != "tree":
         raise InputError(f"expected a tree family, got {family.kind!r}")
-    traces.check_tree_tables(family)
+    traces.check_member_bounds(family)
     assert family.depth is not None
 
     tables = traces.values_by_index(family)
@@ -348,11 +344,7 @@ def verify_tree_cover(
     checks.append(Check("tree-law", not tree_witness, tree_witness))
 
     limits = traces.liminf_table(family, words_up_to(family.depth))
-    floor_witness = ""
-    for w, limit in limits.items():
-        need = grid.floor(limit)
-        if from_log.get(w, ZERO) < need:
-            floor_witness = f"{word_to_text(w)} below {format_rational(need)}"
-            break
-    checks.append(Check("grid-floor", not floor_witness, floor_witness))
+    checks.append(traces.check_liminf_domination(
+        "grid-floor", limits, lambda w: from_log.get(w, ZERO), grid.floor, word_to_text
+    ))
     return Verdict(tuple(checks))

@@ -100,19 +100,27 @@ class DeltaSchedule:
         num, den = self.budget.numerator, self.budget.denominator
         return -((-(den << (attempt + 1))) // num)
 
-    def allows_trims(self, attempt: int, trims: int) -> bool:
-        """trims < trim_limit(attempt), i.e. trims * num < den * 2^(attempt+1).
-
-        When trims * num has at most attempt+1 bits the inequality holds for
-        any den >= 1, so the 2^attempt-sized numbers are only built early on.
+    def allows_trims(self, attempt: int, trims: int, mass_num: int = 1, mass_den: int = 1) -> bool:
+        """Each trim (cap) removes more than delta_t from a candidate of mass
+        mass_num / mass_den > 0, so trims * num * mass_den < mass_num * den *
+        2^(attempt+1).  When the left side has at most attempt+1 bits this
+        holds for any mass_num, den >= 1, so the 2^attempt-sized numbers are
+        only built early on.
         """
-        if (trims * self.budget.numerator).bit_length() <= attempt + 1:
+        removed = trims * self.budget.numerator * mass_den
+        if removed.bit_length() <= attempt + 1:
             return True
-        return trims < self.trim_limit(attempt)
+        return removed < (mass_num * self.budget.denominator << (attempt + 1))
 
     def theta_after(self, attempts: int) -> Fraction:
         """The threshold once ``attempts`` increments have been added."""
         return self.eps_prime - self.budget / (1 << attempts)
+
+    def threshold_check(self, attempts: int, theta: Fraction) -> Check:
+        """threshold-bound: a run of ``attempts`` attempts ends at
+        theta_after(attempts), within eps'; the witness is the run's theta."""
+        ok = theta == self.theta_after(attempts) and theta <= self.eps_prime
+        return Check("threshold-bound", ok, "" if ok else self.format_theta(theta))
 
     def theta_floors(self, scale: int) -> Iterator[int]:
         """floor(theta_t * scale) for t = 0, 1, 2, ... in integer arithmetic.
@@ -180,9 +188,11 @@ class OpenCoverResult:
     trim_events: tuple[tuple[int, int], ...]
 
 
-def _check_open_pre(
+def _member_masks(
     family: traces.StabilizedFamily, eps: Fraction, eps_prime: Fraction
-) -> list[CylinderSet]:
+) -> list[int]:
+    """The members' cell masks, plus index nmax for the shared tail, once
+    the preconditions hold."""
     if family.kind != "open":
         raise InputError(f"expected an open family, got {family.kind!r}")
     if not 0 < eps < eps_prime <= 1:
@@ -190,26 +200,17 @@ def _check_open_pre(
             f"need 0 < eps < eps' <= 1, got eps={format_rational(eps)}, "
             f"eps'={format_rational(eps_prime)}"
         )
-    opens = traces.opens_by_index(family)
-    for n, s in enumerate(opens):
-        mu = s.measure()
-        if mu > eps:
-            raise InputError(
-                f"U_{n} has measure {format_rational(mu)}, above eps={format_rational(eps)}"
-            )
-    return opens
+    traces.check_member_bounds(family, eps=eps)
+    masks = [0] * family.nmax
+    for e in family.events:
+        masks[e.index] |= _word_mask(e.key, family.depth)
+    masks.append(masks[-1])
+    return masks
 
 
 def _word_mask(word: str, depth: int) -> int:
     base, span = cell_span(word, depth)
     return ((1 << span) - 1) << base
-
-
-def _set_mask(s: CylinderSet, depth: int) -> int:
-    mask = 0
-    for w in s.words:
-        mask |= _word_mask(w, depth)
-    return mask
 
 
 def _mask_set(mask: int, depth: int) -> CylinderSet:
@@ -239,14 +240,12 @@ def _cover_run(
     eps_prime: Fraction,
     trim: bool,
 ) -> OpenCoverResult:
-    opens = _check_open_pre(family, eps, eps_prime)
+    masks = _member_masks(family, eps, eps_prime)
     depth = family.depth
     assert depth is not None
     schedule = DeltaSchedule(eps_prime - eps, eps)
     floors = schedule.theta_floors(1 << depth)
 
-    masks = [_set_mask(s, depth) for s in opens]
-    masks.append(masks[-1])  # index nmax: the shared tail
     counts = [m.bit_count() for m in masks]
     top = family.nmax + 1
     words = words_up_to(depth)
@@ -325,15 +324,13 @@ def run_block_cover(
     family: traces.StabilizedFamily, eps: Fraction, eps_prime: Fraction
 ) -> OpenCoverResult:
     """Block-union mode over the original (unmodified) family."""
-    opens = _check_open_pre(family, eps, eps_prime)
+    masks = _member_masks(family, eps, eps_prime)
     depth = family.depth
     assert depth is not None
     # Block j is held to eps_j = theta_after(j), the threshold of attempt j-1.
     schedule = DeltaSchedule(eps_prime - eps, eps)
     floors = schedule.theta_floors(1 << depth)
 
-    masks = [_set_mask(s, depth) for s in opens]
-    masks.append(masks[-1])
     tail = masks[-1]
     last = family.nmax - 1
 
@@ -411,19 +408,13 @@ def verify_open_cover(
         attempts = len(result.pieces) - 1
     else:
         attempts = (family.nmax + 1) * ((2 << family.depth) - 1)
-    theta = schedule.theta_after(attempts)
-    theta_ok = result.theta == theta and theta <= eps_prime
-    checks.append(
-        Check(
-            "threshold-bound",
-            theta_ok,
-            "" if theta_ok else schedule.format_theta(result.theta),
-        )
-    )
+    checks.append(schedule.threshold_check(attempts, result.theta))
 
     limit = traces.liminf_open(family)
     covered = limit.subset(union)
-    missing = "" if covered else word_to_text(sorted(limit.words)[0])
+    missing = "" if covered else word_to_text(
+        min(w for w in limit.words if not CylinderSet([w]).subset(union))
+    )
     checks.append(Check("coverage", covered, missing))
 
     trim_witness = ""
@@ -475,16 +466,24 @@ def verify_omega_family(
     eps: Fraction,
     result: OmegaFamilyResult,
 ) -> Verdict:
-    """Check the tail intervals against the sequence itself.
+    """Check the intervals against the sequence itself.
 
-    The cycle minimum w_min, recomputed from ``cycle``, must be the result's
-    and lie in every tail interval; tail intervals at cycle-minimum positions
-    have measure exactly 2*eps/3 (in particular, below eps infinitely
-    often), and every other tail interval has measure w_i - w_min + 2*eps/3.
-    Each failing check names the first index that breaks it.
+    Each prefix interval must be U_i = (min(prefix[i:] + [w_min]) - eps/3,
+    prefix[i] + eps/3).  The cycle minimum w_min, recomputed from ``cycle``,
+    must be the result's and lie in every tail interval; tail intervals at
+    cycle-minimum positions have measure exactly 2*eps/3 (in particular,
+    below eps infinitely often), and every other tail interval has measure
+    w_i - w_min + 2*eps/3.  Each failing check names the first index that
+    breaks it.
     """
     w_min = min(cycle)
     third = eps / 3
+    head = ""
+    for i, w_i in enumerate(prefix):
+        expected = RealInterval(min([*prefix[i:], w_min]) - third, w_i + third)
+        if result.intervals[i:i + 1] != (expected,):
+            head = f"i={i}"
+            break
     member = "" if result.w_min == w_min else f"w_min={format_rational(result.w_min)}"
     small = shape = ""
     for i, interval in enumerate(result.intervals[len(prefix):], start=len(prefix)):
@@ -497,6 +496,7 @@ def verify_omega_family(
             small = f"i={i}"
     return Verdict(
         (
+            Check("prefix-intervals", not head, head),
             Check("tail-membership", not member, member),
             Check("min-position-measure", not small, small),
             Check("tail-measure-identity", not shape, shape),

@@ -356,7 +356,10 @@ def verify_stabilize(test: TestApproximation, result: StabilizeResult) -> Verdic
     result's survivors and codes, per second index n of the table.
 
     measure-bound: every survivor is an interval of the table, and those at
-    n have total measure at most 2^-c, which is the result's total.
+    n have total measure at most 2^-c, which is the result's total; the
+    survivors and the deleted pairs partition the table, and each deleted
+    (i, n) would push column n above 2^-c on top of the survivors at
+    smaller i.
     count-bound: the length-n strings they cover (expanded here through
     CylinderSet.cells) are the result's covered strings and number at most
     2^(n-c).  code-injectivity: the codes map exactly those strings to
@@ -385,6 +388,17 @@ def verify_stabilize(test: TestApproximation, result: StabilizeResult) -> Verdic
             or any(len(v) != n - c for v in column.values())
         ):
             code = f"n={n}"
+    if not measure and sorted([*result.surviving, *result.deleted]) != sorted(test.intervals):
+        measure = "survivors and deletions do not partition the table"
+    for i, n in result.deleted:
+        if measure:
+            break
+        before = sum(
+            (Fraction(1, 1 << len(w)) for (j, m), w in result.surviving.items() if m == n and j < i),
+            ZERO,
+        )
+        if before + Fraction(1, 1 << len(test.intervals[i, n])) <= cap:
+            measure = f"({i}, {n}) deleted within the bound"
     return Verdict(
         (
             Check("count-bound", not count, count),

@@ -50,9 +50,7 @@ def run_set_cover(family: traces.StabilizedFamily, k: int) -> SetCoverResult:
         raise InputError(f"k must be at most {MAX_EXPONENT}")
     bound = 1 << k
     sets_ = traces.sets_by_index(family)
-    for n, s in enumerate(sets_):
-        if len(s) > bound:
-            raise InputError(f"U_{n} has {len(s)} elements, above the bound {bound}")
+    traces.check_member_bounds(family, bound=bound)
 
     # Index nmax is the shared tail object for all n >= nmax.
     working: list[set[str]] = [set(s) for s in sets_]

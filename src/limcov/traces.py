@@ -9,11 +9,13 @@ Under the tail rule every "for almost all n" question about a family is
 decidable by scanning n in [N, nmax-1] plus one tail check, which is exactly
 how the covering modules simulate their oracle queries.  This module also
 provides the brute-force liminf oracles those constructions are verified
-against; the oracles compute the defining union-of-suffix-intersections (or
-max-of-suffix-minima) formulas directly and share no logic with the covering
-processes beyond reading the family (values_by_index, and func_cell_rows for
-step functions).  liminf_values and func_eval stay literal references for
-those readers.
+against; the oracles compute the defining max-of-suffix-minima (for sets,
+over membership indicators) or union-of-suffix-intersections formulas
+directly and share no logic with the covering processes beyond reading the
+family (values_by_index, and func_cell_rows for step functions).
+liminf_values and func_eval stay literal references for those readers.
+check_member_bounds and check_liminf_domination check the two ends of every
+covering argument: small members in, an output dominating the liminf out.
 
 Trace grammar (UTF-8, LF line endings, single spaces)::
 
@@ -40,7 +42,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .kernel import (
     CylinderSet,
@@ -53,12 +55,15 @@ from .kernel import (
     word_from_text,
     word_to_text,
 )
+from .verdict import Check
 
 __all__ = [
     "Event",
     "KINDS",
     "ParseError",
     "StabilizedFamily",
+    "check_liminf_domination",
+    "check_member_bounds",
     "format_trace",
     "func_cell_rows",
     "func_eval",
@@ -281,16 +286,15 @@ def func_eval(table: dict[str, Fraction], cell: str, depth: int | None) -> Fract
 
 
 def liminf_sets(family: StabilizedFamily) -> frozenset[str]:
-    """Elements belonging to almost all U_n: the union over N of the
-    intersections of U_N, U_{N+1}, ...; finite under the tail rule."""
-    sets_ = sets_by_index(family)
-    result: set[str] = set()
-    for start in range(family.nmax):
-        inter = set(sets_[start])
-        for s in sets_[start + 1:]:
-            inter &= s
-        result |= inter
-    return frozenset(result)
+    """Elements belonging to almost all U_n: those whose membership
+    indicator has liminf 1, by liminf_table."""
+    if family.kind != "sets":
+        raise InputError(f"expected a sets family, got {family.kind!r}")
+    one = Fraction(1)
+    indicators = StabilizedFamily(
+        "measure", family.nmax, None, tuple(Event(e.index, e.key, one) for e in family.events)
+    )
+    return frozenset(u for u, v in liminf_table(indicators, universe(family)).items() if v)
 
 
 def liminf_sets_witness(family: StabilizedFamily) -> tuple[frozenset[str], int]:
@@ -393,28 +397,63 @@ def liminf_table(family: StabilizedFamily, points: Iterable[str]) -> dict[str, F
     return out
 
 
-def check_semimeasures(family: StabilizedFamily) -> None:
-    """Raise InputError naming the first index whose table sums above 1."""
-    for n, table in enumerate(values_by_index(family)):
-        total = sum(table.values(), ZERO)
-        if total > 1:
-            raise InputError(
-                f"m_{n} is not a semimeasure: values sum to {format_rational(total)}"
-            )
-
-
-def check_tree_tables(family: StabilizedFamily) -> None:
-    """Raise InputError naming the first (word, index) violating the tree law
-    a(y) >= a(y0) + a(y1) (absent words count as 0) or a(root) > 1."""
-    assert family.depth is not None
-    for n, table in enumerate(values_by_index(family)):
-        if table.get("", ZERO) > 1:
-            raise InputError(f"a_{n} exceeds 1 at the root")
-        parents = {w[:-1] for w in table if w}
-        for y in sorted(parents, key=lambda w: (len(w), w)):
-            need = table.get(y + "0", ZERO) + table.get(y + "1", ZERO)
-            if table.get(y, ZERO) < need:
+def check_member_bounds(
+    family: StabilizedFamily, bound: int | None = None, eps: Fraction | None = None
+) -> None:
+    """Raise InputError naming the first member that breaks the hypothesis of
+    its construction: more than ``bound`` elements (sets), measure (open) or
+    integral (func) above ``eps``, a sum above 1 (measure), or the tree law
+    a(y) >= a(y0) + a(y1) with a(root) <= 1 (tree; absent words count as 0).
+    A bound left None is not checked."""
+    if family.kind == "sets" and bound is not None:
+        for n, s in enumerate(sets_by_index(family)):
+            if len(s) > bound:
+                raise InputError(f"U_{n} has {len(s)} elements, above the bound {bound}")
+    elif family.kind in ("open", "func") and eps is not None:
+        # An open set is the func case of its indicator: measure = integral.
+        if family.kind == "open":
+            name, what = "U", "measure"
+            sizes = [s.measure() for s in opens_by_index(family)]
+        else:
+            name, what = "f", "integral"
+            scale = math.lcm(*(e.value.denominator for e in family.events if e.value is not None))
+            unit = scale << family.depth
+            sizes = [Fraction(sum(row), unit) for row in func_cell_rows(family, scale)]
+        for n, size in enumerate(sizes):
+            if size > eps:
                 raise InputError(
-                    f"a_{n} violates the tree constraint at word {word_to_text(y)}: "
-                    f"{format_rational(table.get(y, ZERO))} < {format_rational(need)}"
+                    f"{name}_{n} has {what} {format_rational(size)}, "
+                    f"above eps={format_rational(eps)}"
                 )
+    elif family.kind == "measure":
+        for n, table in enumerate(values_by_index(family)):
+            total = sum(table.values(), ZERO)
+            if total > 1:
+                raise InputError(
+                    f"m_{n} is not a semimeasure: values sum to {format_rational(total)}"
+                )
+    elif family.kind == "tree":
+        for n, table in enumerate(values_by_index(family)):
+            if table.get("", ZERO) > 1:
+                raise InputError(f"a_{n} exceeds 1 at the root")
+            parents = {w[:-1] for w in table if w}
+            for y in sorted(parents, key=lambda w: (len(w), w)):
+                need = table.get(y + "0", ZERO) + table.get(y + "1", ZERO)
+                if table.get(y, ZERO) < need:
+                    raise InputError(
+                        f"a_{n} violates the tree constraint at word {word_to_text(y)}: "
+                        f"{format_rational(table.get(y, ZERO))} < {format_rational(need)}"
+                    )
+
+
+def check_liminf_domination(
+    name: str, limits: dict[str, Fraction], value: Callable[[str], Fraction],
+    floor: Callable[[Fraction], Fraction], show: Callable[[str], str] = str,
+) -> Check:
+    """The check that value(point) >= floor(liminf) at every point of
+    ``limits`` (from liminf_table); a failure names the first point below."""
+    for point, limit in limits.items():
+        need = floor(limit)
+        if value(point) < need:
+            return Check(name, False, f"{show(point)} below {format_rational(need)}")
+    return Check(name, True)

@@ -417,6 +417,27 @@ def exit_two_cases():
          b"0 40 0\n", "n - c beyond exhaustive-expansion scale (max 16)"),
     ]:
         yield pytest.param(argv, data, message, id=case_id)
+    # The whole stderr line of each member-size precondition failure.
+    eps = ["--eps", "1/4", "--eps-prime", "1/2"]
+    for case_id, argv, data, line in [
+        ("setcover-above-bound", ["setcover", "--k", "0"], b"family sets nmax=1\nadd 0 a\nadd 0 b\n",
+         "U_0 has 2 elements, above the bound 1"),
+        *(
+            (f"opencover-{mode}-above-eps", ["opencover", "--mode", mode, *eps],
+             b"family open nmax=2 depth=2\nadd 0 00\nadd 1 0\n", "U_1 has measure 1/2, above eps=1/4")
+            for mode in ("trim", "naive", "blocks")
+        ),
+        ("fatou-above-eps", ["fatou", *eps],
+         b"family func nmax=2 depth=2\nraise 0 0 1/8\nraise 1 e 3/4\nraise 1 01 2\n",
+         "f_1 has integral 17/16, above eps=1/4"),
+        ("measurecover-above-one", ["measurecover"],
+         b"family measure nmax=2\nraise 0 a 1/2\nraise 1 a 3/4\nraise 1 b 1/2\n",
+         "m_1 is not a semimeasure: values sum to 5/4"),
+        ("treecover-tree-law", ["treecover"],
+         b"family tree nmax=2 depth=2\nraise 0 e 1/2\nraise 1 e 1/4\nraise 1 0 1/4\nraise 1 1 1/4\n",
+         "a_1 violates the tree constraint at word e: 1/4 < 1/2"),
+    ]:
+        yield pytest.param([*argv, "--trace", "{input}"], data, f"limcov: {line}\n", id=case_id)
 
 
 @pytest.mark.parametrize("argv,data,message", exit_two_cases())
@@ -428,7 +449,7 @@ def test_bad_inputs_and_flags_exit_two(tmp_path, capsys, argv, data, message):
     code, out, err = run(capsys, *(a.replace("{input}", str(path)) for a in argv))
     assert time.perf_counter() - began < 1
     assert code == 2 and out == ""
-    assert "Traceback" not in err and err.count("\n") == 1
+    assert "Traceback" not in err and err.count("\n") == 1 and err.startswith("limcov: ")
     assert message.replace("{input}", str(path)) in err
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from limcov import gen, traces
-from limcov.kernel import CylinderSet, InputError, words_up_to
+from limcov.kernel import CylinderSet, InputError, RealInterval, words_up_to
 from limcov.opencover import (
     DeltaSchedule,
     omega_family,
@@ -234,6 +234,16 @@ def test_uncounted_attempt_flips_threshold_bound(runner):
         assert [c.name for c in failed] == ["threshold-bound"]
 
 
+def test_coverage_witness_names_an_uncovered_word():
+    fam = parse_trace("family open nmax=2 depth=2\nadd 0 00\nadd 0 11\nadd 1 00\nadd 1 11\n")
+    res = run_trim_cover(fam, F(1, 2), F(3, 4))
+    cut = CylinderSet(["00"])
+    piece = dataclasses.replace(res.pieces[0], added=cut)
+    short = dataclasses.replace(res, cover=cut, pieces=(piece,))
+    failed = verify_open_cover(fam, F(1, 2), F(3, 4), short).failures()
+    assert [(c.name, c.witness) for c in failed] == [("coverage", "11")]
+
+
 def test_matches_literal_reference():
     rng = random.Random(21)
     for i in range(25):
@@ -301,6 +311,15 @@ def test_omega_closed_form_tail():
     res = omega_family([F(2)], [F(1, 4), F(1, 2)], F(3, 8))
     assert len(res.intervals) == 5
     assert res.intervals[3:] == res.intervals[1:3]
+
+
+def test_omega_prefix_intervals_are_checked():
+    prefix, cycle, eps = [F(2)], [F(1, 4), F(1, 2)], F(3, 8)
+    res = omega_family(prefix, cycle, eps)
+    assert verify_omega_family(prefix, cycle, eps, res).passed
+    forged = dataclasses.replace(res, intervals=(RealInterval(F(0), F(100)), *res.intervals[1:]))
+    failed = verify_omega_family(prefix, cycle, eps, forged).failures()
+    assert [(c.name, c.witness) for c in failed] == [("prefix-intervals", "i=0")]
 
 
 def test_omega_prefix_then_zero():

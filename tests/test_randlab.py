@@ -204,6 +204,24 @@ def test_stabilize_failures_name_their_witness():
     assert witnesses(replace(out, codes=colliding)) == {"code-injectivity": "n=3"}
 
 
+def test_stabilize_deletion_pass_is_checked():
+    table = TestApproximation({(0, 3): "0", (1, 3): "1"}, 1)
+    out = stabilize_test(table)
+
+    def witnesses(result):
+        return {c.name: c.witness for c in verify_stabilize(table, result).failures()}
+
+    # Deleting (0, 3) as well lets no interval through, yet keeping it fits.
+    none_kept = replace(
+        out, surviving={}, deleted=((0, 3), (1, 3)), covered={3: ()}, codes={3: {}},
+        totals={3: F(0)},
+    )
+    assert witnesses(none_kept) == {"measure-bound": "(0, 3) deleted within the bound"}
+    assert witnesses(replace(out, deleted=())) == {
+        "measure-bound": "survivors and deletions do not partition the table"
+    }
+
+
 def test_stabilize_refuses_long_expansions():
     with pytest.raises(InputError, match="max 16"):
         stabilize_test(TestApproximation({(0, 40): "0"}, 1))
