@@ -4,7 +4,7 @@ The package simulates, at desk scale and in exact rational arithmetic, the
 covering processes that upgrade the liminf of a uniformly presented family
 (finite sets, semimeasures, open sets, step functions) into a single object
 of the same size class, and verifies every guaranteed bound against
-independent brute-force oracles.  Infinite enumerable families are stood in
+independent liminf oracles.  Infinite enumerable families are stood in
 for by stabilized traces: finitely many enumeration events plus a constant
 tail, which makes every oracle-style acceptability question decidable by a
 finite scan.

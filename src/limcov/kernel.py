@@ -87,8 +87,12 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render as ``p/q``, or a bare integer when the denominator is 1."""
-    return str(value)
+    """Render as ``p/q``, or a bare integer when the denominator is 1;
+    InputError when a part has more digits than str() of an int renders."""
+    try:
+        return str(value)
+    except ValueError:
+        raise InputError(f"value too large to render: more than {_MAX_DECIMAL_DIGITS} digits") from None
 
 
 def is_natural(text: str) -> bool:

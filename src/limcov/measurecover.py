@@ -47,7 +47,7 @@ from itertools import accumulate
 from typing import Iterable, Mapping
 
 from . import traces
-from .kernel import InputError, ZERO, format_rational, word_to_text, words_up_to
+from .kernel import MAX_EXPONENT, InputError, ZERO, format_rational, word_to_text, words_up_to
 from .verdict import Check, Verdict
 
 __all__ = [
@@ -73,6 +73,8 @@ class RationalGrid:
     def __post_init__(self):
         if self.resolution < 1:
             raise InputError("grid resolution must be positive")
+        if self.resolution > MAX_EXPONENT:
+            raise InputError(f"grid resolution must be at most {MAX_EXPONENT}")
 
     def floor(self, value: Fraction) -> Fraction:
         """Largest grid multiple <= value (0 below the first grid point)."""
@@ -232,21 +234,14 @@ def verify_frequency_cover(
     grid: RationalGrid,
     result: MeasureCoverResult,
 ) -> Verdict:
-    """Check that m' dominates every suffix minimum of the fractions at grid
-    precision: for each x and N, m'(x) >= gridfloor(min_{N<=n<=T} mu_n(x))."""
-    mus = frequency_semimeasures(values, horizon)
-    witness = ""
-    for x in dict.fromkeys(values.values()):
-        got = result.table.get(x, ZERO)
-        mins = _suffix_minima([mu.get(x, ZERO) for mu in mus])
-        for start in range(horizon):
-            need = grid.floor(mins[start])
-            if got < need:
-                witness = f"{x} below {format_rational(need)} at N={start}"
-                break
-        if witness:
-            break
-    checks = [Check("suffix-domination", not witness, witness)]
+    """Check that m' dominates the liminf of the fractions at grid precision:
+    m'(x) >= gridfloor(mu_T(x)) for each x, where mu_T(x), the last
+    fraction, is the largest of the suffix minima min_{N<=n<=T} mu_n(x)."""
+    final = frequency_semimeasures(values, horizon)[-1]
+    limits = {x: final[x] for x in dict.fromkeys(values.values())}
+    checks = [traces.check_liminf_domination(
+        "suffix-domination", limits, lambda x: result.table.get(x, ZERO), grid.floor
+    )]
     total = sum(result.table.values(), ZERO)
     checks.append(
         Check("semimeasure", total <= 1, "" if total <= 1 else format_rational(total))

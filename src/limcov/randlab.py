@@ -174,8 +174,7 @@ def deficiency_eps(c: int) -> tuple[Fraction, Fraction]:
     covered at; requires c >= 1 so that eps' <= 1."""
     if c < 1:
         raise InputError("the covering step needs c >= 1 (eps' = 2^-(c-1))")
-    if c > MAX_EXPONENT:
-        raise InputError(f"c must be at most {MAX_EXPONENT}")
+    _check_exponent(c)
     return Fraction(1, 1 << c), Fraction(1, 1 << (c - 1))
 
 
@@ -233,6 +232,15 @@ def verify_bar_deficiency(
     )
 
 
+def _check_exponent(c: int) -> None:
+    """Refuse a c outside [0, MAX_EXPONENT]: 2^-c must be small enough to
+    build and render."""
+    if c < 0:
+        raise InputError("c must be non-negative")
+    if c > MAX_EXPONENT:
+        raise InputError(f"c must be at most {MAX_EXPONENT}")
+
+
 @dataclass(frozen=True)
 class TestApproximation:
     """Computable approximations I_{i,n} of a sequence of intervals.
@@ -246,8 +254,7 @@ class TestApproximation:
     c: int
 
     def __post_init__(self):
-        if self.c < 0:
-            raise InputError("c must be non-negative")
+        _check_exponent(self.c)
         for (i, n), word in self.intervals.items():
             if i < 0 or n < 0:
                 raise InputError("interval indices must be non-negative")
@@ -263,8 +270,7 @@ class TestApproximation:
 
 def parse_test_table(text: str | bytes, c: int) -> TestApproximation:
     """Parse lines ``<i> <n> <word>`` into a TestApproximation."""
-    if c < 0:
-        raise InputError("c must be non-negative")
+    _check_exponent(c)
     lines = traces.split_lines(text)
     table: dict[tuple[int, int], str] = {}
     for lineno, line in enumerate(lines, start=1):

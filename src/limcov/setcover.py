@@ -83,8 +83,8 @@ def verify_set_cover(
     """Check a cover against the liminf oracle, trusting only the log.
 
     The cover is re-derived from the log, its cardinality is checked against
-    2^k, and coverage is checked against traces.liminf_sets, which computes
-    the liminf from the defining formula and shares no logic with
+    2^k, and coverage is checked against traces.liminf_sets, which reads
+    the liminf off member nmax-1 by the tail rule and shares no logic with
     run_set_cover.
     """
     bound = 1 << k

@@ -8,12 +8,12 @@ full trace plays the role of complete oracle knowledge.
 Under the tail rule every "for almost all n" question about a family is
 decidable by scanning n in [N, nmax-1] plus one tail check, which is exactly
 how the covering modules simulate their oracle queries.  This module also
-provides the brute-force liminf oracles those constructions are verified
-against; the oracles compute the defining max-of-suffix-minima (for sets,
-over membership indicators) or union-of-suffix-intersections formulas
-directly and share no logic with the covering processes beyond reading the
-family (values_by_index, and func_cell_rows for step functions).
-liminf_values and func_eval stay literal references for those readers.
+provides the liminf oracles those constructions are verified against.  The
+tail identity makes each of them a read of member nmax-1: every suffix from
+nmax-1 on holds only that member, so the largest suffix minimum is its value
+and the union of suffix intersections is the member itself.  The oracles
+share no logic with the covering processes beyond reading the family;
+liminf_values keeps the defining formula as the tests' reference.
 check_member_bounds and check_liminf_domination check the two ends of every
 covering argument: small members in, an output dominating the liminf out.
 
@@ -41,7 +41,6 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Callable, Iterable
 
 from .kernel import (
@@ -280,21 +279,14 @@ def func_eval(table: dict[str, Fraction], cell: str, depth: int | None) -> Fract
     Each raise of word w to v means "at least v on the cylinder of w", so the
     value at a cell is the maximum over the cell's prefixes.
     """
-    if depth is None or len(cell) != depth:
+    if depth is None or len(cell) != depth or not is_word(cell):
         raise InputError(f"func points are cells of length {depth}, got {cell!r}")
     return max((table.get(cell[:i], ZERO) for i in range(depth + 1)), default=ZERO)
 
 
 def liminf_sets(family: StabilizedFamily) -> frozenset[str]:
-    """Elements belonging to almost all U_n: those whose membership
-    indicator has liminf 1, by liminf_table."""
-    if family.kind != "sets":
-        raise InputError(f"expected a sets family, got {family.kind!r}")
-    one = Fraction(1)
-    indicators = StabilizedFamily(
-        "measure", family.nmax, None, tuple(Event(e.index, e.key, one) for e in family.events)
-    )
-    return frozenset(u for u, v in liminf_table(indicators, universe(family)).items() if v)
+    """Elements belonging to almost all U_n: the members of U_{nmax-1}."""
+    return sets_by_index(family)[-1]
 
 
 def liminf_sets_witness(family: StabilizedFamily) -> tuple[frozenset[str], int]:
@@ -311,26 +303,16 @@ def liminf_sets_witness(family: StabilizedFamily) -> tuple[frozenset[str], int]:
 
 
 def liminf_open(family: StabilizedFamily) -> CylinderSet:
-    """Exact liminf of an open family.
-
-    Finite intersections of cylinder sets are clopen, so at desk scale the
-    union of suffix intersections is itself a cylinder set and no interior
-    needs to be taken.  One backward pass keeps the running intersection of
-    U_N, U_{N+1}, ... and unions it into the result.
-    """
-    opens = opens_by_index(family)
-    inter = opens[-1]
-    result = inter
-    for s in reversed(opens[:-1]):
-        inter = inter & s
-        result = result | inter
-    return result
+    """Exact liminf of an open family: U_{nmax-1}, the union of its suffix
+    intersections under the tail rule (at desk scale no interior needs to
+    be taken, since cylinder sets are clopen)."""
+    return opens_by_index(family)[-1]
 
 
 def liminf_values(family: StabilizedFamily, point: str) -> Fraction:
     """liminf of the values at ``point``: max over N of suffix minima.
 
-    The literal definition, kept as the reference for liminf_table.
+    The literal definition, kept as the tests' reference for the oracles.
     """
     tables = values_by_index(family)
     if family.kind == "func":
@@ -368,33 +350,12 @@ def func_cell_rows(family: StabilizedFamily, scale: int) -> list[list[int]]:
 
 
 def liminf_table(family: StabilizedFamily, points: Iterable[str]) -> dict[str, Fraction]:
-    """liminf_values at every point, from one build of the value tables.
-
-    The values are rescaled to integers over the lcm of their denominators,
-    so each point's max of suffix minima is one backward pass of int
-    comparisons; the results are converted back to Fractions.  A func
-    family's cell rows come from func_cell_rows.
-    """
-    scale = math.lcm(*(e.value.denominator for e in family.events if e.value is not None))
+    """liminf_values at every point: member nmax-1's value, the last and
+    largest of the suffix minima (cells of a func family by func_eval)."""
+    last = values_by_index(family)[-1]
     if family.kind == "func":
-        columns = list(zip(*func_cell_rows(family, scale)))
-    else:
-        tables = [
-            {key: v.numerator * (scale // v.denominator) for key, v in table.items()}
-            for table in values_by_index(family)
-        ]
-    out: dict[str, Fraction] = {}
-    for point in points:
-        if family.kind == "func":
-            if len(point) != family.depth or not is_word(point):
-                raise InputError(
-                    f"func points are cells of length {family.depth}, got {point!r}"
-                )
-            vals = columns[int(point, 2)]
-        else:
-            vals = [table.get(point, 0) for table in tables]
-        out[point] = Fraction(max(0, *accumulate(reversed(vals), min)), scale)
-    return out
+        return {point: func_eval(last, point, family.depth) for point in points}
+    return {point: last.get(point, ZERO) for point in points}
 
 
 def check_member_bounds(

@@ -1,7 +1,7 @@
 """PASS/FAIL verdicts with named checks and witnesses.
 
 Every construction ships with a verifier that re-derives the guaranteed
-bounds from the original input via the brute-force oracles and reports one
+bounds from the original input via the liminf oracles and reports one
 check per bound.  A FAIL carries a witness (an element, a word, or an exact
 quantity) naming what broke.
 """

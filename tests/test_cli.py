@@ -12,7 +12,7 @@ import pytest
 from limcov import fatou, gen, opencover, traces
 from limcov.cli import COMMANDS, _build_parser, main
 from limcov.fatou import StepFunction
-from limcov.kernel import CylinderSet, RealInterval
+from limcov.kernel import CylinderSet, RealInterval, words_up_to
 from limcov.measurecover import RationalGrid
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -415,8 +415,41 @@ def exit_two_cases():
         # The strings under this interval would number 2^39.
         ("randlab-stabilize-scale", ["randlab", "stabilize", "--table", "{input}", "--c", "1"],
          b"0 40 0\n", "n - c beyond exhaustive-expansion scale (max 16)"),
+        # Exponents past kernel.MAX_EXPONENT ran out of memory building 2^g
+        # or 2^c, or (freq at grid 20000) failed to render the grid floors.
+        ("randlab-stabilize-huge-c", ["randlab", "stabilize", "--table", "{input}", "--c",
+                                      "99999999999"], b"0 3 0\n", "limcov: c must be at most 14284\n"),
+        ("freq-grid", ["freq", "--fn", "{input}", "--horizon", "3", "--grid", "20000"],
+         b"0 x\n1 y\n2 x\n", "grid resolution must be at most 14284"),
+        ("sweep-huge-grid", ["sweep", "--kind", "measure", "--count", "1", "--grid", "99999999999"],
+         None, "grid resolution must be at most 14284"),
+        *(
+            (f"{name}-huge-grid", [name, f"--{flag}", "{input}", *OTHER_FLAGS[name], "--grid",
+                                   "99999999999"], data, "grid resolution must be at most 14284")
+            for name, flag, data in [
+                ("measurecover", "trace", b"family measure nmax=1\nraise 0 a 1/2\n"),
+                ("treecover", "trace", b"family tree nmax=1 depth=1\nraise 0 e 1/2\n"),
+                ("freq", "fn", b"0 x\n1 y\n2 x\n"),
+                ("fatou", "trace", b"family func nmax=1 depth=1\n"),
+            ]
+        ),
     ]:
         yield pytest.param(argv, data, message, id=case_id)
+    # Reports whose exact rationals are past str()'s 4300 digits: the THRESHOLD
+    # budget eps'-eps = 1/A-1/B and omegademo's interval ends.
+    a, b = "1" + "0" * 4298 + "1", "1" + "0" * 4298 + "3"
+    huge = ["--eps", f"1/{b}", "--eps-prime", f"1/{a}"]
+    too_long = "limcov: value too large to render: more than 4300 digits\n"
+    for case_id, argv, data in [
+        *(
+            (f"opencover-{mode}-render", ["opencover", "--trace", "{input}", "--mode", mode, *huge],
+             b"family open nmax=1 depth=2\n")
+            for mode in ("trim", "naive", "blocks")
+        ),
+        ("fatou-render", ["fatou", "--trace", "{input}", *huge], b"family func nmax=1 depth=1\n"),
+        ("omegademo-render", ["omegademo", "--cycle", f"1/{a},1/{b}", "--eps", "1/3"], None),
+    ]:
+        yield pytest.param(argv, data, too_long, id=case_id)
     # The whole stderr line of each member-size precondition failure.
     eps = ["--eps", "1/4", "--eps-prime", "1/2"]
     for case_id, argv, data, line in [
@@ -534,3 +567,55 @@ def test_corrupted_result_fails_its_row_verifier(name):
     failed = row.verify(args, given, corrupt(result)).failures()
     assert check in [c.name for c in failed]
     assert all(c.witness for c in failed)
+
+
+def append_tail_copy(family):
+    """The family with one more member, a copy of member nmax-1: under the
+    tail rule it denotes the same sequence of objects."""
+    last = family.nmax - 1
+    copies = tuple(replace(e, index=family.nmax) for e in family.events if e.index == last)
+    return replace(family, nmax=family.nmax + 1, events=family.events + copies)
+
+
+def liminf_oracles(family):
+    """Every liminf oracle's answer for the family's kind."""
+    if family.kind == "sets":
+        return traces.liminf_sets(family), traces.liminf_sets_witness(family)
+    if family.kind == "open":
+        return traces.liminf_open(family)
+    if family.kind == "measure":
+        points = [*traces.universe(family), "absent"]
+    elif family.kind == "tree":
+        points = words_up_to(family.depth)
+    else:
+        points = sorted(CylinderSet.full().cells(family.depth))
+    return traces.liminf_table(family, points), [traces.liminf_values(family, p) for p in points]
+
+
+# Each trace row's flags besides --trace, for generated families at bound 4
+# and eps 1/4; opencover runs once per --mode choice.
+TAIL_COPY_FLAGS = {
+    "setcover": [["--k", "2"]],
+    "measurecover": [["--grid", "3"]],
+    "treecover": [["--grid", "3"]],
+    "opencover": [
+        ["--mode", mode, "--eps", "1/4", "--eps-prime", "3/8"]
+        for mode in dict(COMMANDS["opencover"].flags)["--mode"]["choices"]
+    ],
+    "fatou": [["--eps", "1/4", "--eps-prime", "3/8", "--grid", "3"]],
+}
+
+
+@pytest.mark.parametrize("name", [name for name, row in COMMANDS.items() if row.source == "trace"])
+def test_appending_a_copy_of_the_tail_changes_no_liminf_or_verdict(name):
+    row = COMMANDS[name]
+    for seed in range(8):
+        text = gen.gen_trace(row.family, 5, seed, depth=4, bound=4, eps=Fraction(1, 4))
+        family = traces.parse_trace(text)
+        longer = append_tail_copy(family)
+        assert longer.nmax == 6
+        assert liminf_oracles(longer) == liminf_oracles(family)
+        for flags in TAIL_COPY_FLAGS[name]:  # every trace row needs a case
+            args = _build_parser().parse_args([*name.split(), "--trace", "unread", *flags])
+            for fam in (family, longer):
+                assert row.verify(args, fam, row.run(args, fam)).passed, (seed, flags)

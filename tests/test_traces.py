@@ -1,8 +1,10 @@
 """Trace grammar, stabilized-tail semantics, stage monotonicity, oracles."""
 
+import operator
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,12 @@ def value_at(family, n, point):
     if family.kind == "func":
         return traces.func_eval(table, point, family.depth)
     return table.get(point, F(0))
+
+
+def liminf_by_definition(members):
+    """The union over N of the intersections of members[N:]: the literal
+    liminf of a finite sequence of sets."""
+    return frozenset().union(*(reduce(operator.and_, members[n:]) for n in range(len(members))))
 
 
 def test_parse_sets_example():
@@ -188,14 +196,23 @@ def test_liminf_values_examples(lines, expected):
     assert liminf_values(fam, "x") == expected
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
-    kind=st.sampled_from(["measure", "tree", "func"]),
+    kind=st.sampled_from(traces.KINDS),
     nmax=st.integers(1, 6),
     depth=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_liminf_table_agrees_with_liminf_values(kind, nmax, depth, seed):
+def test_liminf_oracles_agree_with_definitions(kind, nmax, depth, seed):
+    if kind == "sets":
+        fam = parse_trace(gen.gen_trace(kind, nmax, seed, universe=6))
+        assert liminf_sets(fam) == liminf_by_definition(traces.sets_by_index(fam))
+        return
+    if kind == "open":
+        fam = parse_trace(gen.gen_trace(kind, nmax, seed, depth=depth, eps=F(1, 2)))
+        cells = [s.cells(depth) for s in traces.opens_by_index(fam)]
+        assert liminf_open(fam).cells(depth) == liminf_by_definition(cells)
+        return
     if kind == "measure":
         fam = parse_trace(gen.gen_trace(kind, nmax, seed, universe=6))
         points = list(traces.universe(fam)) + ["absent"]
@@ -239,7 +256,7 @@ def test_liminf_table_non_dyadic_values(text):
 
 
 def test_liminf_open_agrees_with_cell_decomposition():
-    # Decompose each member into depth-level cells and take the sets-liminf.
+    # Decompose each member into depth-level cells and take the literal liminf.
     rng = random.Random(77)
     for _ in range(50):
         nmax, depth = rng.randint(1, 5), rng.randint(1, 4)
@@ -250,13 +267,8 @@ def test_liminf_open_agrees_with_cell_decomposition():
             word = "".join(rng.choice("01") for _ in range(length))
             lines.append(f"add {n} {word}")
         fam = parse_trace("\n".join(lines) + "\n")
-        as_cells = ["family sets nmax=%d" % nmax]
-        for n, s in enumerate(traces.opens_by_index(fam)):
-            for cell in sorted(s.cells(depth)):
-                as_cells.append(f"add {n} c{cell}")
-        cell_fam = parse_trace("\n".join(as_cells) + "\n")
-        expected = {c[1:] for c in liminf_sets(cell_fam)}
-        assert liminf_open(fam) == CylinderSet(expected)
+        cells = [s.cells(depth) for s in traces.opens_by_index(fam)]
+        assert liminf_open(fam) == CylinderSet(liminf_by_definition(cells))
 
 
 def test_func_eval_uses_prefix_maxima():
@@ -266,6 +278,8 @@ def test_func_eval_uses_prefix_maxima():
     assert value_at(fam, 0, "11") == F(0)
     with pytest.raises(InputError):
         liminf_values(fam, "0")  # func points are full-depth cells
+    with pytest.raises(InputError, match="func points are cells of length 2, got '2a'"):
+        liminf_table(fam, ["2a"])
 
 
 def test_kind_accessor_mismatch():
@@ -274,6 +288,12 @@ def test_kind_accessor_mismatch():
         traces.opens_by_index(fam)
     with pytest.raises(InputError):
         traces.values_by_index(fam)
+    with pytest.raises(InputError, match="expected an open family, got 'sets'"):
+        liminf_open(fam)
+    with pytest.raises(InputError, match="expected a valued family, got 'sets'"):
+        liminf_table(fam, ["a"])
+    with pytest.raises(InputError, match="expected a sets family, got 'open'"):
+        liminf_sets(parse_trace("family open nmax=1 depth=1\n"))
 
 
 def test_family_constructor_enforces_type_invariants():
