@@ -180,6 +180,33 @@ class CylinderSet:
     def full(cls) -> "CylinderSet":
         return cls(("",))
 
+    @classmethod
+    def from_mask(cls, mask: int, depth: int) -> "CylinderSet":
+        """The set whose length-``depth`` cells are the one bits of ``mask``,
+        cell i at bit i as numbered by cell_span.
+
+        A top-down walk lists a chunk of all ones as its cylinder's word and
+        splits any other nonempty chunk into halves, the low half "0".  A
+        full chunk is never split, so no two listed words are siblings and
+        the result is canonical without _canon.
+        """
+        full = [(1 << (1 << k)) - 1 for k in range(depth + 1)]
+        if not 0 <= mask <= full[depth]:
+            raise InputError(f"mask has bits outside the 2^{depth} cells")
+        words = []
+        stack = [("", mask, depth)]
+        while stack:
+            word, chunk, k = stack.pop()
+            if chunk == full[k]:
+                words.append(word)
+            elif chunk:
+                k -= 1
+                stack.append((word + "0", chunk & full[k], k))
+                stack.append((word + "1", chunk >> (1 << k), k))
+        out = cls.__new__(cls)
+        out.words = frozenset(words)
+        return out
+
     def __bool__(self) -> bool:
         return bool(self.words)
 

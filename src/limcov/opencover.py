@@ -34,8 +34,15 @@ theta_t = eps' - (eps'-eps) * 2^-(t+1); it is constant after a number of
 attempts logarithmic in 2^depth and the denominators, so no threshold is
 accumulated.  An attempt whose candidate lies inside every member from its
 start index on is skipped without a scan: it can trim nothing and change
-no mask.  Results are converted back to canonical CylinderSets; the
-verifier works purely on those plus the liminf oracle.
+no mask.  Words are attempted in heap order, so a word's parent was tried
+earlier at the same start; if no mask has grown since, the child (a subset
+of the parent, under a threshold no lower) cannot overflow any member
+before the parent's first overflow, and its scans start there.  Every
+commit and every new start drops that hint.  Each trim removes at least
+one cell, so from DeltaSchedule.settled_attempt(2^depth) on no trim count
+can break the cap and the run stops checking it.  Pieces and the cover
+are built once each by CylinderSet.from_mask, canonical by construction;
+the verifier works purely on those plus the liminf oracle.
 
 Runs are single-threaded and deterministic; results are immutable.
 """
@@ -111,6 +118,12 @@ class DeltaSchedule:
         if removed.bit_length() <= attempt + 1:
             return True
         return removed < (mass_num * self.budget.denominator << (attempt + 1))
+
+    def settled_attempt(self, most: int) -> int:
+        """The attempt from which allows_trims(t, n) holds for every
+        n <= ``most`` by its bit-length test alone: most * num has at most
+        t+1 bits from there on, and n * num no more."""
+        return (most * self.budget.numerator).bit_length() - 1
 
     def theta_after(self, attempts: int) -> Fraction:
         """The threshold once ``attempts`` increments have been added."""
@@ -213,17 +226,6 @@ def _word_mask(word: str, depth: int) -> int:
     return ((1 << span) - 1) << base
 
 
-def _mask_set(mask: int, depth: int) -> CylinderSet:
-    cells = []
-    index = 0
-    while mask:
-        if mask & 1:
-            cells.append(format(index, f"0{depth}b") if depth else "")
-        mask >>= 1
-        index += 1
-    return CylinderSet(cells)
-
-
 def _first_overflow(
     candidate: int, masks: list[int], counts: list[int], members: range, tf: int
 ) -> int:
@@ -250,32 +252,45 @@ def _cover_run(
     top = family.nmax + 1
     words = words_up_to(depth)
     word_masks = [_word_mask(w, depth) for w in words]
+    # Every trim removes at least one of the 2^depth cells.
+    settled = schedule.settled_attempt(1 << depth)
 
     cover_mask = 0
     pieces: list[Piece] = []
     trim_events: list[tuple[int, int]] = []
-    attempt = -1
+    # first_hit[j]: the first overflow of word j's first scan at this start.
+    first_hit = [0] * len(words)
+    attempt = changed = -1
     for start in range(top):
-        members = range(start, top)
         # The suffix AND of masks[start:].  A commit adds the candidate to
         # every member, so it joins this AND too.  A candidate inside it
         # overflows no member and changes no mask, so no scan is needed.
         inside = -1
-        for m in members:
+        for m in range(start, top):
             inside &= masks[m]
-        for word, candidate in zip(words, word_masks):
+        for j, (word, candidate) in enumerate(zip(words, word_masks)):
             attempt += 1
             tf = next(floors)
             trims = 0
             if candidate & ~inside:
-                hit = _first_overflow(candidate, masks, counts, members, tf)
+                # Words come in heap order: parent p = (j-1)//2 was tried
+                # j - p attempts ago at this start, and it was scanned, since
+                # it holds this child and `inside` only grows.  If no mask
+                # has grown since, then for every m before the parent's first
+                # overflow |masks[m] | child| <= |masks[m] | parent| <= the
+                # parent's tf <= tf, so every scan of this attempt may start
+                # there.
+                parent = (j - 1) >> 1
+                lo = first_hit[parent] if j and changed < attempt - j + parent else start
+                members = range(lo, top)
+                hit = first_hit[j] = _first_overflow(candidate, masks, counts, members, tf)
                 if hit >= 0:
                     if not trim:
                         continue
                     while hit >= 0:
                         candidate &= masks[hit]
                         trims += 1
-                        assert schedule.allows_trims(attempt, trims)
+                        assert attempt >= settled or schedule.allows_trims(attempt, trims)
                         hit = (
                             _first_overflow(candidate, masks, counts, members, tf)
                             if candidate & ~inside
@@ -284,21 +299,23 @@ def _cover_run(
                     trim_events.append((attempt, trims))
                 if candidate & ~inside:
                     # Masks left alone still hold the bound: tf never decreases.
-                    for n in members:
+                    for n in range(start, top):
                         grown = masks[n] | candidate
                         if grown != masks[n]:
                             masks[n] = grown
                             counts[n] = grown.bit_count()
                             assert counts[n] <= tf
                     inside |= candidate
+                    changed = attempt
             if candidate & ~cover_mask:
                 pieces.append(
-                    Piece(word, start, None, attempt, trims, _mask_set(candidate, depth))
+                    Piece(word, start, None, attempt, trims,
+                          CylinderSet.from_mask(candidate, depth))
                 )
                 cover_mask |= candidate
     return OpenCoverResult(
         "trim" if trim else "naive",
-        _mask_set(cover_mask, depth),
+        CylinderSet.from_mask(cover_mask, depth),
         tuple(pieces),
         schedule.theta_after(attempt + 1),
         tuple(trim_events),
@@ -353,18 +370,18 @@ def run_block_cover(
                 break
         assert stop >= 0  # stop = nmax-1 always qualifies
         inter_mask = inter & ((1 << (1 << depth)) - 1)
-        pieces.append(Piece(None, start, stop, -1, 0, _mask_set(inter_mask, depth)))
+        pieces.append(Piece(None, start, stop, -1, 0, CylinderSet.from_mask(inter_mask, depth)))
         union_mask |= inter_mask
         if stop == last:
             break
         start = stop + 1
 
-    pieces.append(Piece(None, family.nmax, None, -1, 0, _mask_set(tail, depth)))
+    pieces.append(Piece(None, family.nmax, None, -1, 0, CylinderSet.from_mask(tail, depth)))
     union_mask |= tail
     assert union_mask.bit_count() <= tf
     return OpenCoverResult(
         "blocks",
-        _mask_set(union_mask, depth),
+        CylinderSet.from_mask(union_mask, depth),
         tuple(pieces),
         schedule.theta_after(block_index),
         (),
@@ -384,11 +401,11 @@ def verify_open_cover(
     re-derived from the input: trim and naive runs make one attempt per
     (start, word), (nmax+1) * (2^(depth+1)-1) in all, and a blocks run takes
     one increment per block piece, every piece but the tail.  The trim-bound
-    check still reads the run's own trim_events.
+    check still reads the run's own trim_events; it checks only the events
+    before the settled attempt of their largest count, since every later
+    one passes.
     """
-    union = CylinderSet.empty()
-    for piece in result.pieces:
-        union = union | piece.added
+    union = CylinderSet(w for piece in result.pieces for w in piece.added.words)
     consistent = union == result.cover
     checks = [
         Check(
@@ -418,8 +435,9 @@ def verify_open_cover(
     checks.append(Check("coverage", covered, missing))
 
     trim_witness = ""
+    settled = schedule.settled_attempt(max((c for _, c in result.trim_events), default=0))
     for attempt, count in result.trim_events:
-        if not schedule.allows_trims(attempt, count):
+        if attempt < settled and not schedule.allows_trims(attempt, count):
             trim_witness = f"attempt {attempt}: {count} trims"
             break
     checks.append(Check("trim-bound", not trim_witness, trim_witness))

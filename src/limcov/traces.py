@@ -251,13 +251,33 @@ def sets_by_index(family: StabilizedFamily) -> list[frozenset[str]]:
     return [frozenset(s) for s in out]
 
 
-def opens_by_index(family: StabilizedFamily) -> list[CylinderSet]:
+def _open_words(family: StabilizedFamily) -> list[set[str]]:
+    """Each open member's words as listed, not canonicalized."""
     if family.kind != "open":
         raise InputError(f"expected an open family, got {family.kind!r}")
     words: list[set[str]] = [set() for _ in range(family.nmax)]
     for e in family.events:
         words[e.index].add(e.key)
-    return [CylinderSet(w) for w in words]
+    return words
+
+
+def _union_measure(words: Iterable[str]) -> Fraction:
+    """Measure of the union of the cylinders of ``words`` by a sorted scan.
+
+    In sorted order a word's extensions directly follow it, so the words
+    that extend no earlier kept word are disjoint cylinders; merging
+    siblings would not change their total, so no canonical form is needed.
+    """
+    kept: list[str] = []
+    for w in sorted(words):
+        if not kept or not w.startswith(kept[-1]):
+            kept.append(w)
+    top = max(map(len, kept), default=0)
+    return Fraction(sum(1 << (top - len(w)) for w in kept), 1 << top)
+
+
+def opens_by_index(family: StabilizedFamily) -> list[CylinderSet]:
+    return [CylinderSet(w) for w in _open_words(family)]
 
 
 def values_by_index(family: StabilizedFamily) -> list[dict[str, Fraction]]:
@@ -306,7 +326,7 @@ def liminf_open(family: StabilizedFamily) -> CylinderSet:
     """Exact liminf of an open family: U_{nmax-1}, the union of its suffix
     intersections under the tail rule (at desk scale no interior needs to
     be taken, since cylinder sets are clopen)."""
-    return opens_by_index(family)[-1]
+    return CylinderSet(_open_words(family)[-1])
 
 
 def liminf_values(family: StabilizedFamily, point: str) -> Fraction:
@@ -374,7 +394,7 @@ def check_member_bounds(
         # An open set is the func case of its indicator: measure = integral.
         if family.kind == "open":
             name, what = "U", "measure"
-            sizes = [s.measure() for s in opens_by_index(family)]
+            sizes = [_union_measure(w) for w in _open_words(family)]
         else:
             name, what = "f", "integral"
             scale = math.lcm(*(e.value.denominator for e in family.events if e.value is not None))

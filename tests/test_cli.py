@@ -238,6 +238,9 @@ DIGEST_INPUTS = {
     "tree": gen.gen_trace("tree", 6, 3, depth=4),
     "open": gen.gen_trace("open", 6, 4, depth=4, eps=Fraction(1, 4)),
     "open5": gen.gen_trace("open", 10, 5, depth=5, eps=Fraction(1, 4)),
+    # Bench scale: the open-ladder's 16x8 families and its 64x12 blocks case.
+    "open8": gen.gen_trace("open", 16, 11, depth=8, eps=Fraction(1, 4)),
+    "open12": gen.gen_trace("open", 64, 12, depth=12, eps=Fraction(1, 4)),
     "func": gen.gen_trace("func", 4, 6, depth=4, eps=Fraction(1, 4)),
     "fn": gen.gen_function_text(7, 16),
     "decoder": gen.gen_decoder_text(8),

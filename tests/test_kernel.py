@@ -224,6 +224,40 @@ def test_cells_partition():
     assert CylinderSet(s.cells(2)) == s
 
 
+def test_from_mask_pinned_cases():
+    assert CylinderSet.from_mask(0, 3) == CylinderSet.empty()
+    assert CylinderSet.from_mask(0xFF, 3) == CylinderSet.full()
+    assert CylinderSet.from_mask(1, 0) == CylinderSet.full()
+    assert CylinderSet.from_mask(0, 0) == CylinderSet.empty()
+    # Cells 000, 001 (bits 0, 1) merge into 00; cell 110 is bit 6.
+    assert CylinderSet.from_mask(0b01000011, 3).words == {"00", "110"}
+    for bad in (-1, 0x100):
+        with pytest.raises(InputError):
+            CylinderSet.from_mask(bad, 3)
+
+
+@st.composite
+def depth_masks(draw):
+    # Random bits, or a union of cylinders so that full chunks are common.
+    depth = draw(st.integers(0, 8))
+    if draw(st.booleans()):
+        return draw(st.integers(0, (1 << (1 << depth)) - 1)), depth
+    mask = 0
+    for word in draw(st.lists(st.text(alphabet="01", max_size=depth), max_size=6)):
+        base, span = cell_span(word, depth)
+        mask |= ((1 << span) - 1) << base
+    return mask, depth
+
+
+@given(depth_masks())
+def test_from_mask_is_the_canonical_set_of_its_cells(case):
+    mask, depth = case
+    cells = [format(i, f"0{depth}b") if depth else "" for i in range(1 << depth) if mask >> i & 1]
+    made = CylinderSet.from_mask(mask, depth)
+    assert made == CylinderSet(cells)
+    assert CylinderSet(made.words).words == made.words
+
+
 def test_real_interval():
     iv = RealInterval(F(1, 8), F(3, 8))
     assert iv.measure() == F(1, 4)

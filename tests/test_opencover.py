@@ -234,6 +234,23 @@ def test_uncounted_attempt_flips_threshold_bound(runner):
         assert [c.name for c in failed] == ["threshold-bound"]
 
 
+def test_forged_trim_count_fails_trim_bound():
+    fam = parse_trace(DRIFT)
+    eps, eps_prime = F(1, 4), F(1, 2)
+    res = run_trim_cover(fam, eps, eps_prime)
+    schedule = DeltaSchedule(eps_prime - eps, eps)
+    # The second event lies past the attempt from which the run stops
+    # checking trim counts; the verifier must still check it.
+    late = schedule.settled_attempt(1 << fam.depth) + 10
+    for attempt in (0, late):
+        count = schedule.trim_limit(attempt)
+        forged = dataclasses.replace(res, trim_events=((attempt, count),))
+        failed = verify_open_cover(fam, eps, eps_prime, forged).failures()
+        assert [(c.name, c.witness) for c in failed] == [
+            ("trim-bound", f"attempt {attempt}: {count} trims")
+        ]
+
+
 def test_coverage_witness_names_an_uncovered_word():
     fam = parse_trace("family open nmax=2 depth=2\nadd 0 00\nadd 0 11\nadd 1 00\nadd 1 11\n")
     res = run_trim_cover(fam, F(1, 2), F(3, 4))
@@ -272,6 +289,23 @@ def test_naive_piece_inside_every_later_member():
     assert (res.cover, res.theta, piece_rows(res), list(res.trim_events)) == (
         cover, theta, pieces, trim_events
     )
+
+
+def test_parent_hint_is_dropped_after_a_commit():
+    # At start 0 (threshold 3 of 4 cells throughout) word 0 first overflows
+    # U_1.  Its sibling 1 then commits, which fills U_0 to cells 01, 10,
+    # 11, so the child 00 first overflows U_0, before its parent's first
+    # overflow.  A scan that resumed at U_1 would commit 00 in naive mode
+    # and push U_0 past the threshold.
+    fam = parse_trace("family open nmax=2 depth=2\nadd 0 01\nadd 1 1\n")
+    eps, eps_prime = F(1, 2), F(1)
+    for trim in (True, False):
+        res = (run_trim_cover if trim else run_naive_cover)(fam, eps, eps_prime)
+        cover, theta, pieces, trim_events = literal_cover(fam, eps, eps_prime, trim)
+        assert (res.cover, res.theta, piece_rows(res), list(res.trim_events)) == (
+            cover, theta, pieces, trim_events
+        ), trim
+        assert verify_open_cover(fam, eps, eps_prime, res).passed
 
 
 def test_random_sweep_all_modes():

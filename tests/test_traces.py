@@ -271,6 +271,39 @@ def test_liminf_open_agrees_with_cell_decomposition():
         assert liminf_open(fam) == CylinderSet(liminf_by_definition(cells))
 
 
+@st.composite
+def open_member_words(draw):
+    """Words of one open member with repeats, nested words, full sibling
+    pairs and sometimes the empty word."""
+    base = draw(st.lists(st.text(alphabet="01", max_size=5), max_size=8))
+    out = list(base)
+    for w in base:
+        extra = draw(st.sampled_from(["", "repeat", "nested", "siblings"]))
+        if extra == "repeat":
+            out.append(w)
+        elif extra == "nested":
+            out.append(w + draw(st.text(alphabet="01", min_size=1, max_size=3)))
+        elif extra == "siblings":
+            out += [w + "0", w + "1"]
+    return out
+
+
+@settings(max_examples=200)
+@given(open_member_words())
+def test_open_member_bound_measures_like_the_canonical_set(member):
+    # The member bound measures the listed words without canonicalizing
+    # them; it must agree with the canonical set's measure on both sides.
+    lines = ["family open nmax=1 depth=8"] + [f"add 0 {w or 'e'}" for w in member]
+    fam = parse_trace("\n".join(lines) + "\n")
+    mu = CylinderSet(member).measure()
+    traces.check_member_bounds(fam, eps=mu)
+    if mu:
+        eps = mu - F(1, 1 << 10)
+        with pytest.raises(InputError) as err:
+            traces.check_member_bounds(fam, eps=eps)
+        assert str(err.value) == f"U_0 has measure {mu}, above eps={eps}"
+
+
 def test_func_eval_uses_prefix_maxima():
     fam = parse_trace("family func nmax=1 depth=2\nraise 0 0 1/4\nraise 0 00 1/2\n")
     assert value_at(fam, 0, "00") == F(1, 2)
