@@ -1,39 +1,31 @@
 """Increase operations for semimeasures: flat, frequency, and tree variants.
 
-The flat process upgrades the liminf of a stabilized sequence of
-semimeasures m_n into a single semimeasure m' that dominates it.  For a
-triple (u, N, r) the *increase operation* raises every m_n(u) with n >= N up
-to the rational r (values already >= r stay put); it is acceptable when all
-m_n remain semimeasures afterwards.  m'(u) is the largest accepted r.  A
-no-change increase is always acceptable, so m'(u) is at least the largest
-grid point below the tail value of u, which is the liminf under the tail
-rule.
+The process upgrades the liminf of a stabilized sequence of semimeasures
+m_n into a single semimeasure m' that dominates it.  For a triple (u, N, r)
+the *increase operation* raises every m_n(u) with n >= N up to the rational
+r (values already >= r stay put); it is acceptable when all m_n remain
+semimeasures afterwards.  m'(u) is the largest accepted r.  A no-change
+increase is always acceptable, so m'(u) is at least the largest grid point
+below the tail value of u, which is the liminf under the tail rule.
 
-Rather than materializing every (u, N, r) attempt, the run exploits that
-acceptability of (u, N, r) is exactly r <= min over n in [N, nmax] of
-cap_n(u), where cap_n(u) = m_n(u) + (1 - sum(m_n)) is the headroom of u at
-index n.  Increases of u leave u's own caps unchanged (value and sum rise
-together), so the caps computed when u comes up are valid for all of u's
+Flat and tree semimeasures share one headroom rule: raising u to r in m_n
+is acceptable iff r <= 1 - outside_n(u), one minus the mass of m_n outside
+u.  On a flat semimeasure that is the sum of the other values.  On the
+binary tree an increase of a(x) is followed by the minimal upward repair
+a(y) := max(a(y), a(y0) + a(y1)) to the root, which must stay <= 1; the
+mass outside x is the sum of a(s) over the siblings s of x and of each of
+its proper ancestors below the root.  An increase of u changes no mass
+outside u, so the headroom taken when u comes up holds for all of u's
 attempts, and the largest accepted r per (u, N) is the grid floor of the
-suffix cap minimum.  This is observationally identical to iterating the
-triples (u first-appearance order, N ascending over [0, nmax], r ascending
-over the grid) and is checked against a literal reference in the test suite.
+suffix headroom minimum.  This is observationally identical to iterating
+the triples (u in key order, N ascending over [0, nmax], r ascending over
+the grid), which the test suite checks against literal references.
 
-The tree variant raises values on binary words; an increase of a(x) is
-followed by the minimal upward repair a(y) := max(a(y), a(y0) + a(y1)) from
-x's parent to the root and is acceptable iff every repaired root stays <= 1.
-The headroom formula picks up the slack along the ancestor path:
-cap_n(x) = a_n(x) + sum of slack_n(y) over proper ancestors y
-+ (1 - a_n(root)), which telescopes to at most 1.
-
-The tree run works in integers: every value is rescaled to one common
-denominator (the lcm of 2^g and the trace's denominators, as in fatou), and
-each working tree is a flat list in heap order, word w at index
-2^len(w) - 1 + int(w, 2), which is the order of words_up_to, with the parent
-of i at (i - 1) >> 1 and its children at 2i + 1 and 2i + 2.  Grid floors are
-integer floors to multiples of scale / 2^g, and the results are converted
-back to Fractions, so tables and logs are exactly those of the Fraction
-formulation.
+Both runs work in integers over one common denominator (as in fatou), so
+grid floors are integer floors to multiples of scale / 2^g and the tables
+and logs, converted back to Fractions, are exact.  A flat row holds the
+values over the universe and their running sum; a tree row is a member's
+heap row (traces.heap_rows).
 
 All runs are single-threaded and deterministic on private working copies.
 """
@@ -44,7 +36,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Mapping
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping
 
 from . import traces
 from .kernel import MAX_EXPONENT, InputError, ZERO, format_rational, word_to_text, words_up_to
@@ -105,11 +98,37 @@ class MeasureCoverResult:
     log: tuple[tuple[str, int, Fraction], ...]
 
 
-def _suffix_minima(values: list) -> list:
-    """min(values[n:]) for every n, in one backward pass."""
-    out = list(accumulate(reversed(values), min))
-    out.reverse()
-    return out
+def _increase(
+    keys: Iterable[str],
+    rows: list[list[int]],
+    scale: int,
+    grid: RationalGrid,
+    outside: Callable[[int], list[int]],
+    lift: Callable[[list[int], int, int], None],
+) -> MeasureCoverResult:
+    """The increase process over integer rows, the members' values times
+    ``scale``, to which it appends index nmax: a copy of the last, the
+    shared tail.  outside(i) is the mass outside key i in each row.  For
+    key i and each start N, lift(row, i, r) raises key i to r in every row
+    from N on, where r is the largest grid multiple at or below the
+    headroom scale - outside of all those rows."""
+    rows.append(list(rows[-1]))
+    step = scale >> grid.resolution
+    log: list[tuple[str, int, Fraction]] = []
+    for i, key in enumerate(keys):
+        # The least headroom over the rows from each start N on.
+        caps = list(accumulate(reversed([scale - mass for mass in outside(i)]), min))[::-1]
+        best = 0
+        for start, cap in enumerate(caps):
+            r = cap // step * step
+            if r <= best:
+                continue
+            best = r
+            log.append((key, start, Fraction(r, scale)))
+            for row in rows[start:]:
+                lift(row, i, r)
+    # Each key's logged values rise, so its last one is its best.
+    return MeasureCoverResult({key: r for key, _, r in log}, tuple(log))
 
 
 def run_measure_cover(
@@ -121,33 +140,19 @@ def run_measure_cover(
         raise InputError(f"expected a measure family, got {family.kind!r}")
     traces.check_member_bounds(family)
 
-    tables = traces.values_by_index(family)
-    working = [dict(t) for t in tables]
-    working.append(dict(tables[-1]))  # index nmax: the shared tail
-    sums = [sum(t.values(), ZERO) for t in working]
+    keys = traces.universe(family)
+    scale = grid.common_scale(e.value for e in family.events)
+    rows = [[int(t.get(u, 0) * scale) for u in keys] for t in traces.values_by_index(family)]
+    for row in rows:
+        row.append(sum(row))  # the running sum, past the values
 
-    table: dict[str, Fraction] = {}
-    log: list[tuple[str, int, Fraction]] = []
-    top = family.nmax + 1
-    for u in traces.universe(family):
-        # Headroom of u per index; increases of u itself never change it.
-        caps = _suffix_minima([working[n].get(u, ZERO) + 1 - sums[n] for n in range(top)])
-        best = ZERO
-        for start in range(top):
-            r = grid.floor(caps[start])
-            if r <= best:
-                continue
-            best = r
-            log.append((u, start, r))
-            for n in range(start, top):
-                current = working[n].get(u, ZERO)
-                if current < r:
-                    sums[n] += r - current
-                    working[n][u] = r
-                assert sums[n] <= 1
-        if best > 0:
-            table[u] = best
-    return MeasureCoverResult(table, tuple(log))
+    def lift(row: list[int], i: int, r: int) -> None:
+        if row[i] < r:
+            row[-1] += r - row[i]
+            row[i] = r
+            assert row[-1] <= scale
+
+    return _increase(keys, rows, scale, grid, lambda i: [row[-1] - row[i] for row in rows], lift)
 
 
 def _replay_log(result: MeasureCoverResult) -> tuple[dict[str, Fraction], Check]:
@@ -262,61 +267,40 @@ def run_tree_cover(
     if family.kind != "tree":
         raise InputError(f"expected a tree family, got {family.kind!r}")
     traces.check_member_bounds(family)
-    assert family.depth is not None
 
-    tables = traces.values_by_index(family)
-    scale = grid.common_scale(v for t in tables for v in t.values())
-    step = scale >> grid.resolution
-    words = words_up_to(family.depth)
-    working = []
-    for t in tables:
-        row = [0] * len(words)
-        for w, v in t.items():
-            row[(1 << len(w)) - 1 + (int(w, 2) if w else 0)] = int(v * scale)
-        working.append(row)
-    working.append(list(working[-1]))  # index nmax: the shared tail
-    top = family.nmax + 1
+    scale = grid.common_scale(e.value for e in family.events)
+    rows = traces.heap_rows(family, scale)
 
-    table: dict[str, Fraction] = {}
-    log: list[tuple[str, int, Fraction]] = []
-    for i, word in enumerate(words):
-        ancestors = []
-        y = i
-        while y:
-            y = (y - 1) >> 1
-            ancestors.append(y)
-        # Headroom of the word per index: its value, the slack of every proper
-        # ancestor, and the root's headroom.
-        caps = _suffix_minima([
-            row[i] + scale - row[0]
-            + sum(row[y] - row[2 * y + 1] - row[2 * y + 2] for y in ancestors)
-            for row in working
-        ])
-        best = 0
-        for start in range(top):
-            r = caps[start] // step * step
-            if r <= best:
-                continue
-            best = r
-            log.append((word, start, Fraction(r, scale)))
-            for n in range(start, top):
-                row = working[n]
-                if row[i] >= r:
-                    continue
-                # Raise the word and repair its ancestors minimally upward.
-                row[i] = r
-                for y in ancestors:
-                    need = row[2 * y + 1] + row[2 * y + 2]
-                    if row[y] >= need:
-                        break
-                    row[y] = need
-                assert row[0] <= scale
-                if __debug__:  # the tree law holds along the repaired path
-                    for y in ancestors:
-                        assert row[y] >= row[2 * y + 1] + row[2 * y + 2]
-        if best > 0:
-            table[word] = Fraction(best, scale)
-    return MeasureCoverResult(table, tuple(log))
+    # The mass outside word i: its sibling and the siblings of its proper
+    # ancestors below the root.
+    siblings: list[list[int]] = [[]]
+    for i in range(1, len(rows[0])):
+        siblings.append([((i + 1) ^ 1) - 1, *siblings[(i - 1) >> 1]])
+
+    def outside(i: int) -> list[int]:
+        path = siblings[i]
+        if len(path) < 2:  # itemgetter returns a bare value for one index
+            return [sum([row[s] for s in path]) for row in rows]
+        return list(map(sum, map(itemgetter(*path), rows)))
+
+    def lift(row: list[int], i: int, r: int) -> None:
+        if row[i] >= r:
+            return
+        # Raise the word and repair its ancestors minimally upward.
+        row[i] = r
+        while i:
+            i = (i - 1) >> 1
+            need = row[2 * i + 1] + row[2 * i + 2]
+            if row[i] >= need:
+                break
+            row[i] = need
+        assert row[0] <= scale
+        if __debug__:  # the tree law holds above where the repair stopped
+            while i:
+                i = (i - 1) >> 1
+                assert row[i] >= row[2 * i + 1] + row[2 * i + 2]
+
+    return _increase(words_up_to(family.depth), rows, scale, grid, outside, lift)
 
 
 def verify_tree_cover(

@@ -66,6 +66,7 @@ __all__ = [
     "format_trace",
     "func_cell_rows",
     "func_eval",
+    "heap_rows",
     "liminf_open",
     "liminf_sets",
     "liminf_sets_witness",
@@ -345,16 +346,16 @@ def liminf_values(family: StabilizedFamily, point: str) -> Fraction:
     return best
 
 
-def func_cell_rows(family: StabilizedFamily, scale: int) -> list[list[int]]:
-    """Each func member's depth-level cell values times ``scale``, as ints.
+def heap_rows(family: StabilizedFamily, scale: int) -> list[list[int]]:
+    """Each tree or func member's word values times ``scale``, as ints.
 
-    ``scale`` must be a common multiple of the value denominators.  The
-    words of a table sit in heap order, word w at 2^len(w) - 1 + int(w, 2),
-    and one top-down pass raises every word to its parent's value, so the
-    last 2^depth entries hold the maxima over each cell's prefixes.
+    ``scale`` must be a common multiple of the value denominators.  A row
+    is in heap order, word w at 2^len(w) - 1 + int(w, 2), which is the
+    order of words_up_to: the parent of i is at (i - 1) >> 1 and its
+    children at 2i + 1 and 2i + 2.
     """
-    if family.kind != "func":
-        raise InputError(f"expected a func family, got {family.kind!r}")
+    if family.kind not in ("tree", "func"):
+        raise InputError(f"expected a tree or func family, got {family.kind!r}")
     assert family.depth is not None
     size = (2 << family.depth) - 1
     rows = []
@@ -363,9 +364,22 @@ def func_cell_rows(family: StabilizedFamily, scale: int) -> list[list[int]]:
         for word, value in table.items():
             index = (1 << len(word)) - 1 + (int(word, 2) if word else 0)
             heap[index] = value.numerator * (scale // value.denominator)
-        for i in range(1, size):
+        rows.append(heap)
+    return rows
+
+
+def func_cell_rows(family: StabilizedFamily, scale: int) -> list[list[int]]:
+    """Each func member's depth-level cell values times ``scale``, as ints:
+    one top-down pass over its heap row raises every word to its parent's
+    value, so the last 2^depth entries hold the maxima over each cell's
+    prefixes."""
+    if family.kind != "func":
+        raise InputError(f"expected a func family, got {family.kind!r}")
+    rows = []
+    for heap in heap_rows(family, scale):
+        for i in range(1, len(heap)):
             heap[i] = max(heap[i], heap[(i - 1) >> 1])
-        rows.append(heap[size >> 1:])
+        rows.append(heap[len(heap) >> 1:])
     return rows
 
 

@@ -622,3 +622,27 @@ def test_appending_a_copy_of_the_tail_changes_no_liminf_or_verdict(name):
             args = _build_parser().parse_args([*name.split(), "--trace", "unread", *flags])
             for fam in (family, longer):
                 assert row.verify(args, fam, row.run(args, fam)).passed, (seed, flags)
+
+
+def refine_depth(family):
+    """The family with its header depth raised by one and every event kept:
+    the same open sets and step functions, over cells half as wide."""
+    return replace(family, depth=family.depth + 1)
+
+
+@pytest.mark.parametrize("name", ["opencover", "fatou"])
+def test_refining_the_depth_changes_no_liminf_or_verdict(name):
+    row = COMMANDS[name]
+    for seed in range(8):
+        text = gen.gen_trace(row.family, 5, seed, depth=4, eps=Fraction(1, 4))
+        family = traces.parse_trace(text)
+        finer = refine_depth(family)
+        if name == "opencover":
+            assert traces.liminf_open(finer) == traces.liminf_open(family)
+        else:
+            coarse = traces.liminf_table(family, CylinderSet.full().cells(4))
+            fine = traces.liminf_table(finer, CylinderSet.full().cells(5))
+            assert fine == {cell: coarse[cell[:-1]] for cell in fine}
+        for flags in TAIL_COPY_FLAGS[name]:
+            args = _build_parser().parse_args([*name.split(), "--trace", "unread", *flags])
+            assert row.verify(args, finer, row.run(args, finer)).passed, (seed, flags)

@@ -36,14 +36,19 @@ def grid_values(grid):
 
 
 def literal_measure_cover(family, grid):
-    """Reference: every (u, N, r) attempt, acceptability by full re-check."""
+    """Reference: every (u, N, r) attempt, acceptability by full re-check.
+
+    Returns (table, log); the log holds, per (u, N), the largest accepted r
+    when it exceeds every r accepted for u before."""
     tables = traces.values_by_index(family)
     working = [dict(t) for t in tables] + [dict(tables[-1])]
     top = family.nmax + 1
     out = {}
+    log = []
     for u in traces.universe(family):
         best = ZERO
         for start in range(top):
+            accepted = ZERO
             for r in grid_values(grid):
                 ok = True
                 for n in range(start, top):
@@ -57,10 +62,13 @@ def literal_measure_cover(family, grid):
                 for n in range(start, top):
                     if working[n].get(u, ZERO) < r:
                         working[n][u] = r
-                best = max(best, r)
+                accepted = r
+            if accepted > best:
+                best = accepted
+                log.append((u, start, accepted))
         if best > 0:
             out[u] = best
-    return out
+    return out, log
 
 
 def literal_tree_cover(family, grid):
@@ -169,15 +177,37 @@ def test_grid_refinement_never_lowers_the_floor():
                 assert RationalGrid(g).floor(v) <= RationalGrid(g + 1).floor(v)
 
 
-def test_matches_literal_reference():
+# Values 2/3, 1/3, 1/7 and 1/5: the common denominator is not a power of
+# two, and m_0 leaves c no headroom, so c's increase starts at N=1.
+NON_DYADIC_MEASURE = (
+    "family measure nmax=3\n"
+    "raise 0 a 2/3\nraise 0 b 1/3\nraise 1 a 1/3\nraise 1 b 1/7\nraise 1 c 1/5\n"
+    "raise 2 a 1/3\nraise 2 b 1/7\nraise 2 c 1/5\n"
+)
+
+
+def literal_reference_inputs():
+    """Seeded measure traces, frequency traces (values c/n) and one
+    non-dyadic trace, each with a grid."""
     rng = random.Random(9)
     for i in range(40):
         fam = parse_trace(
             gen.gen_trace("measure", rng.randint(1, 4), seed=3000 + i, universe=rng.randint(1, 4))
         )
-        grid = RationalGrid(rng.randint(1, 3))
+        yield fam, RationalGrid(rng.randint(1, 3))
+    for i in range(19):
+        horizon = rng.randint(1, 8)
+        values = gen.parse_function_table(
+            gen.gen_function_text(7000 + i, horizon, value_range=3)
+        )
+        yield frequency_trace(values, horizon), RationalGrid(rng.randint(1, 3))
+    yield parse_trace(NON_DYADIC_MEASURE), RationalGrid(3)
+
+
+def test_matches_literal_reference():
+    for fam, grid in literal_reference_inputs():
         fast = run_measure_cover(fam, grid)
-        assert fast.table == literal_measure_cover(fam, grid)
+        assert (fast.table, list(fast.log)) == literal_measure_cover(fam, grid)
 
 
 def test_mutated_log_flips_verdict():
