@@ -6,7 +6,7 @@ plain-text report (stable for golden-file testing) to --out or stdout.
 Reports are a pure function of the input bytes and the flags: keys are
 COVER / MEASURE / BOUND / VERDICT / WITNESS-style lines with exact rationals
 rendered as p/q; a THRESHOLD, whose denominator doubles with every attempt,
-is rendered exactly by its closed form eps'-budget*2^-T.
+is rendered exactly from the run's attempt count T as eps'-budget*2^-T.
 
 Each subcommand is a row of COMMANDS whose layers parse the input file, run
 the construction, verify its result and render it; main chains them, and
@@ -44,9 +44,8 @@ def _verdict_lines(verdict: Verdict) -> list[str]:
     return lines
 
 
-def _threshold_line(eps: Fraction, eps_prime: Fraction, theta: Fraction) -> str:
-    schedule = opencover.DeltaSchedule(eps_prime - eps, eps)
-    return f"THRESHOLD {schedule.format_theta(theta)}"
+def _threshold_line(eps: Fraction, eps_prime: Fraction, attempts: int) -> str:
+    return f"THRESHOLD {opencover.DeltaSchedule(eps, eps_prime).threshold_text(attempts)}"
 
 
 def _rational(text: str) -> Fraction:
@@ -147,7 +146,7 @@ def _render_opencover(args, family, result: opencover.OpenCoverResult):
     )
     return param, [
         f"MEASURE {format_rational(result.cover.measure())}",
-        _threshold_line(args.eps, args.eps_prime, result.theta),
+        _threshold_line(args.eps, args.eps_prime, result.attempts),
         f"COVER {cover_words}".rstrip(),
         f"PIECES {len(result.pieces)}",
         f"TRIMS {sum(count for _, count in result.trim_events)}",
@@ -178,7 +177,7 @@ def _render_fatou(args, family, result: fatou.FatouResult):
     )
     return param, [
         f"INTEGRAL {format_rational(result.phi.integral())}",
-        _threshold_line(args.eps, args.eps_prime, result.theta),
+        _threshold_line(args.eps, args.eps_prime, result.attempts),
         *(
             f"PHI {format(i, f'0{depth}b')} {format_rational(v)}"
             for i, v in enumerate(result.phi.cells)

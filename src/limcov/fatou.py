@@ -28,9 +28,9 @@ exact.  The members' integer cell rows are built from the trace by one
 top-down prefix-max pass over the words (traces.func_cell_rows).
 StepFunction itself stays in Fractions.
 
-Two rules skip work without changing phi, the log or theta; every attempt
-still counts and consumes its threshold.  For a fixed (m, U) the levels
-rise with the attempts:
+Two rules skip work without changing phi or the log; every attempt still
+counts toward the result's attempt count and consumes its threshold.  For
+a fixed (m, U) the levels rise with the attempts:
 
 - Fast path.  When r <= min over the cylinder of the cellwise minimum of
   f_m, f_{m+1}, ..., no member gains anything, so the attempt caps and
@@ -107,7 +107,7 @@ class StepFunction:
 @dataclass(frozen=True)
 class FatouResult:
     phi: StepFunction
-    theta: Fraction
+    attempts: int
     log: tuple[tuple[int, int, str, Fraction, int], ...]
     """(attempt, start, word, level, trims) for attempts that grew phi."""
 
@@ -142,11 +142,7 @@ def run_fatou(
 ) -> FatouResult:
     if family.kind != "func":
         raise InputError(f"expected a func family, got {family.kind!r}")
-    if not 0 < eps < eps_prime:
-        raise InputError(
-            f"need 0 < eps < eps', got eps={format_rational(eps)}, "
-            f"eps'={format_rational(eps_prime)}"
-        )
+    schedule = DeltaSchedule(eps, eps_prime)
     traces.check_member_bounds(family, eps=eps)
     depth = family.depth
     assert depth is not None
@@ -168,7 +164,6 @@ def run_fatou(
     levels = max(1 << g, -((-max_scaled << g) // scale))
     step_scaled = scale >> g
 
-    schedule = DeltaSchedule(eps_prime - eps, eps)
     floors = schedule.theta_floors(unit)
     words = words_up_to(depth)
     phi = [0] * ncells
@@ -248,7 +243,7 @@ def run_fatou(
                     phi[base:end] = new
                     log.append((attempt, start, word, Fraction(j, 1 << g), trims))
     phi_fn = StepFunction(depth, tuple(Fraction(v, scale) for v in phi))
-    return FatouResult(phi_fn, schedule.theta_after(attempt + 1), tuple(log))
+    return FatouResult(phi_fn, attempt + 1, tuple(log))
 
 
 def verify_fatou(
@@ -260,9 +255,9 @@ def verify_fatou(
 ) -> Verdict:
     """Check the integral bound, the threshold and cellwise domination.
 
-    The threshold is re-derived from the input: a run makes one attempt per
-    (start, word, level), (nmax+1) * (2^(depth+1)-1) * levels in all, with
-    levels the grid multiples up to the largest value in the trace.
+    The attempt count is re-derived from the input: a run makes one attempt
+    per (start, word, level), (nmax+1) * (2^(depth+1)-1) * levels in all,
+    with levels the grid multiples up to the largest value in the trace.
     """
     assert family.depth is not None
     integral = result.phi.integral()
@@ -270,7 +265,7 @@ def verify_fatou(
     top = max((e.value for e in family.events), default=ZERO)
     levels = max(1 << g, math.ceil(top * (1 << g)))
     attempts = (family.nmax + 1) * ((2 << family.depth) - 1) * levels
-    schedule = DeltaSchedule(eps_prime - eps, eps)
+    schedule = DeltaSchedule(eps, eps_prime)
     limits = traces.liminf_table(family, sorted(CylinderSet.full().cells(family.depth)))
     return Verdict((
         Check(
@@ -278,7 +273,7 @@ def verify_fatou(
             integral <= eps_prime,
             "" if integral <= eps_prime else format_rational(integral),
         ),
-        schedule.threshold_check(attempts, result.theta),
+        schedule.threshold_check(attempts, result.attempts),
         traces.check_liminf_domination("cell-domination", limits, result.phi.value, grid.floor),
     ))
 

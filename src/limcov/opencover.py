@@ -32,7 +32,8 @@ per member).  Cell counts are compared with floor(theta_t * 2^depth),
 which is exact; DeltaSchedule computes it in integers from the closed form
 theta_t = eps' - (eps'-eps) * 2^-(t+1); it is constant after a number of
 attempts logarithmic in 2^depth and the denominators, so no threshold is
-accumulated.  An attempt whose candidate lies inside every member from its
+accumulated, and a result records its attempt count T, not the threshold
+theta_after(T).  An attempt whose candidate lies inside every member from its
 start index on is skipped without a scan: it can trim nothing and change
 no mask.  Words are attempted in heap order, so a word's parent was tried
 earlier at the same start; if no mask has grown since, the child (a subset
@@ -52,6 +53,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from . import traces
@@ -59,7 +61,6 @@ from .kernel import (
     CylinderSet,
     InputError,
     RealInterval,
-    ZERO,
     cell_span,
     format_rational,
     word_to_text,
@@ -83,29 +84,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DeltaSchedule:
-    """Per-attempt threshold increments delta_t = budget * 2^-(t+1) above eps.
+    """Per-attempt threshold increments delta_t = budget * 2^-(t+1) above eps,
+    with budget = eps' - eps.
 
     Attempt t runs at theta_t = eps + delta_0 + ... + delta_t, which in closed
-    form is eps' - budget * 2^-(t+1) with eps' = eps + budget.  All increments
-    are positive and their total stays strictly below the budget, so the
-    threshold never reaches eps'.
+    form is eps' - budget * 2^-(t+1).  All increments are positive and their
+    total stays strictly below the budget, so the threshold never reaches
+    eps'.  A run of T attempts ends at theta_after(T): the pair and T fix
+    it, so results record T and never the threshold itself.
     """
 
-    budget: Fraction
-    eps: Fraction = ZERO
+    eps: Fraction
+    eps_prime: Fraction
 
     def __post_init__(self):
-        if self.budget <= 0:
-            raise InputError("threshold budget must be positive")
+        if not 0 < self.eps < self.eps_prime:
+            raise InputError(
+                f"need 0 < eps < eps', got eps={format_rational(self.eps)}, "
+                f"eps'={format_rational(self.eps_prime)}"
+            )
 
-    @property
-    def eps_prime(self) -> Fraction:
-        return self.eps + self.budget
-
-    def trim_limit(self, attempt: int) -> int:
-        """ceil(1 / delta_t); trim counts must stay strictly below it."""
-        num, den = self.budget.numerator, self.budget.denominator
-        return -((-(den << (attempt + 1))) // num)
+    @cached_property
+    def budget(self) -> Fraction:
+        return self.eps_prime - self.eps
 
     def allows_trims(self, attempt: int, trims: int, mass_num: int = 1, mass_den: int = 1) -> bool:
         """Each trim (cap) removes more than delta_t from a candidate of mass
@@ -129,11 +130,21 @@ class DeltaSchedule:
         """The threshold once ``attempts`` increments have been added."""
         return self.eps_prime - self.budget / (1 << attempts)
 
-    def threshold_check(self, attempts: int, theta: Fraction) -> Check:
+    def threshold_text(self, attempts: int) -> str:
+        """theta_after(attempts) as ``eps'-budget*2^-T``: exact in O(log T)
+        characters, where the digits of the threshold itself grow with T past
+        what str() of an int may render."""
+        return (
+            f"{format_rational(self.eps_prime)}-{format_rational(self.budget)}"
+            f"*2^-{attempts}"
+        )
+
+    def threshold_check(self, attempts: int, claimed: int) -> Check:
         """threshold-bound: a run of ``attempts`` attempts ends at
-        theta_after(attempts), within eps'; the witness is the run's theta."""
-        ok = theta == self.theta_after(attempts) and theta <= self.eps_prime
-        return Check("threshold-bound", ok, "" if ok else self.format_theta(theta))
+        theta_after(attempts), within eps'; the witness is the threshold the
+        run's ``claimed`` attempt count names."""
+        ok = claimed == attempts
+        return Check("threshold-bound", ok, "" if ok else self.threshold_text(claimed))
 
     def theta_floors(self, scale: int) -> Iterator[int]:
         """floor(theta_t * scale) for t = 0, 1, 2, ... in integer arithmetic.
@@ -154,24 +165,6 @@ class DeltaSchedule:
             yield ((p * b << shift) - a * q) // (q * b << shift)
             shift += 1
         yield from itertools.repeat(settled)
-
-    def format_theta(self, theta: Fraction) -> str:
-        """Render theta as ``eps'-budget*2^-T`` when it is theta_after(T).
-
-        The digits of theta grow with T, past what str() of an int may
-        render; this form stays exact in O(log T) characters.  Other values
-        fall back to ``p/q``.
-        """
-        gap = self.eps_prime - theta
-        if gap > 0:
-            power = self.budget / gap
-            n = power.numerator
-            if power.denominator == 1 and n & (n - 1) == 0:
-                return (
-                    f"{format_rational(self.eps_prime)}-{format_rational(self.budget)}"
-                    f"*2^-{n.bit_length() - 1}"
-                )
-        return format_rational(theta)
 
 
 @dataclass(frozen=True)
@@ -197,7 +190,7 @@ class OpenCoverResult:
     mode: str
     cover: CylinderSet
     pieces: tuple[Piece, ...]
-    theta: Fraction
+    attempts: int
     trim_events: tuple[tuple[int, int], ...]
 
 
@@ -245,7 +238,7 @@ def _cover_run(
     masks = _member_masks(family, eps, eps_prime)
     depth = family.depth
     assert depth is not None
-    schedule = DeltaSchedule(eps_prime - eps, eps)
+    schedule = DeltaSchedule(eps, eps_prime)
     floors = schedule.theta_floors(1 << depth)
 
     counts = [m.bit_count() for m in masks]
@@ -317,7 +310,7 @@ def _cover_run(
         "trim" if trim else "naive",
         CylinderSet.from_mask(cover_mask, depth),
         tuple(pieces),
-        schedule.theta_after(attempt + 1),
+        attempt + 1,
         tuple(trim_events),
     )
 
@@ -345,7 +338,7 @@ def run_block_cover(
     depth = family.depth
     assert depth is not None
     # Block j is held to eps_j = theta_after(j), the threshold of attempt j-1.
-    schedule = DeltaSchedule(eps_prime - eps, eps)
+    schedule = DeltaSchedule(eps, eps_prime)
     floors = schedule.theta_floors(1 << depth)
 
     tail = masks[-1]
@@ -383,7 +376,7 @@ def run_block_cover(
         "blocks",
         CylinderSet.from_mask(union_mask, depth),
         tuple(pieces),
-        schedule.theta_after(block_index),
+        block_index,
         (),
     )
 
@@ -397,7 +390,7 @@ def verify_open_cover(
     """Re-check the cover from its pieces against the liminf oracle.
 
     Works entirely on canonical CylinderSets and exact Fractions; shares no
-    working-set machinery with the construction runs.  The threshold is
+    working-set machinery with the construction runs.  The attempt count is
     re-derived from the input: trim and naive runs make one attempt per
     (start, word), (nmax+1) * (2^(depth+1)-1) in all, and a blocks run takes
     one increment per block piece, every piece but the tail.  The trim-bound
@@ -420,12 +413,12 @@ def verify_open_cover(
         Check("measure-bound", mu <= eps_prime, "" if mu <= eps_prime else format_rational(mu))
     )
     assert family.depth is not None
-    schedule = DeltaSchedule(eps_prime - eps, eps)
+    schedule = DeltaSchedule(eps, eps_prime)
     if result.mode == "blocks":
         attempts = len(result.pieces) - 1
     else:
         attempts = (family.nmax + 1) * ((2 << family.depth) - 1)
-    checks.append(schedule.threshold_check(attempts, result.theta))
+    checks.append(schedule.threshold_check(attempts, result.attempts))
 
     limit = traces.liminf_open(family)
     covered = limit.subset(union)

@@ -256,16 +256,19 @@ class TestApproximation:
     def __post_init__(self):
         _check_exponent(self.c)
         for (i, n), word in self.intervals.items():
-            if i < 0 or n < 0:
-                raise InputError("interval indices must be non-negative")
-            if n < i:
-                raise InputError(f"interval at (i={i}, n={n}) sits before its index")
-            if any(ch not in "01" for ch in word):
-                raise InputError(f"not a binary word: {word!r}")
-            if len(word) > n:
-                raise InputError(
-                    f"interval at (i={i}, n={n}) has measure below 2^-{n}"
-                )
+            _check_interval(i, n, word)
+
+
+def _check_interval(i: int, n: int, word: str) -> None:
+    """The structural invariants of the interval at (i, n)."""
+    if i < 0 or n < 0:
+        raise InputError("interval indices must be non-negative")
+    if n < i:
+        raise InputError(f"interval at (i={i}, n={n}) sits before its index")
+    if any(ch not in "01" for ch in word):
+        raise InputError(f"not a binary word: {word!r}")
+    if len(word) > n:
+        raise InputError(f"interval at (i={i}, n={n}) has measure below 2^-{n}")
 
 
 def parse_test_table(text: str | bytes, c: int) -> TestApproximation:
@@ -284,12 +287,10 @@ def parse_test_table(text: str | bytes, c: int) -> TestApproximation:
             raise traces.ParseError(lineno, f"duplicate interval at ({i}, {n})")
         try:
             table[(i, n)] = word_from_text(fields[2])
+            _check_interval(i, n, table[(i, n)])
         except InputError as exc:
             raise traces.ParseError(lineno, str(exc)) from None
-    try:
-        return TestApproximation(table, c)
-    except InputError as exc:
-        raise traces.ParseError(len(lines) + 1, str(exc)) from None
+    return TestApproximation(table, c)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from limcov import fatou, gen, measurecover, opencover, randlab, setcover, trace
 from limcov.cli import main
 from limcov.kernel import CylinderSet, words_up_to
 from limcov.measurecover import RationalGrid
+from test_opencover import trim_limit
 
 F = Fraction
 ZERO = F(0)
@@ -137,9 +138,9 @@ def test_criterion_5_open_cover_suite():
             result = runner(fam, eps, eps_prime)
             assert result.cover.measure() <= eps_prime
             assert limit.subset(result.cover)
-            schedule = opencover.DeltaSchedule(eps_prime - eps)
+            schedule = opencover.DeltaSchedule(eps, eps_prime)
             for attempt, count in result.trim_events:
-                assert count < schedule.trim_limit(attempt)
+                assert count < trim_limit(schedule, attempt)
             assert opencover.verify_open_cover(fam, eps, eps_prime, result).passed
         runs += 1
     elapsed = time.perf_counter() - started
@@ -352,7 +353,7 @@ def test_criterion_10_oracle_independence():
                 added=CylinderSet.full(),
             ),
         ),
-        theta=ores.theta,
+        attempts=ores.attempts,
         trim_events=ores.trim_events,
     )
     assert not opencover.verify_open_cover(ofam, F(1, 4), F(1, 2), inflated).passed

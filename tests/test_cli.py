@@ -297,17 +297,19 @@ def test_failing_sweep_seed_names_its_witness(capsys, monkeypatch):
     )
 
 
-def parse_threshold(report: str) -> Fraction:
-    """Read back a THRESHOLD line rendered as eps'-budget*2^-T."""
+def parse_threshold(report: str) -> tuple[Fraction, int]:
+    """Read back a THRESHOLD line rendered as eps'-budget*2^-T: the
+    threshold and T."""
     line = next(l for l in report.splitlines() if l.startswith("THRESHOLD "))
     match = re.fullmatch(r"THRESHOLD ([0-9/]+)-([0-9/]+)\*2\^-([0-9]+)", line)
     assert match, line
     top, budget, attempts = match.groups()
-    return Fraction(top) - Fraction(budget) / (1 << int(attempts))
+    return Fraction(top) - Fraction(budget) / (1 << int(attempts)), int(attempts)
 
 
-# Past about 14.3k attempts theta has over 4300 digits, beyond what str() of
-# an int renders: these sizes crashed the report with a traceback.
+# Past about 14.3k attempts the threshold has over 4300 digits, beyond what
+# str() of an int renders: these sizes crashed the report with a traceback,
+# and repr() of a result that held the threshold raised.
 @pytest.mark.parametrize(
     "kind,nmax,depth,extra",
     [
@@ -333,7 +335,10 @@ def test_long_runs_render_their_threshold(tmp_path, capsys, kind, nmax, depth, e
         result = runner[extra[1]](family, eps, eps_prime)
     else:
         result = fatou.run_fatou(family, eps, eps_prime, RationalGrid(3))
-    assert parse_threshold(out) == result.theta
+    repr(result)
+    theta, attempts = parse_threshold(out)
+    assert attempts == result.attempts
+    assert opencover.DeltaSchedule(eps, eps_prime).theta_after(attempts) == theta
 
 
 @pytest.mark.parametrize(
@@ -472,8 +477,28 @@ def exit_two_cases():
         ("treecover-tree-law", ["treecover"],
          b"family tree nmax=2 depth=2\nraise 0 e 1/2\nraise 1 e 1/4\nraise 1 0 1/4\nraise 1 1 1/4\n",
          "a_1 violates the tree constraint at word e: 1/4 < 1/2"),
+        # The whole stderr line of each eps-pair precondition failure.
+        ("fatou-eps-above-eps-prime", ["fatou", "--eps", "1/2", "--eps-prime", "1/4"],
+         b"family func nmax=1 depth=1\n", "need 0 < eps < eps', got eps=1/2, eps'=1/4"),
+        ("fatou-eps-zero", ["fatou", "--eps", "0", "--eps-prime", "1/4"],
+         b"family func nmax=1 depth=1\n", "need 0 < eps < eps', got eps=0, eps'=1/4"),
+        *(
+            (f"opencover-{mode}-eps-prime-above-one",
+             ["opencover", "--mode", mode, "--eps", "1/4", "--eps-prime", "2"],
+             b"family open nmax=1 depth=2\n", "need 0 < eps < eps' <= 1, got eps=1/4, eps'=2")
+            for mode in ("trim", "naive", "blocks")
+        ),
     ]:
         yield pytest.param([*argv, "--trace", "{input}"], data, f"limcov: {line}\n", id=case_id)
+    # A test-table interval that breaks an invariant is blamed on its own line.
+    for case_id, data, line in [
+        ("randlab-stabilize-before-index", b"0 1 0\n3 2 01\n1 4 0\n",
+         "line 2: interval at (i=3, n=2) sits before its index"),
+        ("randlab-stabilize-below-measure", b"0 1 011\n",
+         "line 1: interval at (i=0, n=1) has measure below 2^-1"),
+    ]:
+        argv = ["randlab", "stabilize", "--table", "{input}", "--c", "1"]
+        yield pytest.param(argv, data, f"limcov: {{input}}: {line}\n", id=case_id)
 
 
 @pytest.mark.parametrize("argv,data,message", exit_two_cases())

@@ -184,7 +184,7 @@ def test_matches_literal_reference():
         fast = run_fatou(fam, eps, eps + F(1, 8), grid)
         phi, theta, log = literal_fatou(fam, eps, eps + F(1, 8), grid)
         assert fast.phi == phi
-        assert fast.theta == theta
+        assert DeltaSchedule(eps, eps + F(1, 8)).theta_after(fast.attempts) == theta
         assert list(fast.log) == log
 
 
@@ -236,7 +236,7 @@ def test_hand_written_traces_match_literal_reference(text, eps, eps_prime, g):
     fast = run_fatou(fam, eps, eps_prime, grid)
     phi, theta, log = literal_fatou(fam, eps, eps_prime, grid)
     assert fast.phi == phi
-    assert fast.theta == theta
+    assert DeltaSchedule(eps, eps_prime).theta_after(fast.attempts) == theta
     assert list(fast.log) == log
     assert any(trims for *_, trims in log)
     assert verify_fatou(fam, eps, eps_prime, grid, fast).passed
@@ -248,11 +248,15 @@ def test_uncounted_attempt_flips_threshold_bound():
     eps, eps_prime = F(3, 8), F(1, 2)
     res = run_fatou(fam, eps, eps_prime, grid)
     attempts = 3 * 7 * 6  # (nmax+1) * (2^(depth+1)-1) * levels, levels = 3/2 * 2^2
-    schedule = DeltaSchedule(eps_prime - eps, eps)
-    assert res.theta == schedule.theta_after(attempts)
-    short = replace(res, theta=schedule.theta_after(attempts - 1))
-    failed = verify_fatou(fam, eps, eps_prime, grid, short).failures()
-    assert [c.name for c in failed] == ["threshold-bound"]
+    assert res.attempts == attempts
+    assert verify_fatou(fam, eps, eps_prime, grid, res).passed
+    schedule = DeltaSchedule(eps, eps_prime)
+    for forged in (attempts - 1, 0):
+        short = replace(res, attempts=forged)
+        failed = verify_fatou(fam, eps, eps_prime, grid, short).failures()
+        assert [(c.name, c.witness) for c in failed] == [
+            ("threshold-bound", schedule.threshold_text(forged))
+        ]
 
 
 def test_random_sweep():

@@ -86,16 +86,22 @@ def delta(schedule, attempt):
     return schedule.budget / (1 << (attempt + 1))
 
 
+def trim_limit(schedule, attempt):
+    """ceil(1 / delta_t): every trim of attempt t removes more than delta_t,
+    so its trim counts stay strictly below this."""
+    return math.ceil(1 / delta(schedule, attempt))
+
+
 def test_delta_schedule_sums_below_budget():
-    schedule = DeltaSchedule(F(1, 8))
+    schedule = DeltaSchedule(F(1, 4), F(3, 8))
     total = sum((delta(schedule, t) for t in range(40)), F(0))
     assert 0 < total < F(1, 8)
-    assert schedule.trim_limit(0) == 16  # ceil(1 / (1/16))
+    assert trim_limit(schedule, 0) == 16  # ceil(1 / (1/16))
 
 
 def test_schedule_closed_forms_match_running_sums():
     for eps, eps_prime in [(F(1, 4), F(3, 8)), (F(1, 3), F(1, 2)), (F(2, 7), F(5, 7))]:
-        schedule = DeltaSchedule(eps_prime - eps, eps)
+        schedule = DeltaSchedule(eps, eps_prime)
         for scale in (1, 4, 256, 3 << 10):
             floors = schedule.theta_floors(scale)
             theta = eps
@@ -103,13 +109,11 @@ def test_schedule_closed_forms_match_running_sums():
                 theta += delta(schedule, t)
                 assert schedule.theta_after(t + 1) == theta
                 assert next(floors) == math.floor(theta * scale), (eps, scale, t)
-        assert schedule.format_theta(schedule.theta_after(21)) == (
-            f"{eps_prime}-{eps_prime - eps}*2^-21"
-        )
-    schedule = DeltaSchedule(F(3, 8))
+        assert schedule.threshold_text(21) == f"{eps_prime}-{eps_prime - eps}*2^-21"
+    schedule = DeltaSchedule(F(1, 8), F(1, 2))
     for t in range(12):
-        for trims in range(0, 2 * schedule.trim_limit(t)):
-            assert schedule.allows_trims(t, trims) == (trims < schedule.trim_limit(t))
+        for trims in range(0, 2 * trim_limit(schedule, t)):
+            assert schedule.allows_trims(t, trims) == (trims < trim_limit(schedule, t))
 
 
 def test_constant_family_all_modes():
@@ -151,7 +155,7 @@ def test_blocks_tail_block_covers_liminf():
     res = run_block_cover(fam, F(1, 4), F(1, 2))
     assert liminf_open(fam).subset(res.cover)
     assert res.pieces[-1].word is None and res.pieces[-1].stop is None
-    assert res.theta <= F(1, 2)
+    assert DeltaSchedule(F(1, 4), F(1, 2)).theta_after(res.attempts) <= F(1, 2)
 
 
 def test_blocks_shrinking_family_by_hand():
@@ -182,7 +186,7 @@ def test_theta_stays_below_eps_prime():
     fam = parse_trace(DRIFT)
     for runner in ALL_RUNNERS:
         res = runner(fam, F(1, 4), F(1, 2))
-        assert res.theta <= F(1, 2)
+        assert DeltaSchedule(F(1, 4), F(1, 2)).theta_after(res.attempts) <= F(1, 2)
 
 
 def test_piece_union_is_the_cover():
@@ -210,7 +214,7 @@ def test_mutated_piece_flips_verdict():
             trims=res.pieces[-1].trims,
             added=CylinderSet.full(),
         ),),
-        theta=res.theta,
+        attempts=res.attempts,
         trim_events=res.trim_events,
     )
     verdict = verify_open_cover(fam, F(1, 4), F(1, 2), inflated)
@@ -225,25 +229,27 @@ def test_uncounted_attempt_flips_threshold_bound(runner):
     # trim and naive: (nmax+1) * (2^(depth+1)-1) attempts; blocks: one per
     # block piece, every piece but the tail.
     attempts = len(res.pieces) - 1 if res.mode == "blocks" else 3 * 7
-    schedule = DeltaSchedule(eps_prime - eps, eps)
-    assert res.theta == schedule.theta_after(attempts)
+    assert res.attempts == attempts
     assert verify_open_cover(fam, eps, eps_prime, res).passed
-    for forged in (schedule.theta_after(attempts - 1), eps):
-        short = dataclasses.replace(res, theta=forged)
+    schedule = DeltaSchedule(eps, eps_prime)
+    for forged in (attempts - 1, 0):
+        short = dataclasses.replace(res, attempts=forged)
         failed = verify_open_cover(fam, eps, eps_prime, short).failures()
-        assert [c.name for c in failed] == ["threshold-bound"]
+        assert [(c.name, c.witness) for c in failed] == [
+            ("threshold-bound", schedule.threshold_text(forged))
+        ]
 
 
 def test_forged_trim_count_fails_trim_bound():
     fam = parse_trace(DRIFT)
     eps, eps_prime = F(1, 4), F(1, 2)
     res = run_trim_cover(fam, eps, eps_prime)
-    schedule = DeltaSchedule(eps_prime - eps, eps)
+    schedule = DeltaSchedule(eps, eps_prime)
     # The second event lies past the attempt from which the run stops
     # checking trim counts; the verifier must still check it.
     late = schedule.settled_attempt(1 << fam.depth) + 10
     for attempt in (0, late):
-        count = schedule.trim_limit(attempt)
+        count = trim_limit(schedule, attempt)
         forged = dataclasses.replace(res, trim_events=((attempt, count),))
         failed = verify_open_cover(fam, eps, eps_prime, forged).failures()
         assert [(c.name, c.witness) for c in failed] == [
@@ -274,7 +280,7 @@ def test_matches_literal_reference():
             fast = runner(fam, eps, eps_prime)
             cover, theta, pieces, trim_events = literal_cover(fam, eps, eps_prime, trim)
             assert fast.cover == cover, (text, trim)
-            assert fast.theta == theta
+            assert DeltaSchedule(eps, eps_prime).theta_after(fast.attempts) == theta
             assert piece_rows(fast) == pieces, (text, trim)
             assert list(fast.trim_events) == trim_events, (text, trim)
 
@@ -286,7 +292,8 @@ def test_naive_piece_inside_every_later_member():
     res = run_naive_cover(fam, F(1, 2), F(3, 4))
     assert piece_rows(res)[0] == ("0", 0, 1, 0, CylinderSet(["0"]))
     cover, theta, pieces, trim_events = literal_cover(fam, F(1, 2), F(3, 4), False)
-    assert (res.cover, res.theta, piece_rows(res), list(res.trim_events)) == (
+    res_theta = DeltaSchedule(F(1, 2), F(3, 4)).theta_after(res.attempts)
+    assert (res.cover, res_theta, piece_rows(res), list(res.trim_events)) == (
         cover, theta, pieces, trim_events
     )
 
@@ -302,7 +309,8 @@ def test_parent_hint_is_dropped_after_a_commit():
     for trim in (True, False):
         res = (run_trim_cover if trim else run_naive_cover)(fam, eps, eps_prime)
         cover, theta, pieces, trim_events = literal_cover(fam, eps, eps_prime, trim)
-        assert (res.cover, res.theta, piece_rows(res), list(res.trim_events)) == (
+        res_theta = DeltaSchedule(eps, eps_prime).theta_after(res.attempts)
+        assert (res.cover, res_theta, piece_rows(res), list(res.trim_events)) == (
             cover, theta, pieces, trim_events
         ), trim
         assert verify_open_cover(fam, eps, eps_prime, res).passed
