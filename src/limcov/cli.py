@@ -477,7 +477,12 @@ COMMANDS: dict[str, Command] = {
 _GROUP_HELP = {"randlab": "deficiency-set constructions over decoder tables"}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``: every command with its help, but flags only
+    on the row that argv's leading words name, the only one it can reach."""
+    invoked = " ".join(argv[:2])
+    if invoked not in COMMANDS:
+        invoked = argv[0] if argv else None
     parser = argparse.ArgumentParser(
         prog="limcov",
         description="Run and verify liminf covering constructions on stabilized families.",
@@ -490,15 +495,18 @@ def _build_parser() -> argparse.ArgumentParser:
                 group, help=_GROUP_HELP[group]
             ).add_subparsers(dest=f"{group}_command", required=True)
         p = groups[group].add_parser(leaf, help=command.help)
-        for flag, kwargs in command.flags:
-            p.add_argument(flag, **kwargs)
-        p.add_argument("--out", help="write the report here instead of stdout")
+        if name == invoked:
+            for flag, kwargs in command.flags:
+                p.add_argument(flag, **kwargs)
+            p.add_argument("--out", help="write the report here instead of stdout")
         p.set_defaults(row=name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

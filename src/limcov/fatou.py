@@ -28,7 +28,7 @@ exact.  The members' integer cell rows are built from the trace by one
 top-down prefix-max pass over the words (traces.func_cell_rows).
 StepFunction itself stays in Fractions.
 
-Two rules skip work without changing phi or the log; every attempt still
+Three rules skip work without changing phi or the log; every attempt still
 counts toward the result's attempt count and consumes its threshold.  For
 a fixed (m, U) the levels rise with the attempts:
 
@@ -47,6 +47,13 @@ a fixed (m, U) the levels rise with the attempts:
   since the gain rises by at most span (the cylinder's cell count) per
   level step; otherwise the member scan decides it, as the first hit being
   s1 again.
+- Cross-start replica.  The rule in the opencover module docstring, kept per
+  (U, level): an attempt that repeats the last scanned one at the same U
+  and level from an earlier start, with no commit since, the same integer
+  threshold and that attempt's first hit at or after m, caps and ends the
+  same way.  It restores that attempt's replica, whose reach is a lower
+  bound at m (the least slack is now taken over fewer members), and logs
+  nothing, since phi already holds u.
 """
 
 from __future__ import annotations
@@ -168,14 +175,17 @@ def run_fatou(
     words = words_up_to(depth)
     phi = [0] * ncells
     log: list[tuple[int, int, str, Fraction, int]] = []
-    attempt = -1
+    # memos[w][j-1]: (attempt, tf, first hit, replica after it) of the last
+    # scanned attempt at word w and level j that committed nothing.
+    memos = [[(-1, -1, -1, None)] * levels for _ in words]
+    attempt = changed = -1
     for start in range(top):
         members = range(start, top)
         # The cellwise minimum of work[start:].  A commit raises every member
         # to u, so it rises to u too.  Where u stays under it no member gains
         # anything: the attempt caps nothing and commits nothing.
         lows = [min(column) for column in zip(*work[start:])]
-        for word in words:
+        for word, memo in zip(words, memos):
             base, span = cell_span(word, depth)
             end = base + span
             cyl_lows = lows[base:end]
@@ -197,6 +207,11 @@ def run_fatou(
                 # bound a fortiori.
                 if replica is not None and replica[0] == tf and level <= replica[2]:
                     continue
+                seen, seen_tf, hit, seen_replica = memo[j - 1]
+                if changed < seen and seen_tf == tf and hit >= start:
+                    # A cross-start replica: see the module docstring.
+                    replica = seen_replica
+                    continue
                 u = [level] * span
                 trims = 0
                 hit, slack = _first_raise(u, work, integrals, members, base, tf)
@@ -208,9 +223,11 @@ def run_fatou(
                     replayed = replica is not None and replica[:2] == (tf, hit)
                     replica = (tf, hit, reach)
                     if replayed:
+                        memo[j - 1] = (attempt, tf, hit, replica)
                         continue
                 else:
                     replica = None
+                first = hit
                 while hit >= 0:
                     u = list(map(min, u, work[hit][base:end]))
                     trims += 1
@@ -218,6 +235,7 @@ def run_fatou(
                     # of u, which starts at level * span / unit.
                     assert schedule.allows_trims(attempt, trims, level * span, unit)
                     if not any(map(operator.gt, u, cyl_lows)):
+                        memo[j - 1] = (attempt, tf, first, replica)
                         break
                     hit = _first_raise(u, work, integrals, members, base, tf)[0]
                 else:
@@ -237,6 +255,7 @@ def run_fatou(
                     lows[base:end] = cyl_lows
                     low = min(cyl_lows)
                     replica = None
+                    changed = attempt
                 old = phi[base:end]
                 new = list(map(max, u, old))
                 if new != old:

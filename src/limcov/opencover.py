@@ -39,11 +39,25 @@ no mask.  Words are attempted in heap order, so a word's parent was tried
 earlier at the same start; if no mask has grown since, the child (a subset
 of the parent, under a threshold no lower) cannot overflow any member
 before the parent's first overflow, and its scans start there.  Every
-commit and every new start drops that hint.  Each trim removes at least
-one cell, so from DeltaSchedule.settled_attempt(2^depth) on no trim count
-can break the cap and the run stops checking it.  Pieces and the cover
-are built once each by CylinderSet.from_mask, canonical by construction;
-the verifier works purely on those plus the liminf oracle.
+commit and every new start drops that hint.
+
+Cross-start replicas.  Each word keeps one memo of its last scanned
+attempt: its attempt number, its integer threshold tf, its first hit and
+its trim count; a commit retires it.  An attempt for the same word at a
+later start reuses that outcome without a scan when no commit has happened
+since, tf is the same and the first hit is at or after the new start.  This
+is exact: a scan hits a member only once every earlier member has passed,
+and a trim (a cap, for fatou) only shrinks the candidate, so every later hit
+comes after the first one.  The members the new start drops lay before
+every hit, so the scans, trims and final candidate all repeat; that
+candidate committed nothing and was already offered to the cover, so the
+replica adds no piece.  fatou keeps the same memo per (word, level).
+
+Each trim removes at least one cell, so from
+DeltaSchedule.settled_attempt(2^depth) on no trim count can break the cap
+and the run stops checking it.  Pieces and the cover are built once each by
+CylinderSet.from_mask, canonical by construction; the verifier works purely
+on those plus the liminf oracle.
 
 Runs are single-threaded and deterministic; results are immutable.
 """
@@ -253,6 +267,9 @@ def _cover_run(
     trim_events: list[tuple[int, int]] = []
     # first_hit[j]: the first overflow of word j's first scan at this start.
     first_hit = [0] * len(words)
+    # memo[j]: (attempt, tf, first hit, trims) of word j's last scanned
+    # attempt that committed nothing; see the module docstring.
+    memo = [(-1, -1, -1, 0)] * len(words)
     attempt = changed = -1
     for start in range(top):
         # The suffix AND of masks[start:].  A commit adds the candidate to
@@ -266,19 +283,27 @@ def _cover_run(
             tf = next(floors)
             trims = 0
             if candidate & ~inside:
+                seen, seen_tf, hit, seen_trims = memo[j]
+                if changed < seen and seen_tf == tf and hit >= start:
+                    # A cross-start replica: see the module docstring.
+                    first_hit[j] = hit
+                    if trim:
+                        trim_events.append((attempt, seen_trims))
+                    continue
                 # Words come in heap order: parent p = (j-1)//2 was tried
-                # j - p attempts ago at this start, and it was scanned, since
-                # it holds this child and `inside` only grows.  If no mask
-                # has grown since, then for every m before the parent's first
-                # overflow |masks[m] | child| <= |masks[m] | parent| <= the
-                # parent's tf <= tf, so every scan of this attempt may start
-                # there.
+                # j - p attempts ago at this start, and it was scanned or
+                # replayed with its first hit, since it holds this child and
+                # `inside` only grows.  If no mask has grown since, then for
+                # every m before the parent's first overflow
+                # |masks[m] | child| <= |masks[m] | parent| <= the parent's
+                # tf <= tf, so every scan of this attempt may start there.
                 parent = (j - 1) >> 1
                 lo = first_hit[parent] if j and changed < attempt - j + parent else start
                 members = range(lo, top)
                 hit = first_hit[j] = _first_overflow(candidate, masks, counts, members, tf)
                 if hit >= 0:
                     if not trim:
+                        memo[j] = (attempt, tf, hit, 0)
                         continue
                     while hit >= 0:
                         candidate &= masks[hit]
@@ -300,6 +325,8 @@ def _cover_run(
                             assert counts[n] <= tf
                     inside |= candidate
                     changed = attempt
+                else:
+                    memo[j] = (attempt, tf, first_hit[j], trims)
             if candidate & ~cover_mask:
                 pieces.append(
                     Piece(word, start, None, attempt, trims,

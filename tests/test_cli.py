@@ -41,6 +41,32 @@ def test_missing_trace_is_usage_error(capsys):
     assert code == 2 and "missing.trace" in err
 
 
+def lists(text, word):
+    """Whether ``word`` appears in help text as a whole word or flag."""
+    return re.search(rf"(?<![\w-]){re.escape(word)}(?![\w-])", text) is not None
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_each_row_help_lists_its_flags(capsys, name):
+    # The parser adds flags only to the row its argv names.
+    code, out, err = run(capsys, *name.split(), "--help")
+    assert code == 0 and err == ""
+    for flag in [*dict(COMMANDS[name].flags), "--out"]:
+        assert lists(out, flag), (name, flag)
+
+
+def test_top_level_and_group_help_list_every_command_word(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    for name in COMMANDS:
+        assert lists(out, name.split()[0]), name
+    code, out, _ = run(capsys, "randlab", "--help")
+    assert code == 0
+    for name in COMMANDS:
+        if name.startswith("randlab "):
+            assert lists(out, name.split()[1]), name
+
+
 def test_malformed_trace_names_file_and_line(tmp_path, capsys):
     trace = tmp_path / "bad.trace"
     trace.write_text("family sets nmax=2\nadd 9 a\n")
@@ -241,6 +267,9 @@ DIGEST_INPUTS = {
     # Bench scale: the open-ladder's 16x8 families and its 64x12 blocks case.
     "open8": gen.gen_trace("open", 16, 11, depth=8, eps=Fraction(1, 4)),
     "open12": gen.gen_trace("open", 64, 12, depth=12, eps=Fraction(1, 4)),
+    # The open-ladder's 32x8 and the tree-func workload's func 16x6 sizes.
+    "open32": gen.gen_trace("open", 32, 13, depth=8, eps=Fraction(1, 4)),
+    "func16": gen.gen_trace("func", 16, 14, depth=6, eps=Fraction(1, 4)),
     "func": gen.gen_trace("func", 4, 6, depth=4, eps=Fraction(1, 4)),
     "fn": gen.gen_function_text(7, 16),
     "decoder": gen.gen_decoder_text(8),
@@ -588,7 +617,8 @@ def test_corrupted_result_fails_its_row_verifier(name):
     flags, text, corrupt, check = MUTATIONS[name]  # every verified row needs a case
     row = COMMANDS[name]
     source = [f"--{row.source}", "unread"] if row.source else []
-    args = _build_parser().parse_args([*name.split(), *source, *flags])
+    argv = [*name.split(), *source, *flags]
+    args = _build_parser(argv).parse_args(argv)
     given = row.parse(args, text.encode()) if row.source else None
     result = row.run(args, given)
     assert row.verify(args, given, result).passed
@@ -644,7 +674,8 @@ def test_appending_a_copy_of_the_tail_changes_no_liminf_or_verdict(name):
         assert longer.nmax == 6
         assert liminf_oracles(longer) == liminf_oracles(family)
         for flags in TAIL_COPY_FLAGS[name]:  # every trace row needs a case
-            args = _build_parser().parse_args([*name.split(), "--trace", "unread", *flags])
+            argv = [*name.split(), "--trace", "unread", *flags]
+            args = _build_parser(argv).parse_args(argv)
             for fam in (family, longer):
                 assert row.verify(args, fam, row.run(args, fam)).passed, (seed, flags)
 
@@ -669,5 +700,6 @@ def test_refining_the_depth_changes_no_liminf_or_verdict(name):
             fine = traces.liminf_table(finer, CylinderSet.full().cells(5))
             assert fine == {cell: coarse[cell[:-1]] for cell in fine}
         for flags in TAIL_COPY_FLAGS[name]:
-            args = _build_parser().parse_args([*name.split(), "--trace", "unread", *flags])
+            argv = [*name.split(), "--trace", "unread", *flags]
+            args = _build_parser(argv).parse_args(argv)
             assert row.verify(args, finer, row.run(args, finer)).passed, (seed, flags)

@@ -242,6 +242,59 @@ def test_hand_written_traces_match_literal_reference(text, eps, eps_prime, g):
     assert verify_fatou(fam, eps, eps_prime, grid, fast).passed
 
 
+# Each case drops one condition under which an attempt reuses the outcome
+# of the same (word, level) at an earlier start (see the opencover module
+# docstring): the run matches the literal reference and the mutant does not.
+@pytest.mark.parametrize(
+    "condition,text,eps,eps_prime,g",
+    [
+        # No commit since.  Level 1 on cylinder 00 is capped without a
+        # commit at start 0 (attempt 7).  Level 1/2 on cylinder 10 then
+        # commits (attempt 10), after which the attempt of level 1 on 00 at
+        # start 1 (attempt 21) commits.
+        (
+            "changed < seen and ",
+            "family func nmax=3 depth=2\nraise 1 00 3/8\nraise 1 01 1/2\n"
+            "raise 2 11 3/8\nraise 2 10 7/8\n",
+            F(5, 16), F(7, 16), 1,
+        ),
+        # The first hit lies at or after the new start.  At start 0 the root
+        # at levels 1/4, 1/2 and 3/4 first overflows U_0; at start 1, which
+        # drops U_0, the same attempts (28-30) are capped to a u that grows
+        # phi.
+        (
+            " and hit >= start",
+            "family func nmax=2 depth=2\nraise 0 00 3/4\nraise 1 11 5/8\n",
+            F(3, 16), F(13, 64), 2,
+        ),
+        # The same threshold floor.  Integrals are counted in units of 1/4,
+        # and the floor of 4 * theta_t is 2 up to attempt 6 and 3 from
+        # attempt 7 on.  Level 1/2 on cylinder 1 first overflows U_1 at
+        # start 0 (attempt 4); at start 1 (attempt 10) it fits every member
+        # and commits.
+        (
+            " and seen_tf == tf",
+            "family func nmax=2 depth=1\nraise 0 1 1\nraise 1 0 1\n",
+            F(1, 2), F(385, 512), 1,
+        ),
+    ],
+)
+def test_each_cross_start_replica_condition_is_needed(
+    mutant, condition, text, eps, eps_prime, g
+):
+    fam = parse_trace(text)
+    grid = RationalGrid(g)
+    schedule = DeltaSchedule(eps, eps_prime)
+
+    def rows(res):
+        return res.phi, schedule.theta_after(res.attempts), list(res.log)
+
+    literal = literal_fatou(fam, eps, eps_prime, grid)
+    assert rows(run_fatou(fam, eps, eps_prime, grid)) == literal
+    broken = mutant(run_fatou, condition, "")
+    assert rows(broken(fam, eps, eps_prime, grid)) != literal
+
+
 def test_uncounted_attempt_flips_threshold_bound():
     fam = parse_trace("family func nmax=2 depth=2\nraise 0 00 1\nraise 1 11 3/2\n")
     grid = RationalGrid(2)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from limcov import gen, traces
+from limcov import gen, opencover, traces
 from limcov.kernel import CylinderSet, InputError, RealInterval, words_up_to
 from limcov.opencover import (
     DeltaSchedule,
@@ -314,6 +314,56 @@ def test_parent_hint_is_dropped_after_a_commit():
             cover, theta, pieces, trim_events
         ), trim
         assert verify_open_cover(fam, eps, eps_prime, res).passed
+
+
+# Each case drops one condition under which an attempt reuses its word's
+# outcome from an earlier start (see the opencover module docstring): the
+# run matches the literal reference and the mutant does not.
+@pytest.mark.parametrize(
+    "condition,text,eps,eps_prime,modes",
+    [
+        # No commit since.  At start 0 word 1 first overflows the tail and
+        # is trimmed away once.  The commit of word 00 then fills U_1, which
+        # word 1 overflows first at start 1, so it is trimmed twice there.
+        (
+            "changed < seen and ",
+            "family open nmax=3 depth=2\nadd 1 10\nadd 2 01\nadd 2 00\n",
+            F(1, 2), F(3, 4), (True,),
+        ),
+        # The first hit lies at or after the new start.  At start 0 word 01
+        # first overflows U_0; from start 1 on it fits every member and
+        # commits.
+        (
+            " and hit >= start",
+            "family open nmax=4 depth=2\nadd 0 10\nadd 1 01\nadd 3 01\n",
+            F(1, 4), F(1, 2), (True, False),
+        ),
+        # The same threshold floor.  The floor of 4 * theta_t is 1 up to
+        # attempt 7 and 2 from attempt 8 on.  Word 00 first overflows U_1 at
+        # start 0 (attempt 3); at start 1 (attempt 10) it fits every member
+        # and commits.
+        (
+            " and seen_tf == tf",
+            "family open nmax=3 depth=2\nadd 0 00\nadd 1 01\nadd 2 10\n",
+            F(1, 4), F(513, 1024), (True, False),
+        ),
+    ],
+)
+def test_each_cross_start_replica_condition_is_needed(
+    mutant, condition, text, eps, eps_prime, modes
+):
+    fam = parse_trace(text)
+    broken = mutant(opencover._cover_run, condition, "")
+    schedule = DeltaSchedule(eps, eps_prime)
+
+    def rows(res):
+        theta = schedule.theta_after(res.attempts)
+        return res.cover, theta, piece_rows(res), list(res.trim_events)
+
+    for trim in modes:
+        literal = literal_cover(fam, eps, eps_prime, trim)
+        assert rows(opencover._cover_run(fam, eps, eps_prime, trim)) == literal
+        assert rows(broken(fam, eps, eps_prime, trim)) != literal, trim
 
 
 def test_random_sweep_all_modes():
