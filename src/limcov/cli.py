@@ -12,6 +12,7 @@ Each subcommand is a row of COMMANDS whose layers parse the input file, run
 the construction, verify its result and render it; main chains them, and
 one writer frames every report with its REPORT, INPUT, PARAM and RESULT
 lines.  sweep runs and verifies generated families through the same rows.
+The argument parser is built once per process, on first use.
 
 Exit codes: 0 when every verdict passes, 1 when some verdict fails, and 2
 for input or usage errors (reported as one line naming file and line).
@@ -20,6 +21,7 @@ for input or usage errors (reported as one line naming file and line).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 from dataclasses import dataclass
@@ -477,12 +479,10 @@ COMMANDS: dict[str, Command] = {
 _GROUP_HELP = {"randlab": "deficiency-set constructions over decoder tables"}
 
 
-def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser for ``argv``: every command with its help, but flags only
-    on the row that argv's leading words name, the only one it can reach."""
-    invoked = " ".join(argv[:2])
-    if invoked not in COMMANDS:
-        invoked = argv[0] if argv else None
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command and its flags, built once per process on
+    first use; parse_args leaves it unchanged, so every main call reuses it."""
     parser = argparse.ArgumentParser(
         prog="limcov",
         description="Run and verify liminf covering constructions on stabilized families.",
@@ -495,20 +495,16 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
                 group, help=_GROUP_HELP[group]
             ).add_subparsers(dest=f"{group}_command", required=True)
         p = groups[group].add_parser(leaf, help=command.help)
-        if name == invoked:
-            for flag, kwargs in command.flags:
-                p.add_argument(flag, **kwargs)
-            p.add_argument("--out", help="write the report here instead of stdout")
+        for flag, kwargs in command.flags:
+            p.add_argument(flag, **kwargs)
+        p.add_argument("--out", help="write the report here instead of stdout")
         p.set_defaults(row=name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = _build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     command = COMMANDS[args.row]

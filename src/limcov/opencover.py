@@ -237,8 +237,10 @@ def _first_overflow(
     candidate: int, masks: list[int], counts: list[int], members: range, tf: int
 ) -> int:
     """First m in ``members`` with |masks[m] | candidate| > tf, else -1."""
+    # |masks[m] | candidate| = counts[m] + |candidate| - |candidate & masks[m]|
+    slack = tf - candidate.bit_count()
     for m in members:
-        if counts[m] + (candidate & ~masks[m]).bit_count() > tf:
+        if counts[m] - (candidate & masks[m]).bit_count() > slack:
             return m
     return -1
 
@@ -256,13 +258,14 @@ def _cover_run(
     floors = schedule.theta_floors(1 << depth)
 
     counts = [m.bit_count() for m in masks]
+    full = (1 << (1 << depth)) - 1
     top = family.nmax + 1
     words = words_up_to(depth)
     word_masks = [_word_mask(w, depth) for w in words]
     # Every trim removes at least one of the 2^depth cells.
     settled = schedule.settled_attempt(1 << depth)
 
-    cover_mask = 0
+    uncovered = full
     pieces: list[Piece] = []
     trim_events: list[tuple[int, int]] = []
     # first_hit[j]: the first overflow of word j's first scan at this start.
@@ -272,17 +275,18 @@ def _cover_run(
     memo = [(-1, -1, -1, 0)] * len(words)
     attempt = changed = -1
     for start in range(top):
-        # The suffix AND of masks[start:].  A commit adds the candidate to
-        # every member, so it joins this AND too.  A candidate inside it
-        # overflows no member and changes no mask, so no scan is needed.
-        inside = -1
+        # The cells outside the suffix AND of masks[start:]; a commit adds
+        # the candidate to every member, so it joins that AND too.  A
+        # candidate with no cell outside overflows no member and changes no
+        # mask, so no scan is needed.
+        outside = 0
         for m in range(start, top):
-            inside &= masks[m]
+            outside |= full ^ masks[m]
         for j, (word, candidate) in enumerate(zip(words, word_masks)):
             attempt += 1
             tf = next(floors)
             trims = 0
-            if candidate & ~inside:
+            if candidate & outside:
                 seen, seen_tf, hit, seen_trims = memo[j]
                 if changed < seen and seen_tf == tf and hit >= start:
                     # A cross-start replica: see the module docstring.
@@ -293,7 +297,7 @@ def _cover_run(
                 # Words come in heap order: parent p = (j-1)//2 was tried
                 # j - p attempts ago at this start, and it was scanned or
                 # replayed with its first hit, since it holds this child and
-                # `inside` only grows.  If no mask has grown since, then for
+                # `outside` only shrinks.  If no mask has grown since, then for
                 # every m before the parent's first overflow
                 # |masks[m] | child| <= |masks[m] | parent| <= the parent's
                 # tf <= tf, so every scan of this attempt may start there.
@@ -311,11 +315,11 @@ def _cover_run(
                         assert attempt >= settled or schedule.allows_trims(attempt, trims)
                         hit = (
                             _first_overflow(candidate, masks, counts, members, tf)
-                            if candidate & ~inside
+                            if candidate & outside
                             else -1
                         )
                     trim_events.append((attempt, trims))
-                if candidate & ~inside:
+                if candidate & outside:
                     # Masks left alone still hold the bound: tf never decreases.
                     for n in range(start, top):
                         grown = masks[n] | candidate
@@ -323,19 +327,19 @@ def _cover_run(
                             masks[n] = grown
                             counts[n] = grown.bit_count()
                             assert counts[n] <= tf
-                    inside |= candidate
+                    outside &= ~candidate
                     changed = attempt
                 else:
                     memo[j] = (attempt, tf, first_hit[j], trims)
-            if candidate & ~cover_mask:
+            if candidate & uncovered:
                 pieces.append(
                     Piece(word, start, None, attempt, trims,
                           CylinderSet.from_mask(candidate, depth))
                 )
-                cover_mask |= candidate
+                uncovered &= ~candidate
     return OpenCoverResult(
         "trim" if trim else "naive",
-        CylinderSet.from_mask(cover_mask, depth),
+        CylinderSet.from_mask(full ^ uncovered, depth),
         tuple(pieces),
         attempt + 1,
         tuple(trim_events),

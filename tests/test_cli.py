@@ -48,7 +48,7 @@ def lists(text, word):
 
 @pytest.mark.parametrize("name", list(COMMANDS))
 def test_each_row_help_lists_its_flags(capsys, name):
-    # The parser adds flags only to the row its argv names.
+    # One parser holds every row's flags; each row's help lists its own.
     code, out, err = run(capsys, *name.split(), "--help")
     assert code == 0 and err == ""
     for flag in [*dict(COMMANDS[name].flags), "--out"]:
@@ -65,6 +65,44 @@ def test_top_level_and_group_help_list_every_command_word(capsys):
     for name in COMMANDS:
         if name.startswith("randlab "):
             assert lists(out, name.split()[1]), name
+
+
+def test_the_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def reuse_invocations():
+    """Usage, help and error command lines whose parse ends main's call."""
+    yield ["-h"]
+    yield []
+    yield ["bogus"]
+    yield ["randlab"]
+    yield ["randlab", "-h"]
+    yield ["randlab", "bogus"]
+    yield ["setcover", "--trace", "missing.trace", "--k", "1", "stray"]
+    for name in COMMANDS:
+        for extra in (["-h"], [], ["--bogus"], ["--out"]):
+            yield [*name.split(), *extra]
+
+
+@pytest.mark.parametrize(
+    "argv", list(reuse_invocations()), ids=lambda argv: " ".join(argv) or "no-args"
+)
+def test_a_reused_parser_answers_as_a_fresh_one(capsys, argv):
+    _build_parser.cache_clear()
+    first = run(capsys, *argv)
+    assert first[0] in (0, 2) and "Traceback" not in first[2]
+    assert run(capsys, *argv) == first
+
+
+def test_no_flag_value_leaks_into_the_next_call(tmp_path, capsys):
+    trace = tmp_path / "g.trace"
+    trace.write_text("family open nmax=2 depth=2\nadd 0 00\nadd 1 11\n")
+    argv = ["opencover", "--trace", str(trace), "--eps", "1/4", "--eps-prime", "1/2"]
+    code, out, _ = run(capsys, *argv, "--mode", "naive")
+    assert code == 0 and out.splitlines()[2].startswith("PARAM mode=naive ")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.splitlines()[2].startswith("PARAM mode=trim ")
 
 
 def test_malformed_trace_names_file_and_line(tmp_path, capsys):
@@ -618,7 +656,7 @@ def test_corrupted_result_fails_its_row_verifier(name):
     row = COMMANDS[name]
     source = [f"--{row.source}", "unread"] if row.source else []
     argv = [*name.split(), *source, *flags]
-    args = _build_parser(argv).parse_args(argv)
+    args = _build_parser().parse_args(argv)
     given = row.parse(args, text.encode()) if row.source else None
     result = row.run(args, given)
     assert row.verify(args, given, result).passed
@@ -675,7 +713,7 @@ def test_appending_a_copy_of_the_tail_changes_no_liminf_or_verdict(name):
         assert liminf_oracles(longer) == liminf_oracles(family)
         for flags in TAIL_COPY_FLAGS[name]:  # every trace row needs a case
             argv = [*name.split(), "--trace", "unread", *flags]
-            args = _build_parser(argv).parse_args(argv)
+            args = _build_parser().parse_args(argv)
             for fam in (family, longer):
                 assert row.verify(args, fam, row.run(args, fam)).passed, (seed, flags)
 
@@ -701,5 +739,5 @@ def test_refining_the_depth_changes_no_liminf_or_verdict(name):
             assert fine == {cell: coarse[cell[:-1]] for cell in fine}
         for flags in TAIL_COPY_FLAGS[name]:
             argv = [*name.split(), "--trace", "unread", *flags]
-            args = _build_parser(argv).parse_args(argv)
+            args = _build_parser().parse_args(argv)
             assert row.verify(args, finer, row.run(args, finer)).passed, (seed, flags)
