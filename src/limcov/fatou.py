@@ -23,7 +23,7 @@ the levels are exactly the grid).
 
 Internally one run rescales all values to a common integer denominator, so
 the inner comparisons are integer sums against floor(theta_t * 2^D * scale),
-taken from the integer closed form of opencover.DeltaSchedule; this is
+read by attempt number from opencover.DeltaSchedule.floor_table; this is
 exact.  The members' integer cell rows are built from the trace by one
 top-down prefix-max pass over the words (traces.func_cell_rows).
 StepFunction itself stays in Fractions.
@@ -34,7 +34,10 @@ a fixed (m, U) the levels rise with the attempts:
 
 - Fast path.  When r <= min over the cylinder of the cellwise minimum of
   f_m, f_{m+1}, ..., no member gains anything, so the attempt caps and
-  commits nothing; only the fold of r into phi remains.
+  commits nothing; only the fold of r into phi remains.  These levels are
+  a prefix, since a commit at a level above that minimum leaves some cell
+  of the cylinder at most at that level, so the run folds the whole prefix
+  at once and logs each of its levels above the minimum of phi there.
 - Replica.  Take a simulated attempt at level L whose first overflowing
   member is s1, with L >= max of f_{s1} on the cylinder, so that its first
   cap sets u to f_{s1} there, and which committed nothing.  A later attempt
@@ -46,7 +49,8 @@ a fixed (m, U) the levels rise with the attempts:
   tf - integral(max(f_s, u)) over [m, s1) at L is at least (L' - L) * span,
   since the gain rises by at most span (the cylinder's cell count) per
   level step; otherwise the member scan decides it, as the first hit being
-  s1 again.
+  s1 again.  Once tf has settled, every level up to that reach is skipped
+  in one step.
 - Cross-start replica.  The rule in the opencover module docstring, kept per
   (U, level): an attempt that repeats the last scanned one at the same U
   and level from an earlier start, with no commit since, the same integer
@@ -54,6 +58,12 @@ a fixed (m, U) the levels rise with the attempts:
   same way.  It restores that attempt's replica, whose reach is a lower
   bound at m (the least slack is now taken over fewer members), and logs
   nothing, since phi already holds u.
+
+A cap removes at least one integer unit from u, so the run stops checking
+trim counts from DeltaSchedule.settled_attempt(levels * step * 2^depth *
+unit) on.  A member whose room tf - integral(f_s) covers the integral of u
+cannot overflow; the scan skips its row and takes that room less the
+integral as its slack, a lower bound that may shorten a replica's reach.
 """
 
 from __future__ import annotations
@@ -128,14 +138,18 @@ def _first_raise(
     tf: int,
 ) -> tuple[int, int | None]:
     """First s in members whose integral of max(f_s, u) exceeds tf (-1 if
-    none), and the least slack tf - integral(max(f_r, u)) over the members r
-    scanned before it (None if there are none)."""
+    none), and a lower bound on the least slack tf - integral(max(f_r, u))
+    over the members r scanned before it (None if there are none)."""
+    total = sum(u)
+    end = base + len(u)
     slack = None
     for s in members:
-        row = work[s][base:base + len(u)]
-        room = tf - integrals[s] - sum(map(max, u, row)) + sum(row)
+        room = tf - integrals[s] - total
         if room < 0:
-            return s, slack
+            row = work[s][base:end]
+            room += total - sum(map(max, u, row)) + sum(row)
+            if room < 0:
+                return s, slack
         if slack is None or room < slack:
             slack = room
     return -1, slack
@@ -171,8 +185,12 @@ def run_fatou(
     levels = max(1 << g, -((-max_scaled << g) // scale))
     step_scaled = scale >> g
 
-    floors = schedule.theta_floors(unit)
+    floors, settled_tf = schedule.floor_table(unit)
+    # Each cap removes at least one unit from u, whose integral starts at
+    # most at levels * step * 2^depth units.
+    settled = schedule.settled_attempt(levels * step_scaled * unit << depth)
     words = words_up_to(depth)
+    spans = [cell_span(word, depth) for word in words]
     phi = [0] * ncells
     log: list[tuple[int, int, str, Fraction, int]] = []
     # memos[w][j-1]: (attempt, tf, first hit, replica after it) of the last
@@ -180,32 +198,42 @@ def run_fatou(
     memos = [[(-1, -1, -1, None)] * levels for _ in words]
     attempt = changed = -1
     for start in range(top):
+        if start == top - 1:  # the tail start: see the opencover module docstring
+            for memo in memos:
+                for i, (seen, seen_tf, hit, replica) in enumerate(memo):
+                    if hit == start - 1:
+                        memo[i] = (seen, seen_tf, start, replica and (seen_tf, start, replica[2]))
         members = range(start, top)
         # The cellwise minimum of work[start:].  A commit raises every member
         # to u, so it rises to u too.  Where u stays under it no member gains
         # anything: the attempt caps nothing and commits nothing.
         lows = [min(column) for column in zip(*work[start:])]
-        for word, memo in zip(words, memos):
-            base, span = cell_span(word, depth)
+        for word, (base, span), memo in zip(words, spans, memos):
             end = base + span
             cyl_lows = lows[base:end]
-            low = min(cyl_lows)
+            before = attempt  # level j is attempt before + j
+            # The fast path, folded at once: see the module docstring.
+            j = min(levels, min(cyl_lows) // step_scaled)
+            floor = min(phi[base:end])
+            if j * step_scaled > floor:
+                phi[base:end] = [max(v, j * step_scaled) for v in phi[base:end]]
+                for i in range(floor // step_scaled + 1, j + 1):
+                    log.append((before + i, start, word, Fraction(i, 1 << g), 0))
             # (tf, first hit, highest level known to replay) of the last
             # attempt that later ones replay exactly; see the module docstring.
             replica = None
-            for j in range(1, levels + 1):
-                attempt += 1
-                tf = next(floors)
+            while j < levels:
+                j += 1
+                attempt = before + j
+                tf = floors[attempt] if attempt < len(floors) else settled_tf
                 level = j * step_scaled
-                if level <= low:
-                    if level > min(phi[base:end]):
-                        phi[base:end] = [max(v, level) for v in phi[base:end]]
-                        log.append((attempt, start, word, Fraction(j, 1 << g), 0))
-                    continue
                 # A replayed attempt has the same trims as the original at a
                 # larger level and attempt number, so it keeps the trim-count
                 # bound a fortiori.
                 if replica is not None and replica[0] == tf and level <= replica[2]:
+                    if tf == settled_tf:
+                        # tf has settled: every level up to the reach replays.
+                        j = min(levels, replica[2] // step_scaled)
                     continue
                 seen, seen_tf, hit, seen_replica = memo[j - 1]
                 if changed < seen and seen_tf == tf and hit >= start:
@@ -215,7 +243,8 @@ def run_fatou(
                 u = [level] * span
                 trims = 0
                 hit, slack = _first_raise(u, work, integrals, members, base, tf)
-                if hit >= 0 and level >= max(work[hit][base:end]):
+                row = work[hit][base:end]  # unused when hit is -1: a commit follows
+                if hit >= 0 and level >= max(row):
                     # The first cap sets u to work[hit] on the cylinder, and
                     # each level step adds at most span to a member's gain.
                     reach = (levels * step_scaled if slack is None
@@ -229,15 +258,17 @@ def run_fatou(
                     replica = None
                 first = hit
                 while hit >= 0:
-                    u = list(map(min, u, work[hit][base:end]))
+                    u = list(map(min, u, row))
                     trims += 1
                     # Each cap removes more than delta_t from the integral
                     # of u, which starts at level * span / unit.
-                    assert schedule.allows_trims(attempt, trims, level * span, unit)
+                    assert attempt >= settled or schedule.allows_trims(
+                        attempt, trims, level * span, unit)
                     if not any(map(operator.gt, u, cyl_lows)):
                         memo[j - 1] = (attempt, tf, first, replica)
                         break
                     hit = _first_raise(u, work, integrals, members, base, tf)[0]
+                    row = work[hit][base:end]
                 else:
                     # No member overflows and u rises above some member:
                     # commit.  Rows that gain nothing keep their bound: tf
@@ -253,14 +284,13 @@ def run_fatou(
                             assert integrals[s] <= tf
                     cyl_lows = list(map(max, u, cyl_lows))
                     lows[base:end] = cyl_lows
-                    low = min(cyl_lows)
                     replica = None
                     changed = attempt
                 old = phi[base:end]
-                new = list(map(max, u, old))
-                if new != old:
-                    phi[base:end] = new
+                if any(map(operator.gt, u, old)):
+                    phi[base:end] = list(map(max, u, old))
                     log.append((attempt, start, word, Fraction(j, 1 << g), trims))
+            attempt = before + levels
     phi_fn = StepFunction(depth, tuple(Fraction(v, scale) for v in phi))
     return FatouResult(phi_fn, attempt + 1, tuple(log))
 

@@ -28,18 +28,19 @@ liminf within eps'.
 
 Internally the working sets live as bit masks over the 2^depth cells of the
 family's depth, so measure comparisons are integer popcounts (one cached
-per member).  Cell counts are compared with floor(theta_t * 2^depth),
-which is exact; DeltaSchedule computes it in integers from the closed form
-theta_t = eps' - (eps'-eps) * 2^-(t+1); it is constant after a number of
-attempts logarithmic in 2^depth and the denominators, so no threshold is
+per member).  Cell counts are compared with floor(theta_t * 2^depth), which
+is exact; DeltaSchedule.floor_table computes it in integers from the closed
+form theta_t = eps' - (eps'-eps) * 2^-(t+1): a list of the floors up to a
+number of attempts logarithmic in 2^depth and the denominators, then one
+settled floor.  Runs look it up by attempt number, no threshold is
 accumulated, and a result records its attempt count T, not the threshold
-theta_after(T).  An attempt whose candidate lies inside every member from its
-start index on is skipped without a scan: it can trim nothing and change
-no mask.  Words are attempted in heap order, so a word's parent was tried
-earlier at the same start; if no mask has grown since, the child (a subset
-of the parent, under a threshold no lower) cannot overflow any member
-before the parent's first overflow, and its scans start there.  Every
-commit and every new start drops that hint.
+theta_after(T).  An attempt whose candidate lies inside every member from
+its start index on is skipped without a scan: it can trim nothing and
+change no mask.  Words are attempted in heap order, so a word's parent was
+tried earlier at the same start; if no mask has grown since, the child (a
+subset of the parent, under a threshold no lower) cannot overflow any
+member before the parent's first overflow, and its scans start there.
+Every commit and every new start drops that hint.
 
 Cross-start replicas.  Each word keeps one memo of its last scanned
 attempt: its attempt number, its integer threshold tf, its first hit and
@@ -51,7 +52,11 @@ and a trim (a cap, for fatou) only shrinks the candidate, so every later hit
 comes after the first one.  The members the new start drops lay before
 every hit, so the scans, trims and final candidate all repeat; that
 candidate committed nothing and was already offered to the cover, so the
-replica adds no piece.  fatou keeps the same memo per (word, level).
+replica adds no piece.  The tail row nmax equals row nmax-1 until the
+tail start commits, since every earlier commit raised both; so as the
+tail start begins, every memo whose first hit is nmax-1 is moved to nmax,
+once, and a commit there retires it like any other.  fatou keeps the same
+memo per (word, level), with the hit in its replica moved too.
 
 Each trim removes at least one cell, so from
 DeltaSchedule.settled_attempt(2^depth) on no trim count can break the cap
@@ -64,11 +69,10 @@ Runs are single-threaded and deterministic; results are immutable.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import traces
 from .kernel import (
@@ -160,25 +164,30 @@ class DeltaSchedule:
         ok = claimed == attempts
         return Check("threshold-bound", ok, "" if ok else self.threshold_text(claimed))
 
-    def theta_floors(self, scale: int) -> Iterator[int]:
-        """floor(theta_t * scale) for t = 0, 1, 2, ... in integer arithmetic.
+    def floor_table(self, scale: int) -> tuple[list[int], int]:
+        """floor(theta_t * scale) in integer arithmetic, as the floors before
+        they settle and the settled floor: attempt t runs under floors[t]
+        while t < len(floors), and under the settled floor from there on.
 
         theta_t * scale = top - y_t with top = eps' * scale and
         y_t = budget * scale * 2^-(t+1) falling to 0, so the floor settles at
-        ceil(top) - 1 as soon as y_t <= top - (ceil(top) - 1); from there on
-        the same integer repeats.
+        ceil(top) - 1 as soon as y_t <= top - (ceil(top) - 1); every floor
+        before that lies below it.
         """
         top = self.eps_prime * scale
         settled = -(-top.numerator // top.denominator) - 1
         gap = top - settled  # in (0, 1]
         p, q = top.numerator, top.denominator
         a, b = self.budget.numerator * scale, self.budget.denominator
+        pb, aq, qb = p * b, a * q, q * b
+        over, under = a * gap.denominator, gap.numerator * b
+        floors = []
         shift = 1
-        while a * gap.denominator > gap.numerator * (b << shift):
+        while over > under << shift:
             # (p*b*2^shift - a*q) / (q*b*2^shift) = top - y_t, t = shift - 1
-            yield ((p * b << shift) - a * q) // (q * b << shift)
+            floors.append(((pb << shift) - aq) // (qb << shift))
             shift += 1
-        yield from itertools.repeat(settled)
+        return floors, settled
 
 
 @dataclass(frozen=True)
@@ -255,7 +264,7 @@ def _cover_run(
     depth = family.depth
     assert depth is not None
     schedule = DeltaSchedule(eps, eps_prime)
-    floors = schedule.theta_floors(1 << depth)
+    floors, settled_tf = schedule.floor_table(1 << depth)
 
     counts = [m.bit_count() for m in masks]
     full = (1 << (1 << depth)) - 1
@@ -275,6 +284,8 @@ def _cover_run(
     memo = [(-1, -1, -1, 0)] * len(words)
     attempt = changed = -1
     for start in range(top):
+        if start == top - 1:  # the tail start: see the module docstring
+            memo = [(*m[:2], start, m[3]) if m[2] == start - 1 else m for m in memo]
         # The cells outside the suffix AND of masks[start:]; a commit adds
         # the candidate to every member, so it joins that AND too.  A
         # candidate with no cell outside overflows no member and changes no
@@ -284,9 +295,9 @@ def _cover_run(
             outside |= full ^ masks[m]
         for j, (word, candidate) in enumerate(zip(words, word_masks)):
             attempt += 1
-            tf = next(floors)
             trims = 0
             if candidate & outside:
+                tf = floors[attempt] if attempt < len(floors) else settled_tf
                 seen, seen_tf, hit, seen_trims = memo[j]
                 if changed < seen and seen_tf == tf and hit >= start:
                     # A cross-start replica: see the module docstring.
@@ -369,8 +380,7 @@ def run_block_cover(
     depth = family.depth
     assert depth is not None
     # Block j is held to eps_j = theta_after(j), the threshold of attempt j-1.
-    schedule = DeltaSchedule(eps, eps_prime)
-    floors = schedule.theta_floors(1 << depth)
+    floors, settled = DeltaSchedule(eps, eps_prime).floor_table(1 << depth)
 
     tail = masks[-1]
     last = family.nmax - 1
@@ -380,8 +390,8 @@ def run_block_cover(
     start = 0
     block_index = 0
     while True:
+        tf = floors[block_index] if block_index < len(floors) else settled
         block_index += 1
-        tf = next(floors)
         stop = -1
         inter = ~0
         for k in range(start, last + 1):

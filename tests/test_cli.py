@@ -308,6 +308,8 @@ DIGEST_INPUTS = {
     # The open-ladder's 32x8 and the tree-func workload's func 16x6 sizes.
     "open32": gen.gen_trace("open", 32, 13, depth=8, eps=Fraction(1, 4)),
     "func16": gen.gen_trace("func", 16, 14, depth=6, eps=Fraction(1, 4)),
+    # The tree-func workload's func 8x6 size.
+    "func8": gen.gen_trace("func", 8, 5, depth=6, eps=Fraction(1, 4)),
     "func": gen.gen_trace("func", 4, 6, depth=4, eps=Fraction(1, 4)),
     "fn": gen.gen_function_text(7, 16),
     "decoder": gen.gen_decoder_text(8),

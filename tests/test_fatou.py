@@ -295,6 +295,51 @@ def test_each_cross_start_replica_condition_is_needed(
     assert rows(broken(fam, eps, eps_prime, grid)) != literal
 
 
+# Each case changes one rule of the level loop: the run matches the literal
+# reference and the mutant does not.
+@pytest.mark.parametrize(
+    "old,new,text,eps,eps_prime,g",
+    [
+        # The tail start alone takes over the first hits of row nmax-1.
+        # Integrals are counted in units of 1/4; the floor of 4 * theta_t is
+        # 2 up to attempt 13 and 3 from attempt 14 on.  At start 0 the root
+        # at level 1 first overflows U_0 (attempt 1).  A remap at start 1
+        # would reuse that outcome for attempt 7, which first overflows U_1
+        # and grows phi to 1 on cell 0.  At the tail start the memos of
+        # start 1 that first overflow U_1 are remapped, and word 1 at level
+        # 1/2 then commits (attempt 16).
+        (
+            "if start == top - 1:", "if start:",
+            "family func nmax=2 depth=1\nraise 0 1 1/2\nraise 1 0 1\n",
+            F(1, 2), F(49153, 65536), 1,
+        ),
+        # A replica's levels are skipped in one jump only once tf has
+        # settled.  Integrals are counted in units of 1/16; the floor of
+        # 16 * theta_t is 11 from attempt 1 to 6 and 12 from attempt 7 on.
+        # At start 0 the root at level 3/4 first overflows U_0 (attempt 5),
+        # and its replica reaches level 1.  Level 7/8 replays it, but at
+        # level 1 (attempt 7) the threshold has risen and the root commits.
+        (
+            "if tf == settled_tf:", "if True:",
+            "family func nmax=2 depth=1\nraise 0 0 3/4\nraise 1 1 3/4\n",
+            F(1, 2), F(385, 512), 3,
+        ),
+    ],
+)
+def test_each_level_loop_rule_is_needed(mutant, old, new, text, eps, eps_prime, g):
+    fam = parse_trace(text)
+    grid = RationalGrid(g)
+    schedule = DeltaSchedule(eps, eps_prime)
+
+    def rows(res):
+        return res.phi, schedule.theta_after(res.attempts), list(res.log)
+
+    literal = literal_fatou(fam, eps, eps_prime, grid)
+    assert rows(run_fatou(fam, eps, eps_prime, grid)) == literal
+    broken = mutant(run_fatou, old, new)
+    assert rows(broken(fam, eps, eps_prime, grid)) != literal
+
+
 def test_uncounted_attempt_flips_threshold_bound():
     fam = parse_trace("family func nmax=2 depth=2\nraise 0 00 1\nraise 1 11 3/2\n")
     grid = RationalGrid(2)

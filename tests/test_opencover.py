@@ -103,12 +103,14 @@ def test_schedule_closed_forms_match_running_sums():
     for eps, eps_prime in [(F(1, 4), F(3, 8)), (F(1, 3), F(1, 2)), (F(2, 7), F(5, 7))]:
         schedule = DeltaSchedule(eps, eps_prime)
         for scale in (1, 4, 256, 3 << 10):
-            floors = schedule.theta_floors(scale)
+            floors, settled = schedule.floor_table(scale)
+            assert len(floors) < 70  # the floors below are checked past the settle point
             theta = eps
             for t in range(80):
                 theta += delta(schedule, t)
                 assert schedule.theta_after(t + 1) == theta
-                assert next(floors) == math.floor(theta * scale), (eps, scale, t)
+                floor = floors[t] if t < len(floors) else settled
+                assert floor == math.floor(theta * scale), (eps, scale, t)
         assert schedule.threshold_text(21) == f"{eps_prime}-{eps_prime - eps}*2^-21"
     schedule = DeltaSchedule(F(1, 8), F(1, 2))
     for t in range(12):
@@ -364,6 +366,28 @@ def test_each_cross_start_replica_condition_is_needed(
         literal = literal_cover(fam, eps, eps_prime, trim)
         assert rows(opencover._cover_run(fam, eps, eps_prime, trim)) == literal
         assert rows(broken(fam, eps, eps_prime, trim)) != literal, trim
+
+
+def test_tail_remap_only_at_the_tail_start(mutant):
+    # Cells are counted in quarters; the floor of 4 * theta_t is 2 up to
+    # attempt 13 and 3 from attempt 14 on.  At start 0 the root first
+    # overflows U_0 (attempt 0) and is trimmed away twice.  A remap at start
+    # 1 would reuse that outcome for attempt 7, which first overflows U_1,
+    # is trimmed once and adds the piece 0.  At the tail start the memos of
+    # start 1 that first overflow U_1 are remapped, and word 10 then commits
+    # (attempt 19).
+    fam = parse_trace("family open nmax=2 depth=2\nadd 0 1\nadd 1 0\n")
+    eps, eps_prime = F(1, 2), F(49153, 65536)
+    broken = mutant(opencover._cover_run, "if start == top - 1:", "if start:")
+    schedule = DeltaSchedule(eps, eps_prime)
+
+    def rows(res):
+        theta = schedule.theta_after(res.attempts)
+        return res.cover, theta, piece_rows(res), list(res.trim_events)
+
+    literal = literal_cover(fam, eps, eps_prime, True)
+    assert rows(opencover._cover_run(fam, eps, eps_prime, True)) == literal
+    assert rows(broken(fam, eps, eps_prime, True)) != literal
 
 
 def test_random_sweep_all_modes():
