@@ -11,7 +11,9 @@ overhang past the previous threshold), so capping terminates; afterwards
 f_s := max(f_s, u) is committed for every s >= m and u is folded into the
 running output phi := max(phi, u).
 
-phi never exceeds the final working tail function, so its integral stays
+Every index n >= nmax is member nmax-1 (the tail rule), so the run keeps
+one row per member and the tail start m = nmax reads member nmax-1.  phi
+never exceeds that member's final working function, so its integral stays
 below eps'; and on any cell whose liminf value reaches a level r, the
 attempt at that cell with that r from a late enough start index commits
 unchanged, so phi dominates the grid floor of every cell's liminf value.
@@ -51,13 +53,13 @@ a fixed (m, U) the levels rise with the attempts:
   level step; otherwise the member scan decides it, as the first hit being
   s1 again.  Once tf has settled, every level up to that reach is skipped
   in one step.
-- Cross-start replica.  The rule in the opencover module docstring, kept per
-  (U, level): an attempt that repeats the last scanned one at the same U
-  and level from an earlier start, with no commit since, the same integer
-  threshold and that attempt's first hit at or after m, caps and ends the
-  same way.  It restores that attempt's replica, whose reach is a lower
-  bound at m (the least slack is now taken over fewer members), and logs
-  nothing, since phi already holds u.
+- Cross-start replica.  The rule in the opencover module docstring, kept
+  per (U, level): an attempt that repeats the last scanned one at the same
+  U and level from an earlier start, with no commit since, the same integer
+  threshold and that attempt's first hit at or after min(m, nmax-1), caps
+  and ends the same way.  It restores that attempt's replica, whose reach
+  is a lower bound at m (the least slack is now taken over fewer members),
+  and logs nothing, since phi already holds u.
 
 A cap removes at least one integer unit from u, so the run stops checking
 trim counts from DeltaSchedule.settled_attempt(levels * step * 2^depth *
@@ -175,9 +177,7 @@ def run_fatou(
     unit = scale << depth
     work = traces.func_cell_rows(family, scale)
     integrals = [sum(cells) for cells in work]
-    work.append(list(work[-1]))  # index nmax: the shared tail
-    integrals.append(integrals[-1])
-    top = family.nmax + 1
+    top = family.nmax
 
     # Candidate levels: positive grid multiples up to the largest value seen.
     g = grid.resolution
@@ -185,11 +185,11 @@ def run_fatou(
     levels = max(1 << g, -((-max_scaled << g) // scale))
     step_scaled = scale >> g
 
-    floors, settled_tf = schedule.floor_table(unit)
+    words = words_up_to(depth)
+    floors, settled_tf = schedule.floor_table(unit, (top + 1) * len(words) * levels)
     # Each cap removes at least one unit from u, whose integral starts at
     # most at levels * step * 2^depth units.
     settled = schedule.settled_attempt(levels * step_scaled * unit << depth)
-    words = words_up_to(depth)
     spans = [cell_span(word, depth) for word in words]
     phi = [0] * ncells
     log: list[tuple[int, int, str, Fraction, int]] = []
@@ -197,17 +197,13 @@ def run_fatou(
     # scanned attempt at word w and level j that committed nothing.
     memos = [[(-1, -1, -1, None)] * levels for _ in words]
     attempt = changed = -1
-    for start in range(top):
-        if start == top - 1:  # the tail start: see the opencover module docstring
-            for memo in memos:
-                for i, (seen, seen_tf, hit, replica) in enumerate(memo):
-                    if hit == start - 1:
-                        memo[i] = (seen, seen_tf, start, replica and (seen_tf, start, replica[2]))
-        members = range(start, top)
-        # The cellwise minimum of work[start:].  A commit raises every member
+    for start in range(top + 1):
+        low = min(start, top - 1)  # the tail start reads member nmax-1
+        members = range(low, top)
+        # The cellwise minimum of work[low:].  A commit raises every member
         # to u, so it rises to u too.  Where u stays under it no member gains
         # anything: the attempt caps nothing and commits nothing.
-        lows = [min(column) for column in zip(*work[start:])]
+        lows = [min(column) for column in zip(*work[low:])]
         for word, (base, span), memo in zip(words, spans, memos):
             end = base + span
             cyl_lows = lows[base:end]
@@ -236,7 +232,7 @@ def run_fatou(
                         j = min(levels, replica[2] // step_scaled)
                     continue
                 seen, seen_tf, hit, seen_replica = memo[j - 1]
-                if changed < seen and seen_tf == tf and hit >= start:
+                if changed < seen and seen_tf == tf and hit >= low:
                     # A cross-start replica: see the module docstring.
                     replica = seen_replica
                     continue

@@ -19,7 +19,8 @@ outside u, so the headroom taken when u comes up holds for all of u's
 attempts, and the largest accepted r per (u, N) is the grid floor of the
 suffix headroom minimum.  This is observationally identical to iterating
 the triples (u in key order, N ascending over [0, nmax], r ascending over
-the grid), which the test suite checks against literal references.
+the grid), which the test suite checks against literal references; the tail
+start N = nmax reads member nmax-1 alone and raises nothing.
 
 Both runs work in integers over one common denominator (as in fatou), so
 grid floors are integer floors to multiples of scale / 2^g and the tables
@@ -107,12 +108,11 @@ def _increase(
     lift: Callable[[list[int], int, int], None],
 ) -> MeasureCoverResult:
     """The increase process over integer rows, the members' values times
-    ``scale``, to which it appends index nmax: a copy of the last, the
-    shared tail.  outside(i) is the mass outside key i in each row.  For
-    key i and each start N, lift(row, i, r) raises key i to r in every row
-    from N on, where r is the largest grid multiple at or below the
-    headroom scale - outside of all those rows."""
-    rows.append(list(rows[-1]))
+    ``scale``.  outside(i) is the mass outside key i in each row.  For key
+    i and each start N < nmax, lift(row, i, r) raises key i to r in every
+    row from N on, where r is the largest grid multiple at or below the
+    headroom scale - outside of all those rows.  The tail start N = nmax
+    would take start nmax-1's cap again and raise nothing."""
     step = scale >> grid.resolution
     log: list[tuple[str, int, Fraction]] = []
     for i, key in enumerate(keys):

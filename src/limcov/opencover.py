@@ -27,36 +27,35 @@ union of the block intersections plus the tail intersection covers the
 liminf within eps'.
 
 Internally the working sets live as bit masks over the 2^depth cells of the
-family's depth, so measure comparisons are integer popcounts (one cached
-per member).  Cell counts are compared with floor(theta_t * 2^depth), which
-is exact; DeltaSchedule.floor_table computes it in integers from the closed
-form theta_t = eps' - (eps'-eps) * 2^-(t+1): a list of the floors up to a
-number of attempts logarithmic in 2^depth and the denominators, then one
-settled floor.  Runs look it up by attempt number, no threshold is
-accumulated, and a result records its attempt count T, not the threshold
-theta_after(T).  An attempt whose candidate lies inside every member from
-its start index on is skipped without a scan: it can trim nothing and
-change no mask.  Words are attempted in heap order, so a word's parent was
-tried earlier at the same start; if no mask has grown since, the child (a
-subset of the parent, under a threshold no lower) cannot overflow any
-member before the parent's first overflow, and its scans start there.
+family's depth, so measure comparisons are integer popcounts (one cached per
+member).  Every index n >= nmax is member nmax-1 (the tail rule), so a run
+keeps one mask per member and the tail start reads member nmax-1.  Cell
+counts are compared with floor(theta_t * 2^depth), which is exact;
+DeltaSchedule.floor_table computes it in integers from the closed form
+theta_t = eps' - (eps'-eps) * 2^-(t+1): a list of the floors up to a number
+of attempts logarithmic in 2^depth and the denominators, and never past the
+run's own attempts, then one settled floor.  Runs look it up by attempt
+number, no threshold is accumulated, and a result records its attempt count
+T, not the threshold theta_after(T).  An attempt whose candidate lies inside
+every member from its start index on is skipped without a scan: it can trim
+nothing and change no mask.  Words are attempted in heap order, so a word's
+parent was tried earlier at the same start; if no mask has grown since, the
+child (a subset of the parent, under a threshold no lower) cannot overflow
+any member before the parent's first overflow, and its scans start there.
 Every commit and every new start drops that hint.
 
-Cross-start replicas.  Each word keeps one memo of its last scanned
-attempt: its attempt number, its integer threshold tf, its first hit and
-its trim count; a commit retires it.  An attempt for the same word at a
-later start reuses that outcome without a scan when no commit has happened
-since, tf is the same and the first hit is at or after the new start.  This
-is exact: a scan hits a member only once every earlier member has passed,
-and a trim (a cap, for fatou) only shrinks the candidate, so every later hit
-comes after the first one.  The members the new start drops lay before
-every hit, so the scans, trims and final candidate all repeat; that
-candidate committed nothing and was already offered to the cover, so the
-replica adds no piece.  The tail row nmax equals row nmax-1 until the
-tail start commits, since every earlier commit raised both; so as the
-tail start begins, every memo whose first hit is nmax-1 is moved to nmax,
-once, and a commit there retires it like any other.  fatou keeps the same
-memo per (word, level), with the hit in its replica moved too.
+Cross-start replicas.  Each word keeps one memo of its last scanned attempt:
+its attempt number, its integer threshold tf, its first hit and its trim
+count; a commit retires it.  An attempt for the same word at a later start
+reuses that outcome without a scan when no commit has happened since, tf is
+the same and the first hit is at or after the new start's first member,
+min(start, nmax-1).  This is exact: a scan hits a member only once every
+earlier member has passed, and a trim (a cap, for fatou) only shrinks the
+candidate, so every later hit comes after the first one.  The members the
+new start drops lay before every hit, so the scans, trims and final
+candidate all repeat; that candidate committed nothing and was already
+offered to the cover, so the replica adds no piece.  fatou keeps the same
+memo per (word, level).
 
 Each trim removes at least one cell, so from
 DeltaSchedule.settled_attempt(2^depth) on no trim count can break the cap
@@ -164,10 +163,12 @@ class DeltaSchedule:
         ok = claimed == attempts
         return Check("threshold-bound", ok, "" if ok else self.threshold_text(claimed))
 
-    def floor_table(self, scale: int) -> tuple[list[int], int]:
-        """floor(theta_t * scale) in integer arithmetic, as the floors before
-        they settle and the settled floor: attempt t runs under floors[t]
-        while t < len(floors), and under the settled floor from there on.
+    def floor_table(self, scale: int, attempts: int) -> tuple[list[int], int]:
+        """floor(theta_t * scale) in integer arithmetic for a run of
+        ``attempts`` attempts, as the floors before they settle (no more
+        than ``attempts``) and the settled floor: attempt t runs under
+        floors[t] while t < len(floors), and under the settled floor from
+        there on.
 
         theta_t * scale = top - y_t with top = eps' * scale and
         y_t = budget * scale * 2^-(t+1) falling to 0, so the floor settles at
@@ -183,7 +184,7 @@ class DeltaSchedule:
         over, under = a * gap.denominator, gap.numerator * b
         floors = []
         shift = 1
-        while over > under << shift:
+        while shift <= attempts and over > under << shift:
             # (p*b*2^shift - a*q) / (q*b*2^shift) = top - y_t, t = shift - 1
             floors.append(((pb << shift) - aq) // (qb << shift))
             shift += 1
@@ -220,8 +221,7 @@ class OpenCoverResult:
 def _member_masks(
     family: traces.StabilizedFamily, eps: Fraction, eps_prime: Fraction
 ) -> list[int]:
-    """The members' cell masks, plus index nmax for the shared tail, once
-    the preconditions hold."""
+    """The members' cell masks, once the preconditions hold."""
     if family.kind != "open":
         raise InputError(f"expected an open family, got {family.kind!r}")
     if not 0 < eps < eps_prime <= 1:
@@ -233,7 +233,6 @@ def _member_masks(
     masks = [0] * family.nmax
     for e in family.events:
         masks[e.index] |= _word_mask(e.key, family.depth)
-    masks.append(masks[-1])
     return masks
 
 
@@ -263,13 +262,13 @@ def _cover_run(
     masks = _member_masks(family, eps, eps_prime)
     depth = family.depth
     assert depth is not None
+    top = family.nmax
+    words = words_up_to(depth)
     schedule = DeltaSchedule(eps, eps_prime)
-    floors, settled_tf = schedule.floor_table(1 << depth)
+    floors, settled_tf = schedule.floor_table(1 << depth, (top + 1) * len(words))
 
     counts = [m.bit_count() for m in masks]
     full = (1 << (1 << depth)) - 1
-    top = family.nmax + 1
-    words = words_up_to(depth)
     word_masks = [_word_mask(w, depth) for w in words]
     # Every trim removes at least one of the 2^depth cells.
     settled = schedule.settled_attempt(1 << depth)
@@ -283,15 +282,14 @@ def _cover_run(
     # attempt that committed nothing; see the module docstring.
     memo = [(-1, -1, -1, 0)] * len(words)
     attempt = changed = -1
-    for start in range(top):
-        if start == top - 1:  # the tail start: see the module docstring
-            memo = [(*m[:2], start, m[3]) if m[2] == start - 1 else m for m in memo]
-        # The cells outside the suffix AND of masks[start:]; a commit adds
+    for start in range(top + 1):
+        low = min(start, top - 1)  # the tail start reads member nmax-1
+        # The cells outside the suffix AND of masks[low:]; a commit adds
         # the candidate to every member, so it joins that AND too.  A
         # candidate with no cell outside overflows no member and changes no
         # mask, so no scan is needed.
         outside = 0
-        for m in range(start, top):
+        for m in range(low, top):
             outside |= full ^ masks[m]
         for j, (word, candidate) in enumerate(zip(words, word_masks)):
             attempt += 1
@@ -299,7 +297,7 @@ def _cover_run(
             if candidate & outside:
                 tf = floors[attempt] if attempt < len(floors) else settled_tf
                 seen, seen_tf, hit, seen_trims = memo[j]
-                if changed < seen and seen_tf == tf and hit >= start:
+                if changed < seen and seen_tf == tf and hit >= low:
                     # A cross-start replica: see the module docstring.
                     first_hit[j] = hit
                     if trim:
@@ -313,7 +311,7 @@ def _cover_run(
                 # |masks[m] | child| <= |masks[m] | parent| <= the parent's
                 # tf <= tf, so every scan of this attempt may start there.
                 parent = (j - 1) >> 1
-                lo = first_hit[parent] if j and changed < attempt - j + parent else start
+                lo = first_hit[parent] if j and changed < attempt - j + parent else low
                 members = range(lo, top)
                 hit = first_hit[j] = _first_overflow(candidate, masks, counts, members, tf)
                 if hit >= 0:
@@ -332,7 +330,7 @@ def _cover_run(
                     trim_events.append((attempt, trims))
                 if candidate & outside:
                     # Masks left alone still hold the bound: tf never decreases.
-                    for n in range(start, top):
+                    for n in range(low, top):
                         grown = masks[n] | candidate
                         if grown != masks[n]:
                             masks[n] = grown
@@ -379,12 +377,12 @@ def run_block_cover(
     masks = _member_masks(family, eps, eps_prime)
     depth = family.depth
     assert depth is not None
-    # Block j is held to eps_j = theta_after(j), the threshold of attempt j-1.
-    floors, settled = DeltaSchedule(eps, eps_prime).floor_table(1 << depth)
+    top = family.nmax
+    # Block j is held to eps_j = theta_after(j), the threshold of attempt j-1;
+    # each block holds a member, so there are at most nmax.
+    floors, settled = DeltaSchedule(eps, eps_prime).floor_table(1 << depth, top)
 
     tail = masks[-1]
-    last = family.nmax - 1
-
     pieces: list[Piece] = []
     union_mask = 0
     start = 0
@@ -392,25 +390,21 @@ def run_block_cover(
     while True:
         tf = floors[block_index] if block_index < len(floors) else settled
         block_index += 1
-        stop = -1
         inter = ~0
-        for k in range(start, last + 1):
-            inter &= masks[k]
+        # stop = nmax-1 has no later member to compare with, so it qualifies.
+        for stop in range(start, top):
+            inter &= masks[stop]
             joined = union_mask | inter
-            if all(
-                (joined | masks[i]).bit_count() <= tf for i in range(k + 1, last + 2)
-            ):
-                stop = k
+            if all((joined | masks[i]).bit_count() <= tf for i in range(stop + 1, top)):
                 break
-        assert stop >= 0  # stop = nmax-1 always qualifies
         inter_mask = inter & ((1 << (1 << depth)) - 1)
         pieces.append(Piece(None, start, stop, -1, 0, CylinderSet.from_mask(inter_mask, depth)))
         union_mask |= inter_mask
-        if stop == last:
+        if stop == top - 1:
             break
         start = stop + 1
 
-    pieces.append(Piece(None, family.nmax, None, -1, 0, CylinderSet.from_mask(tail, depth)))
+    pieces.append(Piece(None, top, None, -1, 0, CylinderSet.from_mask(tail, depth)))
     union_mask |= tail
     assert union_mask.bit_count() <= tf
     return OpenCoverResult(

@@ -4,11 +4,12 @@ Given a stabilized family of sets U_n that each hold at most 2^k elements,
 a single deterministic pass over pairs (N, u) tries, for each pair, to add u
 to every U_n with n >= N.  The addition is *acceptable* when all U_n stay
 within the 2^k bound; under full knowledge of the trace this is decidable by
-scanning n in [N, nmax-1] plus the tail.  The elements of accepted additions
-form the cover V: it never exceeds 2^k elements (every accepted element ends
-up in the tail set, which respects the bound), and it contains the liminf,
-because adding an element already present everywhere changes nothing and is
-therefore always acceptable.
+scanning n in [N, nmax-1], where the tail start N = nmax reads member
+nmax-1.  The elements of accepted additions form the cover V: it never
+exceeds 2^k elements (every accepted element ends up in member nmax-1,
+which respects the bound), and it contains the liminf, because adding an
+element already present everywhere changes nothing and is therefore always
+acceptable.
 
 The pass works on a private mutable copy of the family; additions performed
 for earlier pairs stay in force and count against later acceptability checks.
@@ -39,10 +40,12 @@ class SetCoverResult:
 def run_set_cover(family: traces.StabilizedFamily, k: int) -> SetCoverResult:
     """Run the covering pass at cardinality bound 2^k.
 
-    Pairs (N, u) are visited with N ascending over [0, nmax] (index nmax
-    addresses the tail, i.e. all n >= nmax at once) and u in first-appearance
-    order over the trace universe.  Elements never enumerated cannot belong
-    to the liminf nor block an addition, so the universe suffices.
+    Pairs (N, u) are visited with N ascending over [0, nmax-1] and u in
+    first-appearance order over the trace universe.  The tail start N = nmax
+    reads member nmax-1, and every u rejected at N = nmax-1 would meet that
+    same full set, so it adds nothing and is left out.  Elements never
+    enumerated cannot belong to the liminf nor block an addition, so the
+    universe suffices.
     """
     if k < 0:
         raise InputError("k must be non-negative")
@@ -52,14 +55,12 @@ def run_set_cover(family: traces.StabilizedFamily, k: int) -> SetCoverResult:
     sets_ = traces.sets_by_index(family)
     traces.check_member_bounds(family, bound=bound)
 
-    # Index nmax is the shared tail object for all n >= nmax.
     working: list[set[str]] = [set(s) for s in sets_]
-    working.append(set(sets_[-1]))
 
     univ = traces.universe(family)
     covered: set[str] = set()
     log: list[tuple[int, str]] = []
-    for start in range(family.nmax + 1):
+    for start in range(family.nmax):
         suffix = working[start:]
         for u in univ:
             # Not acceptable iff some U_n, n >= start, holds 2^k elements

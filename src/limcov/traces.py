@@ -6,8 +6,8 @@ index nmax-1 (the stabilized tail).  Line order is enumeration time, and the
 full trace plays the role of complete oracle knowledge.
 
 Under the tail rule every "for almost all n" question about a family is
-decidable by scanning n in [N, nmax-1] plus one tail check, which is exactly
-how the covering modules simulate their oracle queries.  This module also
+decidable by scanning n in [N, nmax-1]; the tail start reads member nmax-1.
+The covering modules answer oracle queries that way.  This module also
 provides the liminf oracles those constructions are verified against.  The
 tail identity makes each of them a read of member nmax-1: every suffix from
 nmax-1 on holds only that member, so the largest suffix minimum is its value

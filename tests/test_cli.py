@@ -311,6 +311,19 @@ DIGEST_INPUTS = {
     # The tree-func workload's func 8x6 size.
     "func8": gen.gen_trace("func", 8, 5, depth=6, eps=Fraction(1, 4)),
     "func": gen.gen_trace("func", 4, 6, depth=4, eps=Fraction(1, 4)),
+    # One family per kind at nmax 1 and 2, where the tail start's member
+    # floor falls on start 0 or 1.
+    **{
+        f"{kind}_n{n}": gen.gen_trace(kind, n, 20 + n, **extra)
+        for n in (1, 2)
+        for kind, extra in (
+            ("sets", {"bound": 2}),
+            ("measure", {}),
+            ("tree", {"depth": 3}),
+            ("open", {"depth": 3, "eps": Fraction(1, 4)}),
+            ("func", {"depth": 3, "eps": Fraction(1, 4)}),
+        )
+    },
     "fn": gen.gen_function_text(7, 16),
     "decoder": gen.gen_decoder_text(8),
     "table": gen.gen_test_table_text(9, 2),

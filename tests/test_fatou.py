@@ -258,12 +258,12 @@ def test_hand_written_traces_match_literal_reference(text, eps, eps_prime, g):
             "raise 2 11 3/8\nraise 2 10 7/8\n",
             F(5, 16), F(7, 16), 1,
         ),
-        # The first hit lies at or after the new start.  At start 0 the root
-        # at levels 1/4, 1/2 and 3/4 first overflows U_0; at start 1, which
-        # drops U_0, the same attempts (28-30) are capped to a u that grows
-        # phi.
+        # The first hit lies at or after the new start's first member.  At
+        # start 0 the root at levels 1/4, 1/2 and 3/4 first overflows U_0;
+        # at start 1, which drops U_0, the same attempts (28-30) are capped
+        # to a u that grows phi.
         (
-            " and hit >= start",
+            " and hit >= low",
             "family func nmax=2 depth=2\nraise 0 00 3/4\nraise 1 11 5/8\n",
             F(3, 16), F(13, 64), 2,
         ),
@@ -300,16 +300,15 @@ def test_each_cross_start_replica_condition_is_needed(
 @pytest.mark.parametrize(
     "old,new,text,eps,eps_prime,g",
     [
-        # The tail start alone takes over the first hits of row nmax-1.
+        # The members start below the start only at the tail start.
         # Integrals are counted in units of 1/4; the floor of 4 * theta_t is
-        # 2 up to attempt 13 and 3 from attempt 14 on.  At start 0 the root
-        # at level 1 first overflows U_0 (attempt 1).  A remap at start 1
-        # would reuse that outcome for attempt 7, which first overflows U_1
-        # and grows phi to 1 on cell 0.  At the tail start the memos of
-        # start 1 that first overflow U_1 are remapped, and word 1 at level
-        # 1/2 then commits (attempt 16).
+        # 2 up to attempt 13 and 3 from attempt 14 on.  At start 1 the run
+        # reads U_1 alone, so the root at level 1 (attempt 7) is capped once
+        # to U_1 and grows phi to 1 on cell 0.  A member floor one below
+        # every start would read U_0 there too and cap u to nothing, and phi
+        # would grow at the tail start (attempt 13) instead.
         (
-            "if start == top - 1:", "if start:",
+            "min(start, top - 1)", "max(start - 1, 0)",
             "family func nmax=2 depth=1\nraise 0 1 1/2\nraise 1 0 1\n",
             F(1, 2), F(49153, 65536), 1,
         ),

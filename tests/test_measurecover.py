@@ -207,7 +207,10 @@ def literal_reference_inputs():
 def test_matches_literal_reference():
     for fam, grid in literal_reference_inputs():
         fast = run_measure_cover(fam, grid)
-        assert (fast.table, list(fast.log)) == literal_measure_cover(fam, grid)
+        table, log = literal_measure_cover(fam, grid)
+        assert (fast.table, list(fast.log)) == (table, log)
+        # The tail start raises nothing, so runs stop at start nmax-1.
+        assert all(start < fam.nmax for _, start, _ in log)
 
 
 def test_mutated_log_flips_verdict():
@@ -307,6 +310,8 @@ def test_tree_matches_literal_reference():
         table, log = literal_tree_cover(fam, grid)
         assert fast.table == table
         assert list(fast.log) == log
+        # The tail start raises nothing, so runs stop at start nmax-1.
+        assert all(start < fam.nmax for _, start, _ in log)
 
 
 # Caps of 1/3 and 2/3 floor to the 1/8 grid; the common denominator is 24.

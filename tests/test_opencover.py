@@ -103,7 +103,7 @@ def test_schedule_closed_forms_match_running_sums():
     for eps, eps_prime in [(F(1, 4), F(3, 8)), (F(1, 3), F(1, 2)), (F(2, 7), F(5, 7))]:
         schedule = DeltaSchedule(eps, eps_prime)
         for scale in (1, 4, 256, 3 << 10):
-            floors, settled = schedule.floor_table(scale)
+            floors, settled = schedule.floor_table(scale, 80)
             assert len(floors) < 70  # the floors below are checked past the settle point
             theta = eps
             for t in range(80):
@@ -116,6 +116,31 @@ def test_schedule_closed_forms_match_running_sums():
     for t in range(12):
         for trims in range(0, 2 * trim_limit(schedule, t)):
             assert schedule.allows_trims(t, trims) == (trims < trim_limit(schedule, t))
+
+
+def test_floor_table_lists_at_most_one_floor_per_attempt(monkeypatch):
+    # With q of 4,299 digits the floors of eps' = 1/2 + 1/q settle only after
+    # some 14,000 attempts; a run lists no more floors than it has attempts.
+    eps, eps_prime = F(1, 4), F(1, 2) + F(1, 10**4298 + 1)
+    schedule = DeltaSchedule(eps, eps_prime)
+    floors, _ = schedule.floor_table(4, 21)
+    assert floors == [math.floor(schedule.theta_after(t + 1) * 4) for t in range(21)]
+    listed = []
+    table = DeltaSchedule.floor_table
+
+    def recording(self, scale, attempts):
+        floors, settled = table(self, scale, attempts)
+        listed.append(len(floors))
+        return floors, settled
+
+    monkeypatch.setattr(DeltaSchedule, "floor_table", recording)
+    fam = parse_trace(DRIFT)
+    for runner in ALL_RUNNERS:
+        res = runner(fam, eps, eps_prime)
+        assert verify_open_cover(fam, eps, eps_prime, res).passed
+    # Trim and naive runs make 3 * 7 attempts; a blocks run takes at most
+    # one per member.
+    assert listed == [21, 21, 2]
 
 
 def test_constant_family_all_modes():
@@ -332,11 +357,11 @@ def test_parent_hint_is_dropped_after_a_commit():
             "family open nmax=3 depth=2\nadd 1 10\nadd 2 01\nadd 2 00\n",
             F(1, 2), F(3, 4), (True,),
         ),
-        # The first hit lies at or after the new start.  At start 0 word 01
-        # first overflows U_0; from start 1 on it fits every member and
-        # commits.
+        # The first hit lies at or after the new start's first member.  At
+        # start 0 word 01 first overflows U_0; from start 1 on it fits every
+        # member and commits.
         (
-            " and hit >= start",
+            " and hit >= low",
             "family open nmax=4 depth=2\nadd 0 10\nadd 1 01\nadd 3 01\n",
             F(1, 4), F(1, 2), (True, False),
         ),
@@ -368,17 +393,16 @@ def test_each_cross_start_replica_condition_is_needed(
         assert rows(broken(fam, eps, eps_prime, trim)) != literal, trim
 
 
-def test_tail_remap_only_at_the_tail_start(mutant):
+def test_member_floor_drops_only_at_the_tail_start(mutant):
     # Cells are counted in quarters; the floor of 4 * theta_t is 2 up to
-    # attempt 13 and 3 from attempt 14 on.  At start 0 the root first
-    # overflows U_0 (attempt 0) and is trimmed away twice.  A remap at start
-    # 1 would reuse that outcome for attempt 7, which first overflows U_1,
-    # is trimmed once and adds the piece 0.  At the tail start the memos of
-    # start 1 that first overflow U_1 are remapped, and word 10 then commits
-    # (attempt 19).
+    # attempt 13 and 3 from attempt 14 on.  The root overflows U_0 = 1 and
+    # U_1 = 0 alike.  At start 1 the run reads U_1 alone, so the root
+    # (attempt 7) is trimmed once, to the new piece 0.  A member floor one
+    # below every start would read U_0 there too and trim the root away
+    # twice, and the piece 0 would wait for the tail start (attempt 14).
     fam = parse_trace("family open nmax=2 depth=2\nadd 0 1\nadd 1 0\n")
     eps, eps_prime = F(1, 2), F(49153, 65536)
-    broken = mutant(opencover._cover_run, "if start == top - 1:", "if start:")
+    broken = mutant(opencover._cover_run, "min(start, top - 1)", "max(start - 1, 0)")
     schedule = DeltaSchedule(eps, eps_prime)
 
     def rows(res):
@@ -387,7 +411,8 @@ def test_tail_remap_only_at_the_tail_start(mutant):
 
     literal = literal_cover(fam, eps, eps_prime, True)
     assert rows(opencover._cover_run(fam, eps, eps_prime, True)) == literal
-    assert rows(broken(fam, eps, eps_prime, True)) != literal
+    assert literal[2][0][:4] == ("", 1, 7, 1)
+    assert piece_rows(broken(fam, eps, eps_prime, True))[0][:4] == ("", 2, 14, 1)
 
 
 def test_random_sweep_all_modes():

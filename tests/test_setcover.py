@@ -12,6 +12,27 @@ from limcov.traces import liminf_sets, parse_trace
 SHIFT_TRACE = "family sets nmax=2\nadd 0 a\nadd 0 b\nadd 1 b\nadd 1 c\n"
 
 
+def literal_set_cover(family, k):
+    """Reference: every pair (N, u) with N over [0, nmax], where index nmax
+    is a copy of the last member for the tail; u is added to every set from
+    N on when each of them, u added, holds at most 2^k elements.
+
+    Returns (cover, log) with one log entry (N, u) per newly covered u."""
+    sets_ = traces.sets_by_index(family)
+    working = [set(s) for s in sets_] + [set(sets_[-1])]
+    cover = set()
+    log = []
+    for start in range(family.nmax + 1):
+        for u in traces.universe(family):
+            grown = [s | {u} for s in working[start:]]
+            if all(len(s) <= 1 << k for s in grown):
+                working[start:] = grown
+                if u not in cover:
+                    cover.add(u)
+                    log.append((start, u))
+    return frozenset(cover), log
+
+
 def test_constant_singleton_family():
     fam = parse_trace("family sets nmax=2\nadd 0 a\nadd 1 a\n")
     res = run_set_cover(fam, 0)
@@ -101,3 +122,19 @@ def test_random_sweep_all_pass():
         assert verdict.passed, (text, verdict.failures())
         assert liminf_sets(fam) <= res.cover
         assert len(res.cover) <= 1 << k
+
+
+def test_matches_literal_reference():
+    rng = random.Random(43)
+    for i in range(80):
+        k = rng.randint(0, 2)
+        nmax = rng.randint(1, 6)
+        text = gen.gen_trace(
+            "sets", nmax, seed=2000 + i, universe=rng.randint(1, 8), bound=1 << k
+        )
+        fam = parse_trace(text)
+        fast = run_set_cover(fam, k)
+        cover, log = literal_set_cover(fam, k)
+        assert (fast.cover, list(fast.log)) == (cover, log), text
+        # The tail start adds nothing, so runs stop at start nmax-1.
+        assert all(start < nmax for start, _ in log)
