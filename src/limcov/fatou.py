@@ -77,14 +77,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import measurecover, setcover, traces
-from .kernel import (
-    CylinderSet,
-    InputError,
-    ZERO,
-    cell_span,
-    format_rational,
-    words_up_to,
-)
+from .kernel import InputError, ZERO, cell_span, format_rational, words_up_to
 from .measurecover import RationalGrid
 from .opencover import DeltaSchedule
 from .verdict import Check, Verdict
@@ -311,7 +304,15 @@ def verify_fatou(
     levels = max(1 << g, math.ceil(top * (1 << g)))
     attempts = (family.nmax + 1) * ((2 << family.depth) - 1) * levels
     schedule = DeltaSchedule(eps, eps_prime)
-    limits = traces.liminf_table(family, sorted(CylinderSet.full().cells(family.depth)))
+    if result.phi.depth != family.depth:
+        raise InputError(f"phi has cells of depth {result.phi.depth}, the family {family.depth}")
+    last = traces.values_by_index(family)[-1]  # the liminf oracle: member nmax-1
+    scale = grid.common_scale([*last.values(), *result.phi.cells])
+    limits = [0] * (1 << family.depth)  # a cell's limit: its prefixes' largest value
+    for v, word in sorted((v.numerator * (scale // v.denominator), w) for w, v in last.items()):
+        base, span = cell_span(word, family.depth)
+        limits[base:base + span] = [v] * span  # ascending, so the largest is painted last
+    phi = [v.numerator * (scale // v.denominator) for v in result.phi.cells]
     return Verdict((
         Check(
             "integral-bound",
@@ -319,7 +320,8 @@ def verify_fatou(
             "" if integral <= eps_prime else format_rational(integral),
         ),
         schedule.threshold_check(attempts, result.attempts),
-        traces.check_liminf_domination("cell-domination", limits, result.phi.value, grid.floor),
+        traces.check_liminf_domination("cell-domination", limits, phi, scale, g,
+                                       lambda i: format(i, f"0{family.depth}b")),
     ))
 
 

@@ -68,9 +68,11 @@ def parse_rational(text: str) -> Fraction:
     refused before its power of ten is built, so every accepted value stays
     small enough to render with str().
     """
-    if not _RATIONAL_RE.fullmatch(text):
+    p, slash, q = text.partition("/")
+    digits_only = is_natural(p) and is_natural(q)  # the common p/q: no regex
+    if not digits_only and not _RATIONAL_RE.fullmatch(text):
         raise InputError(f"not a rational number: {text!r}")
-    if "/" not in text:
+    if not slash:
         mantissa, _, exponent = text.lower().partition("e")
         try:
             power = abs(int(exponent)) if exponent else 0
@@ -81,7 +83,7 @@ def parse_rational(text: str) -> Fraction:
                 f"decimal {text!r} has more than {_MAX_DECIMAL_DIGITS} digits"
             )
     try:
-        return Fraction(text)
+        return Fraction(int(p), int(q)) if digits_only else Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"not a rational number: {text!r}") from None
 
@@ -103,7 +105,7 @@ def is_natural(text: str) -> bool:
 
 def is_word(text: str) -> bool:
     """True for (possibly empty) strings over the alphabet {0, 1}."""
-    return all(ch in "01" for ch in text)
+    return not text.strip("01")
 
 
 def word_to_text(word: str) -> str:

@@ -20,7 +20,9 @@ attempts, and the largest accepted r per (u, N) is the grid floor of the
 suffix headroom minimum.  This is observationally identical to iterating
 the triples (u in key order, N ascending over [0, nmax], r ascending over
 the grid), which the test suite checks against literal references; the tail
-start N = nmax reads member nmax-1 alone and raises nothing.
+start N = nmax reads member nmax-1 alone and raises nothing.  The gate: that
+member lies in every suffix, so its headroom bounds every cap, and a key with
+less than one grid step of headroom there is never raised or read further.
 
 Both runs work in integers over one common denominator (as in fatou), so
 grid floors are integer floors to multiples of scale / 2^g and the tables
@@ -36,8 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import itemgetter
+from itertools import accumulate, repeat
 from typing import Callable, Iterable, Mapping
 
 from . import traces
@@ -72,10 +73,8 @@ class RationalGrid:
 
     def floor(self, value: Fraction) -> Fraction:
         """Largest grid multiple <= value (0 below the first grid point)."""
-        if value <= 0:
-            return ZERO
-        g = self.resolution
-        return Fraction((value.numerator << g) // value.denominator, 1 << g)
+        j = (value.numerator << self.resolution) // value.denominator
+        return Fraction(j, 1 << self.resolution) if j > 0 else ZERO
 
     def common_scale(self, values: Iterable[Fraction]) -> int:
         """The lcm of 2^g and the denominators of ``values``: every value and
@@ -104,20 +103,21 @@ def _increase(
     rows: list[list[int]],
     scale: int,
     grid: RationalGrid,
-    outside: Callable[[int], list[int]],
+    outside: Callable[[int, list[list[int]]], list[int]],
     lift: Callable[[list[int], int, int], None],
 ) -> MeasureCoverResult:
     """The increase process over integer rows, the members' values times
-    ``scale``.  outside(i) is the mass outside key i in each row.  For key
-    i and each start N < nmax, lift(row, i, r) raises key i to r in every
-    row from N on, where r is the largest grid multiple at or below the
-    headroom scale - outside of all those rows.  The tail start N = nmax
-    would take start nmax-1's cap again and raise nothing."""
+    ``scale``.  outside(i, rows) is the mass outside key i in each of rows.
+    For a key past the gate and each start N < nmax, lift(row, i, r) raises
+    key i to r in every row from N on, where r is the largest grid multiple
+    at or below the headroom scale - outside of all those rows."""
     step = scale >> grid.resolution
     log: list[tuple[str, int, Fraction]] = []
     for i, key in enumerate(keys):
+        if scale - outside(i, rows[-1:])[0] < step:
+            continue
         # The least headroom over the rows from each start N on.
-        caps = list(accumulate(reversed([scale - mass for mass in outside(i)]), min))[::-1]
+        caps = list(accumulate(reversed([scale - mass for mass in outside(i, rows)]), min))[::-1]
         best = 0
         for start, cap in enumerate(caps):
             r = cap // step * step
@@ -152,7 +152,7 @@ def run_measure_cover(
             row[i] = r
             assert row[-1] <= scale
 
-    return _increase(keys, rows, scale, grid, lambda i: [row[-1] - row[i] for row in rows], lift)
+    return _increase(keys, rows, scale, grid, lambda i, rows: [row[-1] - row[i] for row in rows], lift)
 
 
 def _replay_log(result: MeasureCoverResult) -> tuple[dict[str, Fraction], Check]:
@@ -187,9 +187,12 @@ def verify_measure_cover(
     ok = total <= 1 and nonneg
     checks.append(Check("semimeasure", ok, "" if ok else f"sum {format_rational(total)}"))
 
-    limits = traces.liminf_table(family, traces.universe(family))
+    keys = traces.universe(family)
+    oracle = traces.liminf_table(family, keys)
+    scale = grid.common_scale([*oracle.values(), *from_log.values()])
+    limits, values = ([int(t.get(u, ZERO) * scale) for u in keys] for t in (oracle, from_log))
     checks.append(traces.check_liminf_domination(
-        "grid-floor", limits, lambda u: from_log.get(u, ZERO), grid.floor
+        "grid-floor", limits, values, scale, grid.resolution, keys.__getitem__
     ))
     return Verdict(tuple(checks))
 
@@ -243,9 +246,11 @@ def verify_frequency_cover(
     m'(x) >= gridfloor(mu_T(x)) for each x, where mu_T(x), the last
     fraction, is the largest of the suffix minima min_{N<=n<=T} mu_n(x)."""
     final = frequency_semimeasures(values, horizon)[-1]
-    limits = {x: final[x] for x in dict.fromkeys(values.values())}
+    xs = list(dict.fromkeys(values.values()))
+    scale = grid.common_scale([*final.values(), *result.table.values()])
+    limits, got = ([int(t.get(x, ZERO) * scale) for x in xs] for t in (final, result.table))
     checks = [traces.check_liminf_domination(
-        "suffix-domination", limits, lambda x: result.table.get(x, ZERO), grid.floor
+        "suffix-domination", limits, got, scale, grid.resolution, xs.__getitem__
     )]
     total = sum(result.table.values(), ZERO)
     checks.append(
@@ -277,11 +282,8 @@ def run_tree_cover(
     for i in range(1, len(rows[0])):
         siblings.append([((i + 1) ^ 1) - 1, *siblings[(i - 1) >> 1]])
 
-    def outside(i: int) -> list[int]:
-        path = siblings[i]
-        if len(path) < 2:  # itemgetter returns a bare value for one index
-            return [sum([row[s] for s in path]) for row in rows]
-        return list(map(sum, map(itemgetter(*path), rows)))
+    def outside(i: int, rows: list[list[int]]) -> list[int]:
+        return [sum([row[s] for s in siblings[i]]) for row in rows]
 
     def lift(row: list[int], i: int, r: int) -> None:
         if row[i] >= r:
@@ -306,24 +308,25 @@ def run_tree_cover(
 def verify_tree_cover(
     family: traces.StabilizedFamily, grid: RationalGrid, result: MeasureCoverResult
 ) -> Verdict:
-    """Check the output tree law and the grid-floor bound via the oracle."""
+    """Check the output tree law and the grid-floor bound via the oracle in
+    integers over words_up_to(depth); log keys of no such word are left out."""
     from_log, consistency = _replay_log(result)
     checks = [consistency]
 
     assert family.depth is not None
+    words = words_up_to(family.depth)
+    last = traces.values_by_index(family)[-1]  # the liminf oracle: member nmax-1
+    scale = grid.common_scale([*from_log.values(), *last.values()])
+    limits, out = ([v.numerator * (scale // v.denominator) for v in map(t.get, words, repeat(ZERO))]
+                   for t in (last, from_log))
     tree_witness = ""
-    if from_log.get("", ZERO) > 1:
-        tree_witness = f"root value {format_rational(from_log.get('', ZERO))}"
-    else:
-        for y in words_up_to(family.depth - 1):
-            need = from_log.get(y + "0", ZERO) + from_log.get(y + "1", ZERO)
-            if from_log.get(y, ZERO) < need:
-                tree_witness = word_to_text(y)
-                break
+    if out[0] > scale:
+        tree_witness = f"root value {format_rational(from_log[''])}"
+    elif (y := traces.tree_law_break(out)) >= 0:
+        tree_witness = word_to_text(words[y])
     checks.append(Check("tree-law", not tree_witness, tree_witness))
 
-    limits = traces.liminf_table(family, words_up_to(family.depth))
     checks.append(traces.check_liminf_domination(
-        "grid-floor", limits, lambda w: from_log.get(w, ZERO), grid.floor, word_to_text
+        "grid-floor", limits, out, scale, grid.resolution, lambda i: word_to_text(words[i])
     ))
     return Verdict(tuple(checks))

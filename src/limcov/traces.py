@@ -38,6 +38,7 @@ mutable copies and may be run concurrently on the same family.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,6 +54,7 @@ from .kernel import (
     parse_rational,
     word_from_text,
     word_to_text,
+    words_up_to,
 )
 from .verdict import Check
 
@@ -76,6 +78,7 @@ __all__ = [
     "parse_trace",
     "sets_by_index",
     "split_lines",
+    "tree_law_break",
     "universe",
     "values_by_index",
 ]
@@ -84,6 +87,7 @@ KINDS = ("sets", "open", "measure", "tree", "func")
 _DEPTH_KINDS = ("open", "tree", "func")
 _SET_KINDS = ("sets", "open")
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+MAX_HEAP_ENTRIES = 1 << 20  # gen's cap needs 524,224; tree 1x19: 7 s, 400 MB (2-core host)
 
 
 class ParseError(ValueError):
@@ -202,7 +206,7 @@ def parse_trace(text: str | bytes) -> StabilizedFamily:
     events = []
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split(" ")
-        if len(fields) != nfields or any(f == "" for f in fields):
+        if len(fields) != nfields or "" in fields:
             raise ParseError(lineno, f"expected '{verb} <n> <key>{' <value>' if nfields == 4 else ''}'")
         if fields[0] != verb:
             raise ParseError(lineno, f"kind {kind!r} uses verb {verb!r}, got {fields[0]!r}")
@@ -214,7 +218,7 @@ def parse_trace(text: str | bytes) -> StabilizedFamily:
                 value = parse_rational(fields[3])
             except InputError as exc:
                 raise ParseError(lineno, str(exc)) from None
-            if value <= 0:
+            if value.numerator <= 0:
                 raise ParseError(lineno, f"non-positive rational {fields[3]!r}")
         events.append(Event(n, key, value))
     return StabilizedFamily(kind, nmax, depth, tuple(events))
@@ -347,24 +351,25 @@ def liminf_values(family: StabilizedFamily, point: str) -> Fraction:
 
 
 def heap_rows(family: StabilizedFamily, scale: int) -> list[list[int]]:
-    """Each tree or func member's word values times ``scale``, as ints.
+    """Each tree or func member's word values times ``scale``, as ints;
+    InputError, before any is built, past MAX_HEAP_ENTRIES in all.
 
     ``scale`` must be a common multiple of the value denominators.  A row
-    is in heap order, word w at 2^len(w) - 1 + int(w, 2), which is the
-    order of words_up_to: the parent of i is at (i - 1) >> 1 and its
-    children at 2i + 1 and 2i + 2.
+    is in heap order, word w at int("1" + w, 2) - 1, which is the order of
+    words_up_to: the parent of i is at (i - 1) >> 1 and its children at
+    2i + 1 and 2i + 2.
     """
     if family.kind not in ("tree", "func"):
         raise InputError(f"expected a tree or func family, got {family.kind!r}")
-    assert family.depth is not None
-    size = (2 << family.depth) - 1
-    rows = []
-    for table in values_by_index(family):
-        heap = [0] * size
-        for word, value in table.items():
-            index = (1 << len(word)) - 1 + (int(word, 2) if word else 0)
-            heap[index] = value.numerator * (scale // value.denominator)
-        rows.append(heap)
+    nmax, depth = family.nmax, family.depth
+    assert depth is not None
+    if depth >= MAX_HEAP_ENTRIES.bit_length() or nmax * ((2 << depth) - 1) > MAX_HEAP_ENTRIES:
+        raise InputError(f"a {family.kind} family needs {nmax}*(2^{depth + 1}-1) heap entries, "
+                         f"above the limit {MAX_HEAP_ENTRIES}")
+    rows = [[0] * ((2 << depth) - 1) for _ in range(nmax)]
+    for e in family.events:
+        heap, i = rows[e.index], int("1" + e.key, 2) - 1
+        heap[i] = max(heap[i], e.value.numerator * (scale // e.value.denominator))
     return rows
 
 
@@ -400,6 +405,7 @@ def check_member_bounds(
     integral (func) above ``eps``, a sum above 1 (measure), or the tree law
     a(y) >= a(y0) + a(y1) with a(root) <= 1 (tree; absent words count as 0).
     A bound left None is not checked."""
+    scale = math.lcm(*(e.value.denominator for e in family.events if e.value is not None))
     if family.kind == "sets" and bound is not None:
         for n, s in enumerate(sets_by_index(family)):
             if len(s) > bound:
@@ -411,7 +417,6 @@ def check_member_bounds(
             sizes = [_union_measure(w) for w in _open_words(family)]
         else:
             name, what = "f", "integral"
-            scale = math.lcm(*(e.value.denominator for e in family.events if e.value is not None))
             unit = scale << family.depth
             sizes = [Fraction(sum(row), unit) for row in func_cell_rows(family, scale)]
         for n, size in enumerate(sizes):
@@ -428,27 +433,34 @@ def check_member_bounds(
                     f"m_{n} is not a semimeasure: values sum to {format_rational(total)}"
                 )
     elif family.kind == "tree":
-        for n, table in enumerate(values_by_index(family)):
-            if table.get("", ZERO) > 1:
+        for n, row in enumerate(heap_rows(family, scale)):
+            if row[0] > scale:
                 raise InputError(f"a_{n} exceeds 1 at the root")
-            parents = {w[:-1] for w in table if w}
-            for y in sorted(parents, key=lambda w: (len(w), w)):
-                need = table.get(y + "0", ZERO) + table.get(y + "1", ZERO)
-                if table.get(y, ZERO) < need:
-                    raise InputError(
-                        f"a_{n} violates the tree constraint at word {word_to_text(y)}: "
-                        f"{format_rational(table.get(y, ZERO))} < {format_rational(need)}"
-                    )
+            if (y := tree_law_break(row)) >= 0:
+                word = word_to_text(words_up_to(family.depth)[y])
+                need = Fraction(row[2 * y + 1] + row[2 * y + 2], scale)
+                raise InputError(
+                    f"a_{n} violates the tree constraint at word {word}: "
+                    f"{format_rational(Fraction(row[y], scale))} < {format_rational(need)}"
+                )
+
+
+def tree_law_break(row: list[int]) -> int:
+    """The first heap index y with row[y] < row[2y+1] + row[2y+2], or -1."""
+    broken = list(map(operator.lt, row, map(operator.add, row[1::2], row[2::2])))
+    return broken.index(True) if True in broken else -1
 
 
 def check_liminf_domination(
-    name: str, limits: dict[str, Fraction], value: Callable[[str], Fraction],
-    floor: Callable[[Fraction], Fraction], show: Callable[[str], str] = str,
+    name: str, limits: Iterable[int], values: Iterable[int], scale: int, resolution: int,
+    show: Callable[[int], str],
 ) -> Check:
-    """The check that value(point) >= floor(liminf) at every point of
-    ``limits`` (from liminf_table); a failure names the first point below."""
-    for point, limit in limits.items():
-        need = floor(limit)
-        if value(point) < need:
-            return Check(name, False, f"{show(point)} below {format_rational(need)}")
+    """The check that values[i] >= the grid floor of limits[i], the liminf,
+    at every point i, all ints over ``scale``, a multiple of 2^resolution;
+    a failure names the first point below by show(i)."""
+    step = scale >> resolution
+    for i, (limit, value) in enumerate(zip(limits, values)):
+        need = limit // step * step
+        if value < need:
+            return Check(name, False, f"{show(i)} below {format_rational(Fraction(need, scale))}")
     return Check(name, True)

@@ -559,6 +559,19 @@ def exit_two_cases():
         ("treecover-tree-law", ["treecover"],
          b"family tree nmax=2 depth=2\nraise 0 e 1/2\nraise 1 e 1/4\nraise 1 0 1/4\nraise 1 1 1/4\n",
          "a_1 violates the tree constraint at word e: 1/4 < 1/2"),
+        ("treecover-root-above-one", ["treecover"],
+         b"family tree nmax=2 depth=1\nraise 0 e 1/2\nraise 1 e 4/3\nraise 1 0 1/3\n",
+         "a_1 exceeds 1 at the root"),
+        # Thirds and fifths below the root: the law's two sides in lowest terms.
+        ("treecover-tree-law-below-root", ["treecover"],
+         b"family tree nmax=2 depth=3\nraise 0 e 1\nraise 1 e 14/15\nraise 1 0 1/3\n"
+         b"raise 1 1 3/5\nraise 1 10 2/5\nraise 1 11 1/5\nraise 1 110 2/15\nraise 1 111 1/10\n",
+         "a_1 violates the tree constraint at word 11: 1/5 < 7/30"),
+        # Heap rows past the stated limit are refused before any is built.
+        ("treecover-depth-30", ["treecover"], b"family tree nmax=2 depth=30\nraise 0 e 1/2\n",
+         "a tree family needs 2*(2^31-1) heap entries, above the limit 1048576"),
+        ("fatou-depth-30", ["fatou", *eps], b"family func nmax=2 depth=30\nraise 0 e 1/2\n",
+         "a func family needs 2*(2^31-1) heap entries, above the limit 1048576"),
         # The whole stderr line of each eps-pair precondition failure.
         ("fatou-eps-above-eps-prime", ["fatou", "--eps", "1/2", "--eps-prime", "1/4"],
          b"family func nmax=1 depth=1\n", "need 0 < eps < eps', got eps=1/2, eps'=1/4"),

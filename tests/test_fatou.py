@@ -158,6 +158,16 @@ def test_lowered_phi_flips_cell_domination():
     assert [c.name for c in failed] == ["cell-domination"]
 
 
+def test_phi_of_another_depth_is_refused():
+    fam = parse_trace("family func nmax=2 depth=2\nraise 0 00 1\nraise 1 11 1\n")
+    grid = RationalGrid(2)
+    res = run_fatou(fam, F(1, 4), F(1, 2), grid)
+    for depth in (1, 3):
+        other = replace(res, phi=StepFunction(depth, (ZERO,) * (1 << depth)))
+        with pytest.raises(InputError, match=f"depth {depth}, the family 2"):
+            verify_fatou(fam, F(1, 4), F(1, 2), grid, other)
+
+
 def test_integral_precondition_names_index():
     fam = parse_trace("family func nmax=2 depth=2\nraise 1 0 1\n")
     with pytest.raises(InputError, match="f_1"):

@@ -13,6 +13,7 @@ from limcov.kernel import (
     RealInterval,
     cell_span,
     is_natural,
+    is_word,
     parse_rational,
     word_from_text,
     word_to_text,
@@ -181,6 +182,32 @@ def test_parse_rational_takes_ascii_only():
                  "1/-2", "1/+2", "1.5/2", "1e", "e3", ".", "", "1/2e3", "inf"):
         with pytest.raises(InputError, match="not a rational number"):
             parse_rational(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.from_regex(r"[0-9]{1,30}/[0-9]{1,30}", fullmatch=True))
+def test_parse_rational_digits_fast_path_matches_fraction(text):
+    try:
+        expected = Fraction(text)
+    except ZeroDivisionError:
+        with pytest.raises(InputError, match="not a rational number"):
+            parse_rational(text)
+    else:
+        assert parse_rational(text) == expected
+
+
+def test_parse_rational_digits_fast_path_keeps_the_messages():
+    for text in ("3/0", "0/0", "9" * 4301 + "/1", "1/" + "9" * 4301):
+        with pytest.raises(InputError) as err:
+            parse_rational(text)
+        assert str(err.value) == f"not a rational number: {text!r}"
+
+
+def test_is_word():
+    for text in ("", "0", "1", "0110"):
+        assert is_word(text), text
+    for text in ("2", "01a", "a01", "0 1", "e", "\u0661", "0\n1"):
+        assert not is_word(text), text
 
 
 def test_max_exponent_is_the_last_power_of_two_str_renders():

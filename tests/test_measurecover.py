@@ -11,9 +11,10 @@ from fractions import Fraction
 
 import pytest
 
-from limcov import gen, traces
+from limcov import gen, measurecover, traces
 from limcov.kernel import InputError, words_up_to
 from limcov.measurecover import (
+    MeasureCoverResult,
     RationalGrid,
     frequency_semimeasures,
     frequency_trace,
@@ -359,3 +360,75 @@ def test_tree_mutations_flip_their_checks():
     )
     failed = verify_tree_cover(fam, grid, lowered).failures()
     assert [c.name for c in failed] == ["grid-floor"]
+
+
+def test_tree_verifier_ignores_log_keys_outside_the_tree():
+    """Log keys that are no word of length <= depth are in no heap row: a
+    result that also raises them gets the verdict of the result without."""
+    fam = parse_trace(NON_DYADIC_TREE)
+    grid = RationalGrid(3)
+    res = run_tree_cover(fam, grid)
+    extra = {"0" * (fam.depth + 1): F(1, 2), "x": F(1, 4)}
+    padded = type(res)({**res.table, **extra}, (*res.log, *((k, 0, r) for k, r in extra.items())))
+    assert verify_tree_cover(fam, grid, padded) == verify_tree_cover(fam, grid, res)
+
+
+# The gate: a key with less than a grid step of headroom in member nmax-1 is
+# never raised.  In GATE_MEMBER "0" has no headroom in member 0 but all of it
+# in member 1; in GATE_STEP "0" has exactly one step (1/4) of headroom.
+GATE_MEMBER = "family tree nmax=2 depth=1\nraise 0 e 1\nraise 0 1 1\n"
+GATE_STEP = "family tree nmax=1 depth=1\nraise 0 e 1\nraise 0 1 3/4\n"
+
+
+@pytest.mark.parametrize("old,new,text,grid", [
+    ("rows[-1:]", "rows[:1]", GATE_MEMBER, 1),
+    ("< step", "< 2 * step", GATE_STEP, 2),
+], ids=["gate-on-member-0", "gate-at-two-steps"])
+def test_each_gate_condition_is_needed(monkeypatch, mutant, old, new, text, grid):
+    fam, grid = parse_trace(text), RationalGrid(grid)
+    expected = literal_tree_cover(fam, grid)
+    res = run_tree_cover(fam, grid)
+    assert (res.table, list(res.log)) == expected
+    assert "0" in res.table
+    monkeypatch.setattr(measurecover, "_increase", mutant(measurecover._increase, old, new))
+    res = run_tree_cover(fam, grid)
+    assert (res.table, list(res.log)) != expected
+
+
+@pytest.mark.parametrize("kind,nmax,depth,grid,keys,entries", [
+    ("tree", 64, 12, 4, 24, 60),
+    ("measure", 16, None, 3, 2, 4),
+])
+def test_only_logged_keys_read_every_row(monkeypatch, kind, nmax, depth, grid, keys, entries):
+    """Keys past the gate are exactly the logged ones: a key that passes it
+    has a grid step of headroom at the last start, so it logs there or
+    earlier.  Tree 64x12 (seed 1, grid 4) logs 24 of its 8,191 words and
+    measure 16 (seed 1, grid 3) 2 of its 15 elements."""
+    full_reads = []
+    increase = measurecover._increase
+
+    def counting(keys, rows, scale, grid, outside, lift):
+        def counted(i, part):
+            if part is rows:
+                full_reads.append(i)
+            return outside(i, part)
+        return increase(keys, rows, scale, grid, counted, lift)
+
+    monkeypatch.setattr(measurecover, "_increase", counting)
+    fam = parse_trace(gen.gen_trace(kind, nmax, 1, depth=depth))
+    run = run_tree_cover if kind == "tree" else run_measure_cover
+    res = run(fam, RationalGrid(grid))
+    ordered = words_up_to(depth) if kind == "tree" else traces.universe(fam)
+    assert [ordered[i] for i in full_reads] == [k for k in ordered if k in res.table]
+    assert (len(full_reads), len(res.log)) == (keys, entries)
+
+
+@pytest.mark.parametrize("text,table,witness", [
+    (NON_DYADIC_TREE, {"": F(9, 8), "0": F(5, 8), "1": F(3, 8)}, "root value 9/8"),
+    (NON_DYADIC_TREE, {"": F(1), "0": F(5, 8), "1": F(1, 2)}, "e"),
+    ("family tree nmax=1 depth=2\n", {"": F(1), "0": F(1, 2), "00": F(1, 3), "01": F(1, 5)}, "0"),
+], ids=["root-above-one", "law-at-root", "law-below-root"])
+def test_tree_law_witness_names_the_first_broken_word(text, table, witness):
+    result = MeasureCoverResult(table, tuple((w, 0, r) for w, r in table.items()))
+    failed = verify_tree_cover(parse_trace(text), RationalGrid(3), result).failures()
+    assert [(c.name, c.witness) for c in failed if c.name == "tree-law"] == [("tree-law", witness)]

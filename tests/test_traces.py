@@ -14,6 +14,7 @@ from limcov import gen, traces
 from limcov.kernel import CylinderSet, InputError, words_up_to
 from limcov.traces import (
     ParseError,
+    StabilizedFamily,
     format_trace,
     liminf_open,
     liminf_sets,
@@ -338,3 +339,25 @@ def test_family_constructor_enforces_type_invariants():
         traces.StabilizedFamily("open", 1, None, ())
     with pytest.raises(InputError):
         traces.StabilizedFamily("measure", 1, 3, ())
+
+
+def test_heap_rows_admit_the_generator_cap_and_refuse_past_the_limit():
+    # 64 members at depth 12 need 524,224 entries; nothing is built before
+    # a refusal, so a depth of 10^9 is refused at once.
+    cap = StabilizedFamily("tree", gen.NMAX_CAP, gen.DEPTH_CAP, ())
+    assert [len(row) for row in traces.heap_rows(cap, 1)] == [8191] * 64
+    assert traces.MAX_HEAP_ENTRIES == 1 << 20
+    assert len(traces.heap_rows(StabilizedFamily("func", 1, 19, ()), 1)[0]) == (1 << 20) - 1
+    assert len(traces.heap_rows(StabilizedFamily("tree", 2, 18, ()), 1)) == 2
+    for kind, nmax, depth in [("tree", 2, 19), ("func", 1, 20), ("tree", 1, 10**9), ("func", 10**9, 1)]:
+        message = f"a {kind} family needs {nmax}*(2^{depth + 1}-1) heap entries, above the limit 1048576"
+        with pytest.raises(InputError) as err:
+            traces.heap_rows(StabilizedFamily(kind, nmax, depth, ()), 1)
+        assert str(err.value) == message
+
+
+def test_heap_rows_keep_each_words_largest_value():
+    fam = parse_trace("family func nmax=3 depth=2\nraise 0 e 1/2\nraise 1 01 1/3\nraise 2 1 1/4\n"
+                      "raise 2 1 1/6\nraise 1 e 1/6\n")
+    rows = traces.heap_rows(fam, 12)
+    assert rows == [[6, 0, 0, 0, 0, 0, 0], [2, 0, 0, 0, 4, 0, 0], [0, 0, 3, 0, 0, 0, 0]]
