@@ -53,8 +53,8 @@ a fixed (m, U) the levels rise with the attempts:
   level step; otherwise the member scan decides it, as the first hit being
   s1 again.  Once tf has settled, every level up to that reach is skipped
   in one step.
-- Cross-start replica.  The rule in the opencover module docstring, kept
-  per (U, level): an attempt that repeats the last scanned one at the same
+- Cross-start replica.  The trim-mode rule in the opencover module
+  docstring, kept per (U, level): an attempt that repeats the last scanned one at the same
   U and level from an earlier start, with no commit since, the same integer
   threshold and that attempt's first hit at or after min(m, nmax-1), caps
   and ends the same way.  It restores that attempt's replica, whose reach

@@ -38,24 +38,38 @@ run's own attempts, then one settled floor.  Runs look it up by attempt
 number, no threshold is accumulated, and a result records its attempt count
 T, not the threshold theta_after(T).  An attempt whose candidate lies inside
 every member from its start index on is skipped without a scan: it can trim
-nothing and change no mask.  Words are attempted in heap order, so a word's
-parent was tried earlier at the same start; if no mask has grown since, the
-child (a subset of the parent, under a threshold no lower) cannot overflow
-any member before the parent's first overflow, and its scans start there.
-Every commit and every new start drops that hint.
+nothing and change no mask.  In trim mode words are attempted in heap
+order, so a word's parent was tried earlier at the same start; if no mask
+has grown since, the child (a subset of the parent, under a threshold no
+lower) cannot overflow any member before the parent's first overflow, and
+its scans start there.  Every commit and every new start drops that hint.
 
-Cross-start replicas.  Each word keeps one memo of its last scanned attempt:
-its attempt number, its integer threshold tf, its first hit and its trim
-count; a commit retires it.  An attempt for the same word at a later start
-reuses that outcome without a scan when no commit has happened since, tf is
-the same and the first hit is at or after the new start's first member,
-min(start, nmax-1).  This is exact: a scan hits a member only once every
-earlier member has passed, and a trim (a cap, for fatou) only shrinks the
-candidate, so every later hit comes after the first one.  The members the
-new start drops lay before every hit, so the scans, trims and final
+Cross-start replicas (trim mode).  Each word keeps one memo of its last
+scanned attempt: its attempt number, its integer threshold tf, its first hit
+and its trim count; a commit retires it.  An attempt for the same word at a
+later start reuses that outcome without a scan when no commit has happened
+since, tf is the same and the first hit is at or after the new start's first
+member, min(start, nmax-1).  This is exact: a scan hits a member only once
+every earlier member has passed, and a trim (a cap, for fatou) only shrinks
+the candidate, so every later hit comes after the first one.  The members
+the new start drops lay before every hit, so the scans, trims and final
 candidate all repeat; that candidate committed nothing and was already
 offered to the cover, so the replica adds no piece.  fatou keeps the same
 memo per (word, level).
+
+The naive rule.  A naive run visits only the attempts that may commit or
+add a piece.  (1) Once the floor has settled tf is fixed and masks only
+grow, so a word x that overflows member m, |masks[m] | x| > tf, overflows
+it at every later attempt.  (2) So x is not inside m, which would make that
+count |masks[m]| <= tf, and it commits and adds nothing at any start whose
+first member min(start, nmax-1) is at most m: it is filed under the last
+member it overflows (scanned from nmax-1 down), due again at start m+1, or
+never for m = nmax-1.  (3) Inside is permanent, as masks grow and suffixes
+shrink, so an inside or committed word is visited once, for its piece.
+(4) A word scanned before the floor settles may fit under a later tf: it
+is due again at the next start, the tail start included.  Due words run in
+heap order, attempt start * (2^(depth+1)-1) + j for word j.  Trim mode has
+no such rule: an overflowing word is trimmed, and its remnant may commit.
 
 Each trim removes at least one cell, so from
 DeltaSchedule.settled_attempt(2^depth) on no trim count can break the cap
@@ -70,7 +84,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_
 from typing import Sequence
 
 from . import traces
@@ -229,6 +244,7 @@ def _member_masks(
             f"need 0 < eps < eps' <= 1, got eps={format_rational(eps)}, "
             f"eps'={format_rational(eps_prime)}"
         )
+    traces.check_heap_entries(family)
     traces.check_member_bounds(family, eps=eps)
     masks = [0] * family.nmax
     for e in family.events:
@@ -253,23 +269,35 @@ def _first_overflow(
     return -1
 
 
-def _cover_run(
-    family: traces.StabilizedFamily,
-    eps: Fraction,
-    eps_prime: Fraction,
-    trim: bool,
-) -> OpenCoverResult:
+def _run_setup(family: traces.StabilizedFamily, eps: Fraction, eps_prime: Fraction):
+    """Member masks and counts, the words in heap order and their masks, and
+    the floor table of the run's (nmax+1) * (2^(depth+1)-1) attempts."""
     masks = _member_masks(family, eps, eps_prime)
     depth = family.depth
-    assert depth is not None
-    top = family.nmax
     words = words_up_to(depth)
-    schedule = DeltaSchedule(eps, eps_prime)
-    floors, settled_tf = schedule.floor_table(1 << depth, (top + 1) * len(words))
-
+    attempts = (family.nmax + 1) * len(words)
+    floors, settled_tf = DeltaSchedule(eps, eps_prime).floor_table(1 << depth, attempts)
     counts = [m.bit_count() for m in masks]
-    full = (1 << (1 << depth)) - 1
     word_masks = [_word_mask(w, depth) for w in words]
+    return masks, counts, words, word_masks, floors, settled_tf
+
+
+def _commit(candidate: int, masks: list[int], counts: list[int], low: int, tf: int) -> None:
+    """Add the candidate to every member from low on."""
+    for n in range(low, len(masks)):
+        masks[n] |= candidate
+        counts[n] = masks[n].bit_count()
+        assert counts[n] <= tf
+
+
+def run_trim_cover(
+    family: traces.StabilizedFamily, eps: Fraction, eps_prime: Fraction
+) -> OpenCoverResult:
+    """Trimming mode; covers the liminf within measure eps'."""
+    masks, counts, words, word_masks, floors, settled_tf = _run_setup(family, eps, eps_prime)
+    depth, top = family.depth, family.nmax
+    full = (1 << (1 << depth)) - 1
+    schedule = DeltaSchedule(eps, eps_prime)
     # Every trim removes at least one of the 2^depth cells.
     settled = schedule.settled_attempt(1 << depth)
 
@@ -284,13 +312,11 @@ def _cover_run(
     attempt = changed = -1
     for start in range(top + 1):
         low = min(start, top - 1)  # the tail start reads member nmax-1
-        # The cells outside the suffix AND of masks[low:]; a commit adds
-        # the candidate to every member, so it joins that AND too.  A
-        # candidate with no cell outside overflows no member and changes no
-        # mask, so no scan is needed.
-        outside = 0
-        for m in range(low, top):
-            outside |= full ^ masks[m]
+        # The cells outside the AND of masks[low:]; a commit adds the
+        # candidate to every member from low on, so it joins that AND too.
+        # A candidate with no cell outside overflows no member and changes
+        # no mask, so no scan is needed.
+        outside = full ^ reduce(and_, masks[low:], full)
         for j, (word, candidate) in enumerate(zip(words, word_masks)):
             attempt += 1
             trims = 0
@@ -300,8 +326,7 @@ def _cover_run(
                 if changed < seen and seen_tf == tf and hit >= low:
                     # A cross-start replica: see the module docstring.
                     first_hit[j] = hit
-                    if trim:
-                        trim_events.append((attempt, seen_trims))
+                    trim_events.append((attempt, seen_trims))
                     continue
                 # Words come in heap order: parent p = (j-1)//2 was tried
                 # j - p attempts ago at this start, and it was scanned or
@@ -315,9 +340,6 @@ def _cover_run(
                 members = range(lo, top)
                 hit = first_hit[j] = _first_overflow(candidate, masks, counts, members, tf)
                 if hit >= 0:
-                    if not trim:
-                        memo[j] = (attempt, tf, hit, 0)
-                        continue
                     while hit >= 0:
                         candidate &= masks[hit]
                         trims += 1
@@ -329,37 +351,17 @@ def _cover_run(
                         )
                     trim_events.append((attempt, trims))
                 if candidate & outside:
-                    # Masks left alone still hold the bound: tf never decreases.
-                    for n in range(low, top):
-                        grown = masks[n] | candidate
-                        if grown != masks[n]:
-                            masks[n] = grown
-                            counts[n] = grown.bit_count()
-                            assert counts[n] <= tf
+                    _commit(candidate, masks, counts, low, tf)
                     outside &= ~candidate
                     changed = attempt
                 else:
                     memo[j] = (attempt, tf, first_hit[j], trims)
             if candidate & uncovered:
-                pieces.append(
-                    Piece(word, start, None, attempt, trims,
-                          CylinderSet.from_mask(candidate, depth))
-                )
+                added = CylinderSet.from_mask(candidate, depth)
+                pieces.append(Piece(word, start, None, attempt, trims, added))
                 uncovered &= ~candidate
-    return OpenCoverResult(
-        "trim" if trim else "naive",
-        CylinderSet.from_mask(full ^ uncovered, depth),
-        tuple(pieces),
-        attempt + 1,
-        tuple(trim_events),
-    )
-
-
-def run_trim_cover(
-    family: traces.StabilizedFamily, eps: Fraction, eps_prime: Fraction
-) -> OpenCoverResult:
-    """Trimming mode; covers the liminf within measure eps'."""
-    return _cover_run(family, eps, eps_prime, trim=True)
+    cover = CylinderSet.from_mask(full ^ uncovered, depth)
+    return OpenCoverResult("trim", cover, tuple(pieces), attempt + 1, tuple(trim_events))
 
 
 def run_naive_cover(
@@ -367,7 +369,36 @@ def run_naive_cover(
 ) -> OpenCoverResult:
     """No-trimming mode: violating attempts are skipped.  Covers the union
     of interiors of suffix intersections, which equals the liminf here."""
-    return _cover_run(family, eps, eps_prime, trim=False)
+    masks, counts, words, word_masks, floors, settled_tf = _run_setup(family, eps, eps_prime)
+    depth, top, width = family.depth, family.nmax, len(words)
+    full = uncovered = (1 << (1 << depth)) - 1
+    pieces: list[Piece] = []
+    # due[s]: the words to visit at start s, all of them at start 0.
+    due = [list(range(width))] + [[] for _ in range(top)]
+    for start in range(top + 1):
+        low = min(start, top - 1)
+        outside = full ^ reduce(and_, masks[low:], full)
+        for j in sorted(due[start]):
+            attempt = start * width + j
+            candidate = word_masks[j]
+            if candidate & outside:
+                tf = floors[attempt] if attempt < len(floors) else settled_tf
+                hit = _first_overflow(candidate, masks, counts, range(top - 1, low - 1, -1), tf)
+                if hit >= 0:  # filed by the naive rule (module docstring)
+                    if attempt < len(floors):
+                        if start < top:  # the tail start, top, included
+                            due[start + 1].append(j)
+                    elif hit < top - 1:
+                        due[hit + 1].append(j)
+                    continue
+                _commit(candidate, masks, counts, low, tf)
+                outside &= ~candidate
+            if candidate & uncovered:
+                added = CylinderSet.from_mask(candidate, depth)
+                pieces.append(Piece(words[j], start, None, attempt, 0, added))
+                uncovered &= ~candidate
+    cover = CylinderSet.from_mask(full ^ uncovered, depth)
+    return OpenCoverResult("naive", cover, tuple(pieces), (top + 1) * width, ())
 
 
 def run_block_cover(

@@ -63,6 +63,7 @@ __all__ = [
     "KINDS",
     "ParseError",
     "StabilizedFamily",
+    "check_heap_entries",
     "check_liminf_domination",
     "check_member_bounds",
     "format_trace",
@@ -350,9 +351,20 @@ def liminf_values(family: StabilizedFamily, point: str) -> Fraction:
     return best
 
 
+def check_heap_entries(family: StabilizedFamily) -> None:
+    """InputError past MAX_HEAP_ENTRIES entries, nmax * (2^(depth+1)-1): tree
+    and func heap rows, or an open run's attempts but its tail start's."""
+    nmax, depth = family.nmax, family.depth
+    assert depth is not None
+    if depth >= MAX_HEAP_ENTRIES.bit_length() or nmax * ((2 << depth) - 1) > MAX_HEAP_ENTRIES:
+        article = "an" if family.kind == "open" else "a"
+        raise InputError(f"{article} {family.kind} family needs {nmax}*(2^{depth + 1}-1) heap "
+                         f"entries, above the limit {MAX_HEAP_ENTRIES}")
+
+
 def heap_rows(family: StabilizedFamily, scale: int) -> list[list[int]]:
     """Each tree or func member's word values times ``scale``, as ints;
-    InputError, before any is built, past MAX_HEAP_ENTRIES in all.
+    InputError, before any is built, past check_heap_entries.
 
     ``scale`` must be a common multiple of the value denominators.  A row
     is in heap order, word w at int("1" + w, 2) - 1, which is the order of
@@ -361,12 +373,8 @@ def heap_rows(family: StabilizedFamily, scale: int) -> list[list[int]]:
     """
     if family.kind not in ("tree", "func"):
         raise InputError(f"expected a tree or func family, got {family.kind!r}")
-    nmax, depth = family.nmax, family.depth
-    assert depth is not None
-    if depth >= MAX_HEAP_ENTRIES.bit_length() or nmax * ((2 << depth) - 1) > MAX_HEAP_ENTRIES:
-        raise InputError(f"a {family.kind} family needs {nmax}*(2^{depth + 1}-1) heap entries, "
-                         f"above the limit {MAX_HEAP_ENTRIES}")
-    rows = [[0] * ((2 << depth) - 1) for _ in range(nmax)]
+    check_heap_entries(family)
+    rows = [[0] * ((2 << family.depth) - 1) for _ in range(family.nmax)]
     for e in family.events:
         heap, i = rows[e.index], int("1" + e.key, 2) - 1
         heap[i] = max(heap[i], e.value.numerator * (scale // e.value.denominator))

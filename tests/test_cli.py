@@ -572,6 +572,13 @@ def exit_two_cases():
          "a tree family needs 2*(2^31-1) heap entries, above the limit 1048576"),
         ("fatou-depth-30", ["fatou", *eps], b"family func nmax=2 depth=30\nraise 0 e 1/2\n",
          "a func family needs 2*(2^31-1) heap entries, above the limit 1048576"),
+        # So are open runs, before any cell mask is built.
+        *(
+            (f"opencover-{mode}-depth-40", ["opencover", "--mode", mode, *eps],
+             b"family open nmax=1 depth=40\nadd 0 000000\n",
+             "an open family needs 1*(2^41-1) heap entries, above the limit 1048576")
+            for mode in ("trim", "naive", "blocks")
+        ),
         # The whole stderr line of each eps-pair precondition failure.
         ("fatou-eps-above-eps-prime", ["fatou", "--eps", "1/2", "--eps-prime", "1/4"],
          b"family func nmax=1 depth=1\n", "need 0 < eps < eps', got eps=1/2, eps'=1/4"),

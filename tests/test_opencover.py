@@ -81,6 +81,12 @@ def piece_rows(result):
     return [(p.word, p.start, p.attempt, p.trims, p.added) for p in result.pieces]
 
 
+def run_rows(res, eps, eps_prime):
+    """A result in literal_cover's terms: (cover, theta, pieces, trim_events)."""
+    theta = DeltaSchedule(eps, eps_prime).theta_after(res.attempts)
+    return res.cover, theta, piece_rows(res), list(res.trim_events)
+
+
 def delta(schedule, attempt):
     """The increment of attempt t: budget * 2^-(t+1)."""
     return schedule.budget / (1 << (attempt + 1))
@@ -209,6 +215,22 @@ def test_precondition_violations():
         run_trim_cover(fam, F(1, 2), F(5, 4))  # eps' > 1
 
 
+def test_runs_past_the_heap_limit_are_refused_before_any_mask():
+    # gen's cap, open 64x12, needs 64 * 8191 = 524,224 entries; the limit is
+    # 2^20.  One member at depth 40 would take masks of 2^40 bits.
+    for nmax, depth in [(gen.NMAX_CAP, gen.DEPTH_CAP), (1, 19), (2, 18)]:
+        traces.check_heap_entries(traces.StabilizedFamily("open", nmax, depth, ()))
+    with pytest.raises(InputError, match=r"^an open family needs 2\*\(2\^20-1\) heap entries"):
+        traces.check_heap_entries(traces.StabilizedFamily("open", 2, 19, ()))
+    fam = parse_trace("family open nmax=1 depth=40\nadd 0 000000\n")
+    for runner in ALL_RUNNERS:
+        with pytest.raises(InputError) as err:
+            runner(fam, F(1, 4), F(3, 8))
+        assert str(err.value) == (
+            "an open family needs 1*(2^41-1) heap entries, above the limit 1048576"
+        )
+
+
 def test_theta_stays_below_eps_prime():
     fam = parse_trace(DRIFT)
     for runner in ALL_RUNNERS:
@@ -312,6 +334,41 @@ def test_matches_literal_reference():
             assert list(fast.trim_events) == trim_events, (text, trim)
 
 
+def test_matches_literal_reference_while_the_floor_rises():
+    # With eps' = 1/2 + 2^-40 the floors settle only at attempt 37 or 38.
+    # At depth 2 (7 words a start) that is past the run for nmax up to 4,
+    # in the tail start for nmax 5 and in an earlier start for nmax 6 and
+    # 7; at depth 3 (15 words) the same holds for nmax 1, 2 and 3.  So
+    # words scanned before the floors settle are due at every kind of start.
+    eps_prime = F(1, 2) + F(1, 1 << 40)
+    for depth, nmax in [(2, n) for n in range(1, 8)] + [(3, n) for n in range(1, 4)]:
+        for eps in (F(1, 4), F(3, 8)):
+            for seed in range(3):
+                text = gen.gen_trace("open", nmax, seed=9000 + seed, depth=depth, eps=eps)
+                fam = parse_trace(text)
+                for trim in (True, False):
+                    runner = run_trim_cover if trim else run_naive_cover
+                    fast = run_rows(runner(fam, eps, eps_prime), eps, eps_prime)
+                    assert fast == literal_cover(fam, eps, eps_prime, trim), (text, eps, trim)
+
+
+def test_naive_run_scans_only_the_attempts_the_rule_leaves_open(monkeypatch):
+    # Open 32x8 (gen seed 1): scanning every attempt whose candidate is not
+    # inside takes 3,363 member scans; the naive rule leaves 465.
+    fam = parse_trace(gen.gen_trace("open", 32, seed=1, depth=8, eps=F(1, 4)))
+    calls = []
+    first_overflow = opencover._first_overflow
+
+    def counting(*args):
+        calls.append(args)
+        return first_overflow(*args)
+
+    monkeypatch.setattr(opencover, "_first_overflow", counting)
+    res = run_naive_cover(fam, F(1, 4), F(3, 8))
+    assert verify_open_cover(fam, F(1, 4), F(3, 8), res).passed
+    assert len(calls) == 465
+
+
 def test_naive_piece_inside_every_later_member():
     # Word 0 lies inside U_0, U_1 and the tail: the attempt changes no
     # member, yet its cylinder is new to the cover and must become a piece.
@@ -343,11 +400,11 @@ def test_parent_hint_is_dropped_after_a_commit():
         assert verify_open_cover(fam, eps, eps_prime, res).passed
 
 
-# Each case drops one condition under which an attempt reuses its word's
+# Each case drops one condition under which a trim attempt reuses its word's
 # outcome from an earlier start (see the opencover module docstring): the
 # run matches the literal reference and the mutant does not.
 @pytest.mark.parametrize(
-    "condition,text,eps,eps_prime,modes",
+    "condition,text,eps,eps_prime",
     [
         # No commit since.  At start 0 word 1 first overflows the tail and
         # is trimmed away once.  The commit of word 00 then fills U_1, which
@@ -355,7 +412,7 @@ def test_parent_hint_is_dropped_after_a_commit():
         (
             "changed < seen and ",
             "family open nmax=3 depth=2\nadd 1 10\nadd 2 01\nadd 2 00\n",
-            F(1, 2), F(3, 4), (True,),
+            F(1, 2), F(3, 4),
         ),
         # The first hit lies at or after the new start's first member.  At
         # start 0 word 01 first overflows U_0; from start 1 on it fits every
@@ -363,7 +420,7 @@ def test_parent_hint_is_dropped_after_a_commit():
         (
             " and hit >= low",
             "family open nmax=4 depth=2\nadd 0 10\nadd 1 01\nadd 3 01\n",
-            F(1, 4), F(1, 2), (True, False),
+            F(1, 4), F(1, 2),
         ),
         # The same threshold floor.  The floor of 4 * theta_t is 1 up to
         # attempt 7 and 2 from attempt 8 on.  Word 00 first overflows U_1 at
@@ -372,25 +429,58 @@ def test_parent_hint_is_dropped_after_a_commit():
         (
             " and seen_tf == tf",
             "family open nmax=3 depth=2\nadd 0 00\nadd 1 01\nadd 2 10\n",
-            F(1, 4), F(513, 1024), (True, False),
+            F(1, 4), F(513, 1024),
         ),
     ],
 )
-def test_each_cross_start_replica_condition_is_needed(
-    mutant, condition, text, eps, eps_prime, modes
-):
+def test_each_cross_start_replica_condition_is_needed(mutant, condition, text, eps, eps_prime):
     fam = parse_trace(text)
-    broken = mutant(opencover._cover_run, condition, "")
-    schedule = DeltaSchedule(eps, eps_prime)
+    broken = mutant(opencover.run_trim_cover, condition, "")
+    literal = literal_cover(fam, eps, eps_prime, True)
+    assert run_rows(run_trim_cover(fam, eps, eps_prime), eps, eps_prime) == literal
+    assert run_rows(broken(fam, eps, eps_prime), eps, eps_prime) != literal
 
-    def rows(res):
-        theta = schedule.theta_after(res.attempts)
-        return res.cover, theta, piece_rows(res), list(res.trim_events)
 
-    for trim in modes:
-        literal = literal_cover(fam, eps, eps_prime, trim)
-        assert rows(opencover._cover_run(fam, eps, eps_prime, trim)) == literal
-        assert rows(broken(fam, eps, eps_prime, trim)) != literal, trim
+# Each case breaks one condition of the naive rule (see the opencover module
+# docstring): the run matches the literal reference and the mutant does not.
+@pytest.mark.parametrize(
+    "old,new,text,eps,eps_prime",
+    [
+        # A word is filed under a member only once tf has settled.  The
+        # floor of 4 * theta_t is 1 up to attempt 7 and 2 from attempt 8 on.
+        # Word 00 overflows U_1 and U_2 at start 0 (attempt 3); at start 1
+        # (attempt 10) it fits every member and commits.  Filed under U_2,
+        # it would wait for the tail start.
+        (
+            "attempt < len(floors):", "False:",
+            "family open nmax=3 depth=2\nadd 0 00\nadd 1 01\nadd 2 10\n",
+            F(1, 4), F(513, 1024),
+        ),
+        # Words scanned before tf settles are visited again at the tail
+        # start too.  The floor of 8 * theta_t is 3 up to attempt 37 and 4
+        # from attempt 38 on.  Word 011 overflows U_1 at start 1 (attempt
+        # 25); at the tail start (attempt 40) it fits and commits.
+        (
+            "start < top:", "start < top - 1:",
+            "family open nmax=2 depth=3\n",
+            F(1, 4), F(1, 2) + F(1, 1 << 40),
+        ),
+        # A word filed under member m is visited again at start m + 1.  At
+        # start 0 word 01 overflows U_0 alone; at start 1 it fits every
+        # member and commits.
+        (
+            "due[hit + 1]", "due[hit + 2]",
+            "family open nmax=4 depth=2\nadd 0 10\nadd 1 01\nadd 3 01\n",
+            F(1, 4), F(1, 2),
+        ),
+    ],
+)
+def test_each_naive_rule_condition_is_needed(mutant, old, new, text, eps, eps_prime):
+    fam = parse_trace(text)
+    broken = mutant(opencover.run_naive_cover, old, new)
+    literal = literal_cover(fam, eps, eps_prime, False)
+    assert run_rows(run_naive_cover(fam, eps, eps_prime), eps, eps_prime) == literal
+    assert run_rows(broken(fam, eps, eps_prime), eps, eps_prime) != literal
 
 
 def test_member_floor_drops_only_at_the_tail_start(mutant):
@@ -402,17 +492,11 @@ def test_member_floor_drops_only_at_the_tail_start(mutant):
     # twice, and the piece 0 would wait for the tail start (attempt 14).
     fam = parse_trace("family open nmax=2 depth=2\nadd 0 1\nadd 1 0\n")
     eps, eps_prime = F(1, 2), F(49153, 65536)
-    broken = mutant(opencover._cover_run, "min(start, top - 1)", "max(start - 1, 0)")
-    schedule = DeltaSchedule(eps, eps_prime)
-
-    def rows(res):
-        theta = schedule.theta_after(res.attempts)
-        return res.cover, theta, piece_rows(res), list(res.trim_events)
-
+    broken = mutant(opencover.run_trim_cover, "min(start, top - 1)", "max(start - 1, 0)")
     literal = literal_cover(fam, eps, eps_prime, True)
-    assert rows(opencover._cover_run(fam, eps, eps_prime, True)) == literal
+    assert run_rows(run_trim_cover(fam, eps, eps_prime), eps, eps_prime) == literal
     assert literal[2][0][:4] == ("", 1, 7, 1)
-    assert piece_rows(broken(fam, eps, eps_prime, True))[0][:4] == ("", 2, 14, 1)
+    assert piece_rows(broken(fam, eps, eps_prime))[0][:4] == ("", 2, 14, 1)
 
 
 def test_random_sweep_all_modes():
