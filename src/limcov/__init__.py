@@ -10,7 +10,7 @@ tail, which makes every oracle-style acceptability question decidable by a
 finite scan.
 """
 
-from .fatou import FatouResult, SpecializeReport, StepFunction, fatou_specializes, run_fatou, verify_fatou
+from .fatou import FatouResult, StepFunction, run_fatou, verify_fatou
 from .kernel import CylinderSet, InputError, RealInterval, parse_rational
 from .measurecover import (
     MeasureCoverResult,

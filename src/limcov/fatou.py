@@ -1,9 +1,13 @@
 """Dominating the liminf of step functions with a controlled integral.
 
 This generalizes the open-set covering: an open set is the special case of
-an indicator function.  Attempts run over triples (start index m, cylinder
-word U, level r); each attempt raises the global threshold by its delta and
-proposes the auxiliary function u = r on the cylinder of U, 0 elsewhere.
+an indicator function.  The tests hold the run to that link: the
+specialization check in tests/reference.py embeds sets, semimeasure and
+open families and checks phi against each one's own cover.
+
+Attempts run over triples (start index m, cylinder word U, level r); each
+attempt raises the global threshold by its delta and proposes the auxiliary
+function u = r on the cylinder of U, 0 elsewhere.
 While some first s >= m would see its integral pushed above the threshold by
 the raise f_s := max(f_s, u), the candidate is capped: u := min(u, f_s).
 Each cap removes more than the attempt's delta from the integral of u (the
@@ -74,9 +78,8 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
-from . import measurecover, setcover, traces
+from . import traces
 from .kernel import InputError, ZERO, cell_span, format_rational, words_up_to
 from .measurecover import RationalGrid
 from .opencover import DeltaSchedule
@@ -84,9 +87,7 @@ from .verdict import Check, Verdict
 
 __all__ = [
     "FatouResult",
-    "SpecializeReport",
     "StepFunction",
-    "fatou_specializes",
     "run_fatou",
     "verify_fatou",
 ]
@@ -323,86 +324,3 @@ def verify_fatou(
         traces.check_liminf_domination("cell-domination", limits, phi, scale, g,
                                        lambda i: format(i, f"0{family.depth}b")),
     ))
-
-
-@dataclass(frozen=True)
-class SpecializeReport:
-    """Per-element agreement between the step-function pipeline and the
-    set/semimeasure pipelines on an embedded family."""
-
-    rows: tuple[tuple[str, bool, str], ...]
-    verdict: Verdict
-
-
-def _embedding(elements: Iterable[str], depth: int | None) -> tuple[int, dict[str, str]]:
-    elements = list(elements)
-    if depth is None:
-        depth = max(1, (max(len(elements) - 1, 0)).bit_length())
-    if len(elements) > 1 << depth:
-        raise InputError(f"{len(elements)} elements exceed the {1 << depth} cells at depth {depth}")
-    return depth, {u: format(i, f"0{depth}b") for i, u in enumerate(elements)}
-
-
-def fatou_specializes(
-    family: traces.StabilizedFamily,
-    grid: RationalGrid,
-    depth: int | None = None,
-) -> SpecializeReport:
-    """Embed a sets or measure family as step functions, run the function
-    pipeline, and check elementwise that it reproduces what the set cover or
-    the semimeasure cover guarantees.
-
-    For a sets family each element becomes a cell and each U_n the indicator
-    of its cells; the check per liminf element is that phi reaches 1 on the
-    element's cell and that the set cover contains the element.  For a
-    measure family the check per element is that both phi on the cell and m'
-    dominate the grid floor of the element's tail value.
-    """
-    if family.kind not in ("sets", "measure"):
-        raise InputError(f"specialization takes sets or measure families, got {family.kind!r}")
-    univ = traces.universe(family)
-    depth, cell_of = _embedding(univ, depth)
-    # An added element (no value) is worth 1 on its cell.
-    events = tuple(
-        traces.Event(e.index, cell_of[e.key], e.value or Fraction(1)) for e in family.events
-    )
-    embedded = traces.StabilizedFamily("func", family.nmax, depth, events)
-    if family.kind == "sets":
-        sets_ = traces.sets_by_index(family)
-        biggest = max((len(s) for s in sets_), default=0)
-        k = max(0, biggest - 1).bit_length() if biggest > 1 else 0
-        eps = max(Fraction(biggest, 1 << depth), Fraction(1, 1 << (depth + 1)))
-        cover = setcover.run_set_cover(family, k)
-        outcome = run_fatou(embedded, eps, 2 * eps, grid)
-        rows = []
-        for u in sorted(traces.liminf_sets(family)):
-            got = outcome.phi.value(cell_of[u])
-            ok = got >= 1 and u in cover.cover
-            rows.append((u, ok, f"phi={format_rational(got)} covered={u in cover.cover}"))
-    else:
-        integrals = [
-            sum(t.values(), ZERO) / (1 << depth) for t in traces.values_by_index(family)
-        ]
-        eps = max(max(integrals, default=ZERO), Fraction(1, 1 << (depth + 1)))
-        table = measurecover.run_measure_cover(family, grid)
-        outcome = run_fatou(embedded, eps, 2 * eps, grid)
-        limits = traces.liminf_table(family, univ)
-        rows = []
-        for u in univ:
-            need = grid.floor(limits[u])
-            got = outcome.phi.value(cell_of[u])
-            ok = got >= need and table.table.get(u, ZERO) >= need
-            rows.append(
-                (
-                    u,
-                    ok,
-                    f"phi={format_rational(got)} m'={format_rational(table.table.get(u, ZERO))} "
-                    f"floor={format_rational(need)}",
-                )
-            )
-
-    failed = [u for u, ok, _ in rows if not ok]
-    verdict = Verdict(
-        (Check("specialization", not failed, failed[0] if failed else ""),)
-    )
-    return SpecializeReport(tuple(rows), verdict)

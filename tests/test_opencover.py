@@ -24,6 +24,7 @@ from limcov.opencover import (
     verify_open_cover,
 )
 from limcov.traces import liminf_open, parse_trace
+from reference import delta, trim_limit
 
 F = Fraction
 
@@ -85,17 +86,6 @@ def run_rows(res, eps, eps_prime):
     """A result in literal_cover's terms: (cover, theta, pieces, trim_events)."""
     theta = DeltaSchedule(eps, eps_prime).theta_after(res.attempts)
     return res.cover, theta, piece_rows(res), list(res.trim_events)
-
-
-def delta(schedule, attempt):
-    """The increment of attempt t: budget * 2^-(t+1)."""
-    return schedule.budget / (1 << (attempt + 1))
-
-
-def trim_limit(schedule, attempt):
-    """ceil(1 / delta_t): every trim of attempt t removes more than delta_t,
-    so its trim counts stay strictly below this."""
-    return math.ceil(1 / delta(schedule, attempt))
 
 
 def test_delta_schedule_sums_below_budget():
@@ -350,6 +340,29 @@ def test_matches_literal_reference_while_the_floor_rises():
                     runner = run_trim_cover if trim else run_naive_cover
                     fast = run_rows(runner(fam, eps, eps_prime), eps, eps_prime)
                     assert fast == literal_cover(fam, eps, eps_prime, trim), (text, eps, trim)
+
+
+@pytest.mark.parametrize("hinted,members", [(True, 57_575), (False, 67_488)])
+def test_trim_run_scans_from_the_parent_hint(monkeypatch, mutant, hinted, members):
+    # Open 32x8 (gen seed 1): the trim run makes 3,833 member scans.  Started
+    # at the parent's first hit, their member ranges total 57,575; started at
+    # the start's first member, 67,488.  Results are the same either way.
+    fam = parse_trace(gen.gen_trace("open", 32, seed=1, depth=8, eps=F(1, 4)))
+    expected = run_trim_cover(fam, F(1, 4), F(3, 8))
+    calls = []
+    first_overflow = opencover._first_overflow
+
+    def counting(candidate, masks, counts, members, tf):
+        calls.append(len(members))
+        return first_overflow(candidate, masks, counts, members, tf)
+
+    # A mutant copies the module's names, so it is built after the patch.
+    monkeypatch.setattr(opencover, "_first_overflow", counting)
+    run = opencover.run_trim_cover if hinted else mutant(
+        opencover.run_trim_cover, "hit if j and changed < seen else low", "low"
+    )
+    assert run(fam, F(1, 4), F(3, 8)) == expected
+    assert (len(calls), sum(calls)) == (3_833, members)
 
 
 def test_naive_run_scans_only_the_attempts_the_rule_leaves_open(monkeypatch):
