@@ -29,10 +29,26 @@ the levels are exactly the grid).
 
 Internally one run rescales all values to a common integer denominator, so
 the inner comparisons are integer sums against floor(theta_t * 2^D * scale),
-read by attempt number from opencover.DeltaSchedule.floor_table; this is
-exact.  The members' integer cell rows are built from the trace by one
-top-down prefix-max pass over the words (traces.func_cell_rows).
-StepFunction itself stays in Fractions.
+read by attempt number from opencover.DeltaSchedule.floor_table.  The
+members' integer cell rows are built from the trace by one top-down
+prefix-max pass over the words (traces.func_cell_rows) and then kept as
+level masks: with t_1 < ... < t_K the positive values the rows hold, a row
+f is the nested masks L_k = {f >= t_k}, one int per threshold with bit c for
+cell c, and f = sum_k h_k * L_k with h_k = t_k - t_(k-1).  phi and the
+cellwise minimum of the members from the start on are rows too.  Raising f
+to max(f, u) is an OR per layer and the cap min(u, f) an AND; the integral
+of max(f, u) is integral(f) + integral(u) - sum_k h_k * |u_k & L_k|, a
+popcount per layer, and "u <= f" is u_k & L_k == u_k on every layer.  An
+attempt at a level r between two thresholds takes the layers below r and one
+layer cut at r, whose mask in every row is the next threshold's, since no
+row holds a value in between.  When a commit, a fold or phi's growth makes r
+a value some row holds, the layer at the next threshold splits at r; a
+threshold that no row holds any more (each row's mask there equals its mask
+at the next one, or is empty at the top) merges into the next layer, and at
+each start the thresholds only the dropped member held go.  Splits and
+merges change no row's values, so every sum and test is the one on cell
+lists, exactly; and the layers stay as few as the values the rows hold,
+however fine the grid.  StepFunction itself stays in Fractions.
 
 Three rules skip work without changing phi or the log; every attempt still
 counts toward the result's attempt count and consumes its threshold.  For
@@ -76,8 +92,11 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import and_, or_
 
 from . import traces
 from .kernel import InputError, ZERO, cell_span, format_rational, words_up_to
@@ -125,25 +144,77 @@ class FatouResult:
     """(attempt, start, word, level, trims) for attempts that grew phi."""
 
 
+_BITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _level_masks(row: list[int], tops: list[int]) -> list[int]:
+    """A row's level masks, one int per threshold t in ``tops``: bit c is
+    set when the row is at least t on cell c.  Each is read from a string of
+    binary digits, in time linear in the cells."""
+    cells = row[::-1]  # cell 0 is the lowest bit
+    return [int(bytes(map(t.__le__, cells)).translate(_BITS), 2) for t in tops]
+
+
+def _least(masks: list[int], tops: list[int], cyl: int) -> int:
+    """The least value on the cells of ``cyl`` of the row with these masks."""
+    value = 0
+    for t, m in zip(tops, masks):
+        if m & cyl != cyl:
+            break
+        value = t
+    return value
+
+
+def _split(rows: list[list[int]], tops: list[int], heights: list[int], k: int, t: int) -> None:
+    """Make t, which no row holds, threshold k (tops[k-1] < t < tops[k]):
+    every row is at least t where it is at least tops[k]."""
+    below = tops[k - 1] if k else 0
+    if k < len(tops):
+        heights[k] -= t - below
+        for row in rows:
+            row.insert(k, row[k])
+    else:
+        for row in rows:
+            row.append(0)
+    tops.insert(k, t)
+    heights.insert(k, t - below)
+
+
+def _merge(rows: list[list[int]], tops: list[int], heights: list[int], stop: int) -> None:
+    """Drop each threshold below index ``stop`` that no row holds: every
+    row's mask there equals its mask at the next threshold (or is empty)."""
+    for k in reversed(range(min(stop, len(tops)))):
+        above = k + 1 < len(tops)
+        for row in rows:
+            if row[k] != (row[k + 1] if above else 0):
+                break
+        else:
+            for row in rows:
+                del row[k]
+            del tops[k]
+            h = heights.pop(k)
+            if above:
+                heights[k] += h
+
+
 def _first_raise(
     u: list[int],
+    heights: list[int],
+    total: int,
     work: list[list[int]],
     integrals: list[int],
     members: range,
-    base: int,
     tf: int,
 ) -> tuple[int, int | None]:
     """First s in members whose integral of max(f_s, u) exceeds tf (-1 if
     none), and a lower bound on the least slack tf - integral(max(f_r, u))
-    over the members r scanned before it (None if there are none)."""
-    total = sum(u)
-    end = base + len(u)
+    over the members r scanned before it (None if there are none).  u is
+    given by its level masks, their heights and its integral ``total``."""
     slack = None
     for s in members:
         room = tf - integrals[s] - total
         if room < 0:
-            row = work[s][base:end]
-            room += total - sum(map(max, u, row)) + sum(row)
+            room += sum(map(operator.mul, heights, map(int.bit_count, map(and_, u, work[s]))))
             if room < 0:
                 return s, slack
         if slack is None or room < slack:
@@ -169,15 +240,22 @@ def run_fatou(
     # of 1 / (scale * 2^depth).
     scale = grid.common_scale(e.value for e in family.events)
     unit = scale << depth
-    work = traces.func_cell_rows(family, scale)
-    integrals = [sum(cells) for cells in work]
+    cell_rows = traces.func_cell_rows(family, scale)
+    integrals = [sum(row) for row in cell_rows]
     top = family.nmax
 
     # Candidate levels: positive grid multiples up to the largest value seen.
     g = grid.resolution
-    max_scaled = max(max(cells) for cells in work)
+    max_scaled = max(max(row) for row in cell_rows)
     levels = max(1 << g, -((-max_scaled << g) // scale))
     step_scaled = scale >> g
+
+    # Every row as level masks over the thresholds the rows hold, ascending;
+    # heights[k] = tops[k] - tops[k-1].
+    tops = sorted({v for row in cell_rows for v in row} - {0})
+    heights = list(map(operator.sub, tops, [0, *tops]))
+    work = [_level_masks(row, tops) for row in cell_rows]
+    phi = [0] * len(tops)
 
     words = words_up_to(depth)
     floors, settled_tf = schedule.floor_table(unit, (top + 1) * len(words) * levels)
@@ -185,7 +263,6 @@ def run_fatou(
     # most at levels * step * 2^depth units.
     settled = schedule.settled_attempt(levels * step_scaled * unit << depth)
     spans = [cell_span(word, depth) for word in words]
-    phi = [0] * ncells
     log: list[tuple[int, int, str, Fraction, int]] = []
     # memos[w][j-1]: (attempt, tf, first hit, replica after it) of the last
     # scanned attempt at word w and level j that committed nothing.
@@ -194,19 +271,26 @@ def run_fatou(
     for start in range(top + 1):
         low = min(start, top - 1)  # the tail start reads member nmax-1
         members = range(low, top)
-        # The cellwise minimum of work[low:].  A commit raises every member
-        # to u, so it rises to u too.  Where u stays under it no member gains
-        # anything: the attempt caps nothing and commits nothing.
-        lows = [min(column) for column in zip(*work[low:])]
+        # Thresholds only the members before low held go.  The cellwise
+        # minimum of work[low:] is the AND of their masks; a commit raises
+        # every member to u, so it rises to u too.  Where u stays under it
+        # no member gains anything: the attempt caps and commits nothing.
+        _merge([*work[low:], phi], tops, heights, len(tops))
+        lows = [reduce(and_, layer) for layer in zip(*work[low:])]
+        rows = [phi, lows, *work[low:]]
         for word, (base, span), memo in zip(words, spans, memos):
-            end = base + span
-            cyl_lows = lows[base:end]
+            cyl = ((1 << span) - 1) << base  # the cylinder's cells
             before = attempt  # level j is attempt before + j
             # The fast path, folded at once: see the module docstring.
-            j = min(levels, min(cyl_lows) // step_scaled)
-            floor = min(phi[base:end])
-            if j * step_scaled > floor:
-                phi[base:end] = [max(v, j * step_scaled) for v in phi[base:end]]
+            j = min(levels, _least(lows, tops, cyl) // step_scaled)
+            level = j * step_scaled
+            k = bisect_left(tops, level)  # the lows reach level: k < len(tops)
+            if j and phi[k] & cyl != cyl:
+                floor = _least(phi, tops, cyl)
+                if tops[k] != level:
+                    _split(rows, tops, heights, k, level)
+                phi[:k + 1] = [m | cyl for m in phi[:k + 1]]
+                _merge(rows, tops, heights, k)
                 for i in range(floor // step_scaled + 1, j + 1):
                     log.append((before + i, start, word, Fraction(i, 1 << g), 0))
             # (tf, first hit, highest level known to replay) of the last
@@ -230,11 +314,19 @@ def run_fatou(
                     # A cross-start replica: see the module docstring.
                     replica = seen_replica
                     continue
-                u = [level] * span
+                # u = level on the cylinder: the layers up to threshold k,
+                # the last cut at level when level lies between thresholds
+                # (above every threshold, no member reaches it).
+                k = bisect_left(tops, level)
+                above = bisect_right(tops, level, k)
+                u = [cyl] * (k + 1)
+                hu = heights if above > k or k == len(tops) else [
+                    *heights[:k], level - (tops[k - 1] if k else 0)]
+                total = level * span
                 trims = 0
-                hit, slack = _first_raise(u, work, integrals, members, base, tf)
-                row = work[hit][base:end]  # unused when hit is -1: a commit follows
-                if hit >= 0 and level >= max(row):
+                hit, slack = _first_raise(u, hu, total, work, integrals, members, tf)
+                row = work[hit]  # unused when hit is -1: a commit follows
+                if hit >= 0 and (above == len(tops) or not row[above] & cyl):
                     # The first cap sets u to work[hit] on the cylinder, and
                     # each level step adds at most span to a member's gain.
                     reach = (levels * step_scaled if slack is None
@@ -248,40 +340,51 @@ def run_fatou(
                     replica = None
                 first = hit
                 while hit >= 0:
-                    u = list(map(min, u, row))
+                    u = list(map(and_, u, row))
                     trims += 1
                     # Each cap removes more than delta_t from the integral
                     # of u, which starts at level * span / unit.
                     assert attempt >= settled or schedule.allows_trims(
                         attempt, trims, level * span, unit)
-                    if not any(map(operator.gt, u, cyl_lows)):
+                    if not any(map(operator.ne, map(and_, u, lows), u)):
                         memo[j - 1] = (attempt, tf, first, replica)
                         break
-                    hit = _first_raise(u, work, integrals, members, base, tf)[0]
-                    row = work[hit][base:end]
-                else:
+                    total = sum(map(operator.mul, hu, map(int.bit_count, u)))
+                    hit = _first_raise(u, hu, total, work, integrals, members, tf)[0]
+                    row = work[hit]
+                # An uncapped u above every threshold rises above phi.
+                grows = len(u) > len(phi) or any(map(operator.ne, map(and_, u, phi), u))
+                if hit >= 0 and not grows:
+                    continue
+                if k == above and k < len(u) and u[k]:
+                    # u takes the value level, which no row holds yet.
+                    _split(rows, tops, heights, k, level)
+                if hit < 0:
                     # No member overflows and u rises above some member:
                     # commit.  Rows that gain nothing keep their bound: tf
                     # never decreases.
                     for s in members:
                         row = work[s]
-                        old = row[base:end]
-                        new = list(map(max, u, old))
-                        gained = sum(new) - sum(old)
+                        gained = total - sum(map(operator.mul, hu, map(
+                            int.bit_count, map(and_, u, row))))
                         if gained:
-                            row[base:end] = new
+                            row[:len(u)] = map(or_, u, row)
                             integrals[s] += gained
                             assert integrals[s] <= tf
-                    cyl_lows = list(map(max, u, cyl_lows))
-                    lows[base:end] = cyl_lows
+                    lows[:len(u)] = map(or_, u, lows)
                     replica = None
                     changed = attempt
-                old = phi[base:end]
-                if any(map(operator.gt, u, old)):
-                    phi[base:end] = list(map(max, u, old))
+                if grows:
+                    phi[:len(u)] = map(or_, u, phi)
                     log.append((attempt, start, word, Fraction(j, 1 << g), trims))
+                # Thresholds up to level that no row holds any more go.
+                _merge(rows, tops, heights, k + 1)
             attempt = before + levels
-    phi_fn = StepFunction(depth, tuple(Fraction(v, scale) for v in phi))
+    # phi on a cell is the threshold of the last of its layers holding it.
+    values = [ZERO, *(Fraction(t, scale) for t in tops)]
+    bits = [format(m, f"0{ncells}b")[::-1] for m in phi]
+    cells = [values[held.count("1")] for held in zip(*bits)] if bits else [ZERO] * ncells
+    phi_fn = StepFunction(depth, tuple(cells))
     return FatouResult(phi_fn, attempt + 1, tuple(log))
 
 

@@ -3,6 +3,7 @@ its specialization to the set, semimeasure and open pipelines."""
 
 import math
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -253,6 +254,38 @@ def test_hand_written_traces_match_literal_reference(text, eps, eps_prime, g):
     assert verify_fatou(fam, eps, eps_prime, grid, fast).passed
 
 
+def test_off_grid_sweep_matches_literal_reference():
+    # Hand-built families whose values have denominators 3, 5, 7 and 12 and
+    # reach past 1, at grids 1-4: their values fall between the levels, so
+    # the run's thresholds split and merge where a dyadic gen family's never
+    # do.  eps is the largest member integral and eps' lies a little above;
+    # the deeper the family, the coarser the grid, to bound the reference's
+    # time.
+    rng = random.Random(34)
+    logged = trimmed = 0
+    for _ in range(40):
+        nmax, depth = rng.randint(1, 4), rng.randint(1, 3)
+        words = words_up_to(depth)
+        lines = [f"family func nmax={nmax} depth={depth}"]
+        for n in range(nmax):
+            for _ in range(rng.randint(1, 3)):
+                d = rng.choice([3, 5, 7, 12])
+                word = rng.choice(words + words[-(1 << depth):]) or "e"
+                lines.append(f"raise {n} {word} {F(rng.randint(1, 2 * d + 3), d)}")
+        fam = parse_trace("\n".join(lines) + "\n")
+        eps = max(from_table(t, depth).integral() for t in traces.values_by_index(fam))
+        eps_prime = eps + rng.choice([F(1, 12), F(1, 7), F(2, 5), F(1, 3)])
+        grid = RationalGrid(rng.randint(1, 5 - depth))
+        fast = run_fatou(fam, eps, eps_prime, grid)
+        phi, theta, log = literal_fatou(fam, eps, eps_prime, grid)
+        assert fast.phi == phi, lines
+        assert DeltaSchedule(eps, eps_prime).theta_after(fast.attempts) == theta
+        assert list(fast.log) == log, lines
+        logged += len(log)
+        trimmed += sum(1 for *_, trims in log if trims)
+    assert logged and trimmed
+
+
 # Each case drops one condition under which an attempt reuses the outcome
 # of the same (word, level) at an earlier start (see the opencover module
 # docstring): the run matches the literal reference and the mutant does not.
@@ -348,6 +381,39 @@ def test_each_level_loop_rule_is_needed(mutant, old, new, text, eps, eps_prime, 
     assert rows(run_fatou(fam, eps, eps_prime, grid)) == literal
     broken = mutant(run_fatou, old, new)
     assert rows(broken(fam, eps, eps_prime, grid)) != literal
+
+
+def test_run_scans_the_same_member_ranges(monkeypatch):
+    # Func 8x6 (gen seed 1) at grid 3: the run makes 1,642 member scans,
+    # whose member ranges total 7,694, with rows as cell lists or as level
+    # masks alike.  A change of representation keeps these counts.
+    fam = parse_trace(gen.gen_trace("func", 8, seed=1, depth=6, eps=F(1, 4)))
+    grid = RationalGrid(3)
+    expected = run_fatou(fam, F(1, 4), F(3, 8), grid)
+    calls = []
+    first_raise = fatou._first_raise
+
+    def counting(u, heights, total, work, integrals, members, tf):
+        calls.append(len(members))
+        return first_raise(u, heights, total, work, integrals, members, tf)
+
+    monkeypatch.setattr(fatou, "_first_raise", counting)
+    assert run_fatou(fam, F(1, 4), F(3, 8), grid) == expected
+    assert (len(calls), sum(calls)) == (1_642, 7_694)
+
+
+def test_fine_grid_keeps_only_the_thresholds_the_rows_hold():
+    # One member at grid 14: 2^14 levels, and phi grows 8,192 times, each
+    # time to a new level.  The run keeps as thresholds only the values the
+    # rows hold, a few layers; left unmerged, the layers pile up one per
+    # level and the run takes over a hundred times as long.
+    fam = parse_trace("family func nmax=1 depth=2\nraise 0 00 1/2\n")
+    grid = RationalGrid(14)
+    began = time.perf_counter()
+    res = run_fatou(fam, F(1, 4), F(3, 8), grid)
+    assert time.perf_counter() - began < 3
+    assert len(res.log) == 8_192
+    assert verify_fatou(fam, F(1, 4), F(3, 8), grid, res).passed
 
 
 def test_uncounted_attempt_flips_threshold_bound():
