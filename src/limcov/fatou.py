@@ -30,8 +30,8 @@ the levels are exactly the grid).
 Internally one run rescales all values to a common integer denominator, so
 the inner comparisons are integer sums against floor(theta_t * 2^D * scale),
 read by attempt number from opencover.DeltaSchedule.floor_table.  The
-members' integer cell rows are built from the trace by one top-down
-prefix-max pass over the words (traces.func_cell_rows) and then kept as
+members' integer cell rows come from traces.member_rows (one top-down
+prefix-max pass over the words, checked on their integrals) and are kept as
 level masks: with t_1 < ... < t_K the positive values the rows hold, a row
 f is the nested masks L_k = {f >= t_k}, one int per threshold with bit c for
 cell c, and f = sum_k h_k * L_k with h_k = t_k - t_(k-1).  phi and the
@@ -231,7 +231,6 @@ def run_fatou(
     if family.kind != "func":
         raise InputError(f"expected a func family, got {family.kind!r}")
     schedule = DeltaSchedule(eps, eps_prime)
-    traces.check_member_bounds(family, eps=eps)
     depth = family.depth
     assert depth is not None
     ncells = 1 << depth
@@ -240,7 +239,7 @@ def run_fatou(
     # of 1 / (scale * 2^depth).
     scale = grid.common_scale(e.value for e in family.events)
     unit = scale << depth
-    cell_rows = traces.func_cell_rows(family, scale)
+    cell_rows = traces.member_rows(family, scale, eps=eps)
     integrals = [sum(row) for row in cell_rows]
     top = family.nmax
 

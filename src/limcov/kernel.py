@@ -28,6 +28,7 @@ __all__ = [
     "InputError",
     "MAX_EXPONENT",
     "RealInterval",
+    "cell_mask",
     "cell_span",
     "format_rational",
     "is_natural",
@@ -141,6 +142,12 @@ def cell_span(word: str, depth: int) -> tuple[int, int]:
     span = 1 << (depth - len(word))
     base = (int(word, 2) << (depth - len(word))) if word else 0
     return base, span
+
+
+def cell_mask(word: str, depth: int) -> int:
+    """The cells below ``word`` as a bit mask, cell i at bit i as cell_span numbers it."""
+    base, span = cell_span(word, depth)
+    return ((1 << span) - 1) << base
 
 
 _ROOT_WORDS = frozenset(("",))

@@ -26,9 +26,10 @@ less than one grid step of headroom there is never raised or read further.
 
 Both runs work in integers over one common denominator (as in fatou), so
 grid floors are integer floors to multiples of scale / 2^g and the tables
-and logs, converted back to Fractions, are exact.  A flat row holds the
-values over the universe and their running sum; a tree row is a member's
-heap row (traces.heap_rows).
+and logs, converted back to Fractions, are exact.  The rows come from
+traces.member_rows, which checks the member bounds on them: a flat row
+holds the values over the universe, to which the run appends their running
+sum; a tree row is a member's heap row.
 
 All runs are single-threaded and deterministic on private working copies.
 """
@@ -138,11 +139,9 @@ def run_measure_cover(
     m' dominates the grid floor of every tail value."""
     if family.kind != "measure":
         raise InputError(f"expected a measure family, got {family.kind!r}")
-    traces.check_member_bounds(family)
-
     keys = traces.universe(family)
     scale = grid.common_scale(e.value for e in family.events)
-    rows = [[int(t.get(u, 0) * scale) for u in keys] for t in traces.values_by_index(family)]
+    rows = traces.member_rows(family, scale)
     for row in rows:
         row.append(sum(row))  # the running sum, past the values
 
@@ -271,10 +270,8 @@ def run_tree_cover(
     """
     if family.kind != "tree":
         raise InputError(f"expected a tree family, got {family.kind!r}")
-    traces.check_member_bounds(family)
-
     scale = grid.common_scale(e.value for e in family.events)
-    rows = traces.heap_rows(family, scale)
+    rows = traces.member_rows(family, scale)
 
     def outside(i: int, rows: list[list[int]]) -> list[int]:
         # The mass outside word i: its sibling and the siblings of its

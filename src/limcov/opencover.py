@@ -27,7 +27,8 @@ union of the block intersections plus the tail intersection covers the
 liminf within eps'.
 
 Internally the working sets live as bit masks over the 2^depth cells of the
-family's depth, so measure comparisons are integer popcounts (one cached per
+family's depth, built by traces.member_rows, which checks the members'
+measures on them; measure comparisons are integer popcounts (one cached per
 member).  Every index n >= nmax is member nmax-1 (the tail rule), so a run
 keeps one mask per member and the tail start reads member nmax-1.  Cell
 counts are compared with floor(theta_t * 2^depth), which is exact;
@@ -92,6 +93,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import accumulate
 from operator import and_
 from typing import Sequence
 
@@ -100,7 +102,7 @@ from .kernel import (
     CylinderSet,
     InputError,
     RealInterval,
-    cell_span,
+    cell_mask,
     format_rational,
     word_to_text,
     words_up_to,
@@ -251,17 +253,7 @@ def _member_masks(
             f"need 0 < eps < eps' <= 1, got eps={format_rational(eps)}, "
             f"eps'={format_rational(eps_prime)}"
         )
-    traces.check_heap_entries(family)
-    traces.check_member_bounds(family, eps=eps)
-    masks = [0] * family.nmax
-    for e in family.events:
-        masks[e.index] |= _word_mask(e.key, family.depth)
-    return masks
-
-
-def _word_mask(word: str, depth: int) -> int:
-    base, span = cell_span(word, depth)
-    return ((1 << span) - 1) << base
+    return traces.member_rows(family, eps=eps)
 
 
 def _first_overflow(
@@ -285,7 +277,7 @@ def _run_setup(family: traces.StabilizedFamily, eps: Fraction, eps_prime: Fracti
     attempts = (family.nmax + 1) * len(words)
     floors, settled_tf = DeltaSchedule(eps, eps_prime).floor_table(1 << depth, attempts)
     counts = [m.bit_count() for m in masks]
-    word_masks = [_word_mask(w, depth) for w in words]
+    word_masks = [cell_mask(w, depth) for w in words]
     return masks, counts, words, word_masks, floors, settled_tf
 
 
@@ -526,10 +518,12 @@ def omega_family(
     w_min = min(cycle)
     third = eps / 3
     # The cycle repeats forever, so the infimum from i on is the least of
-    # the prefix's rest and w_min.
+    # the prefix's rest and w_min: suffix minima in one backward pass.
+    infima = [*accumulate(reversed(prefix), min, initial=w_min)][::-1]
+    infima += [w_min] * (2 * len(cycle) - 1)
     intervals = tuple(
-        RealInterval(min([*prefix[i:], w_min]) - third, w_i + third)
-        for i, w_i in enumerate([*prefix, *cycle, *cycle])
+        RealInterval(low - third, w_i + third)
+        for low, w_i in zip(infima, [*prefix, *cycle, *cycle])
     )
     return OmegaFamilyResult(intervals, w_min)
 
@@ -552,9 +546,12 @@ def verify_omega_family(
     """
     w_min = min(cycle)
     third = eps / 3
+    lows = [w_min] * (len(prefix) + 1)  # lows[i] = min(prefix[i:] + [w_min])
+    for i in reversed(range(len(prefix))):
+        lows[i] = min(prefix[i], lows[i + 1])
     head = ""
     for i, w_i in enumerate(prefix):
-        expected = RealInterval(min([*prefix[i:], w_min]) - third, w_i + third)
+        expected = RealInterval(lows[i] - third, w_i + third)
         if result.intervals[i:i + 1] != (expected,):
             head = f"i={i}"
             break

@@ -51,11 +51,10 @@ def run_set_cover(family: traces.StabilizedFamily, k: int) -> SetCoverResult:
         raise InputError("k must be non-negative")
     if k > MAX_EXPONENT:
         raise InputError(f"k must be at most {MAX_EXPONENT}")
+    if family.kind != "sets":
+        raise InputError(f"expected a sets family, got {family.kind!r}")
     bound = 1 << k
-    sets_ = traces.sets_by_index(family)
-    traces.check_member_bounds(family, bound=bound)
-
-    working: list[set[str]] = [set(s) for s in sets_]
+    working = [set(s) for s in traces.member_rows(family, bound=bound)]
 
     univ = traces.universe(family)
     covered: set[str] = set()

@@ -14,8 +14,9 @@ nmax-1 on holds only that member, so the largest suffix minimum is its value
 and the union of suffix intersections is the member itself.  The oracles
 share no logic with the covering processes beyond reading the family;
 liminf_values keeps the defining formula as the tests' reference.
-check_member_bounds and check_liminf_domination check the two ends of every
-covering argument: small members in, an output dominating the liminf out.
+member_rows and check_liminf_domination check the two ends of every
+covering argument: small members in, checked on the rows each run then
+works on, and an output dominating the liminf out.
 
 Trace grammar (UTF-8, LF line endings, single spaces)::
 
@@ -42,12 +43,14 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Iterable
 
 from .kernel import (
     CylinderSet,
     InputError,
     ZERO,
+    cell_mask,
     format_rational,
     is_natural,
     is_word,
@@ -65,9 +68,7 @@ __all__ = [
     "StabilizedFamily",
     "check_heap_entries",
     "check_liminf_domination",
-    "check_member_bounds",
     "format_trace",
-    "func_cell_rows",
     "func_eval",
     "heap_rows",
     "liminf_open",
@@ -75,6 +76,7 @@ __all__ = [
     "liminf_sets_witness",
     "liminf_table",
     "liminf_values",
+    "member_rows",
     "opens_by_index",
     "parse_trace",
     "sets_by_index",
@@ -267,21 +269,6 @@ def _open_words(family: StabilizedFamily) -> list[set[str]]:
     return words
 
 
-def _union_measure(words: Iterable[str]) -> Fraction:
-    """Measure of the union of the cylinders of ``words`` by a sorted scan.
-
-    In sorted order a word's extensions directly follow it, so the words
-    that extend no earlier kept word are disjoint cylinders; merging
-    siblings would not change their total, so no canonical form is needed.
-    """
-    kept: list[str] = []
-    for w in sorted(words):
-        if not kept or not w.startswith(kept[-1]):
-            kept.append(w)
-    top = max(map(len, kept), default=0)
-    return Fraction(sum(1 << (top - len(w)) for w in kept), 1 << top)
-
-
 def opens_by_index(family: StabilizedFamily) -> list[CylinderSet]:
     return [CylinderSet(w) for w in _open_words(family)]
 
@@ -381,21 +368,6 @@ def heap_rows(family: StabilizedFamily, scale: int) -> list[list[int]]:
     return rows
 
 
-def func_cell_rows(family: StabilizedFamily, scale: int) -> list[list[int]]:
-    """Each func member's depth-level cell values times ``scale``, as ints:
-    one top-down pass over its heap row raises every word to its parent's
-    value, so the last 2^depth entries hold the maxima over each cell's
-    prefixes."""
-    if family.kind != "func":
-        raise InputError(f"expected a func family, got {family.kind!r}")
-    rows = []
-    for heap in heap_rows(family, scale):
-        for i in range(1, len(heap)):
-            heap[i] = max(heap[i], heap[(i - 1) >> 1])
-        rows.append(heap[len(heap) >> 1:])
-    return rows
-
-
 def liminf_table(family: StabilizedFamily, points: Iterable[str]) -> dict[str, Fraction]:
     """liminf_values at every point: member nmax-1's value, the last and
     largest of the suffix minima (cells of a func family by func_eval)."""
@@ -405,52 +377,71 @@ def liminf_table(family: StabilizedFamily, points: Iterable[str]) -> dict[str, F
     return {point: last.get(point, ZERO) for point in points}
 
 
-def check_member_bounds(
-    family: StabilizedFamily, bound: int | None = None, eps: Fraction | None = None
-) -> None:
-    """Raise InputError naming the first member that breaks the hypothesis of
-    its construction: more than ``bound`` elements (sets), measure (open) or
-    integral (func) above ``eps``, a sum above 1 (measure), or the tree law
-    a(y) >= a(y0) + a(y1) with a(root) <= 1 (tree; absent words count as 0).
-    A bound left None is not checked."""
-    scale = math.lcm(*(e.value.denominator for e in family.events if e.value is not None))
-    if family.kind == "sets" and bound is not None:
-        for n, s in enumerate(sets_by_index(family)):
-            if len(s) > bound:
+def member_rows(
+    family: StabilizedFamily, scale: int | None = None, bound: int | None = None,
+    eps: Fraction | None = None,
+) -> list:
+    """Each member as the row its run works on: the set (sets), the cell
+    mask (open, past check_heap_entries), the values over universe()
+    (measure), the heap row (tree) or the depth-level cell values (func), as
+    ints times ``scale``, a common multiple of the denominators (by default
+    their lcm).  InputError names the first member that breaks the
+    hypothesis of its construction: more than ``bound`` elements (sets),
+    measure (open) or integral (func) above ``eps``, a sum above 1
+    (measure), or the tree law a(y) >= a(y0) + a(y1) with a(root) <= 1
+    (tree; absent words count as 0).  A bound left None is not checked."""
+    kind, depth = family.kind, family.depth
+    if scale is None:
+        scale = math.lcm(*(e.value.denominator for e in family.events if e.value is not None))
+    if kind == "sets":
+        rows = sets_by_index(family)
+        for n, s in enumerate(rows):
+            if bound is not None and len(s) > bound:
                 raise InputError(f"U_{n} has {len(s)} elements, above the bound {bound}")
-    elif family.kind in ("open", "func") and eps is not None:
-        # An open set is the func case of its indicator: measure = integral.
-        if family.kind == "open":
-            name, what = "U", "measure"
-            sizes = [_union_measure(w) for w in _open_words(family)]
-        else:
-            name, what = "f", "integral"
-            unit = scale << family.depth
-            sizes = [Fraction(sum(row), unit) for row in func_cell_rows(family, scale)]
-        for n, size in enumerate(sizes):
-            if size > eps:
-                raise InputError(
-                    f"{name}_{n} has {what} {format_rational(size)}, "
-                    f"above eps={format_rational(eps)}"
-                )
-    elif family.kind == "measure":
-        for n, table in enumerate(values_by_index(family)):
-            total = sum(table.values(), ZERO)
-            if total > 1:
-                raise InputError(
-                    f"m_{n} is not a semimeasure: values sum to {format_rational(total)}"
-                )
-    elif family.kind == "tree":
-        for n, row in enumerate(heap_rows(family, scale)):
+    elif kind == "measure":
+        keys = universe(family)
+        rows = [[v.numerator * (scale // v.denominator) for v in map(t.get, keys, repeat(ZERO))]
+                for t in values_by_index(family)]
+        for n, row in enumerate(rows):
+            if (total := sum(row)) > scale:
+                total = format_rational(Fraction(total, scale))
+                raise InputError(f"m_{n} is not a semimeasure: values sum to {total}")
+    elif kind == "tree":
+        rows = heap_rows(family, scale)
+        for n, row in enumerate(rows):
             if row[0] > scale:
                 raise InputError(f"a_{n} exceeds 1 at the root")
             if (y := tree_law_break(row)) >= 0:
-                word = word_to_text(words_up_to(family.depth)[y])
+                word = word_to_text(words_up_to(depth)[y])
                 need = Fraction(row[2 * y + 1] + row[2 * y + 2], scale)
                 raise InputError(
                     f"a_{n} violates the tree constraint at word {word}: "
                     f"{format_rational(Fraction(row[y], scale))} < {format_rational(need)}"
                 )
+    else:
+        # An open set is the func case of its indicator: measure = integral.
+        if kind == "open":
+            check_heap_entries(family)
+            rows = [0] * family.nmax
+            for e in family.events:
+                rows[e.index] |= cell_mask(e.key, depth)
+            name, what, unit, sizes = "U", "measure", 1 << depth, map(int.bit_count, rows)
+        else:
+            # Raising every word to its parent's value, top-down, leaves the
+            # maxima over each cell's prefixes in the last 2^depth entries.
+            rows = heap_rows(family, scale)
+            for heap in rows:
+                for i in range(1, len(heap)):
+                    heap[i] = max(heap[i], heap[(i - 1) >> 1])
+            rows = [heap[len(heap) >> 1:] for heap in rows]
+            name, what, unit, sizes = "f", "integral", scale << depth, map(sum, rows)
+        for n, size in enumerate(sizes):
+            if eps is not None and (size := Fraction(size, unit)) > eps:
+                raise InputError(
+                    f"{name}_{n} has {what} {format_rational(size)}, "
+                    f"above eps={format_rational(eps)}"
+                )
+    return rows
 
 
 def tree_law_break(row: list[int]) -> int:

@@ -494,6 +494,16 @@ def exit_two_cases():
          "bound must be non-negative"),
         ("gen-eps", ["gen", "--kind", "func", "--nmax", "4", "--depth", "3", "--seed", "1",
                      "--eps", "-1"], None, "eps must be non-negative"),
+        # The generators build one token per universe element.
+        *(
+            (f"{name}-{kind}-huge-universe", [name, "--kind", kind, *flags, "--universe", "300000000"],
+             None, "universe must be at most 1024")
+            for name, kind, flags in [
+                ("gen", "sets", ["--nmax", "2", "--seed", "1"]),
+                ("gen", "measure", ["--nmax", "2", "--seed", "1"]),
+                ("sweep", "sets", ["--count", "1"]),
+            ]
+        ),
         ("setcover-k", ["setcover", "--trace", "{input}", "--k", "20000"], sets,
          "k must be at most 14284"),
         ("setcover-huge-k", ["setcover", "--trace", "{input}", "--k", "99999999999"], sets,

@@ -8,6 +8,7 @@ and exact Fraction thresholds directly.
 import dataclasses
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -566,6 +567,17 @@ def test_omega_prefix_then_zero():
     assert tail.lo == -F(1, 12) and tail.hi == F(1, 12)
     assert tail.contains(F(0))
     assert verify_omega_family([F(1)], [F(0)], F(1, 4), res).passed
+
+
+def test_omega_long_prefix_is_linear():
+    # Both the run and the verifier take the prefix's suffix minima in one
+    # backward pass each, so the time grows linearly with the prefix.
+    prefix = [F(i * 7 % 13 + 1, i % 5 + 2) for i in range(4000)]
+    began = time.perf_counter()
+    res = omega_family(prefix, [F(1, 2)], F(1, 4))
+    assert verify_omega_family(prefix, [F(1, 2)], F(1, 4), res).passed
+    assert time.perf_counter() - began < 2
+    assert res.intervals[0].lo == min(prefix) - F(1, 12)
 
 
 def test_omega_rejects_bad_input():

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from limcov import gen, traces
+from limcov import fatou, gen, traces
 from limcov.kernel import CylinderSet, InputError, words_up_to
+from limcov.measurecover import RationalGrid, run_measure_cover, run_tree_cover
+from limcov.setcover import run_set_cover
 from limcov.traces import (
     ParseError,
     StabilizedFamily,
@@ -292,16 +294,17 @@ def open_member_words(draw):
 @settings(max_examples=200)
 @given(open_member_words())
 def test_open_member_bound_measures_like_the_canonical_set(member):
-    # The member bound measures the listed words without canonicalizing
-    # them; it must agree with the canonical set's measure on both sides.
+    # The member bound measures the listed words' cell mask without
+    # canonicalizing them; it must agree with the canonical set's measure
+    # on both sides.
     lines = ["family open nmax=1 depth=8"] + [f"add 0 {w or 'e'}" for w in member]
     fam = parse_trace("\n".join(lines) + "\n")
     mu = CylinderSet(member).measure()
-    traces.check_member_bounds(fam, eps=mu)
+    traces.member_rows(fam, eps=mu)
     if mu:
         eps = mu - F(1, 1 << 10)
         with pytest.raises(InputError) as err:
-            traces.check_member_bounds(fam, eps=eps)
+            traces.member_rows(fam, eps=eps)
         assert str(err.value) == f"U_0 has measure {mu}, above eps={eps}"
 
 
@@ -361,3 +364,20 @@ def test_heap_rows_keep_each_words_largest_value():
                       "raise 2 1 1/6\nraise 1 e 1/6\n")
     rows = traces.heap_rows(fam, 12)
     assert rows == [[6, 0, 0, 0, 0, 0, 0], [2, 0, 0, 0, 4, 0, 0], [0, 0, 3, 0, 0, 0, 0]]
+
+
+@pytest.mark.parametrize("kind,builder,run", [
+    ("func", "heap_rows", lambda f: fatou.run_fatou(f, F(1, 4), F(3, 8), RationalGrid(3))),
+    ("tree", "heap_rows", lambda f: run_tree_cover(f, RationalGrid(4))),
+    ("measure", "values_by_index", lambda f: run_measure_cover(f, RationalGrid(4))),
+    ("sets", "sets_by_index", lambda f: run_set_cover(f, 2)),
+], ids=["fatou", "tree", "measure", "sets"])
+def test_each_run_builds_its_member_rows_once(monkeypatch, kind, builder, run):
+    # member_rows checks the member bounds on the rows the run then uses.
+    depth = 6 if kind in ("tree", "func") else None
+    fam = parse_trace(gen.gen_trace(kind, 8, 1, depth=depth, bound=4))
+    calls = []
+    built = getattr(traces, builder)
+    monkeypatch.setattr(traces, builder, lambda *args: calls.append(args) or built(*args))
+    run(fam)
+    assert len(calls) == 1
