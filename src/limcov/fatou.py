@@ -248,6 +248,11 @@ def run_fatou(
     max_scaled = max(max(row) for row in cell_rows)
     levels = max(1 << g, -((-max_scaled << g) // scale))
     step_scaled = scale >> g
+    # One memo slot per (word, level), and as many attempts per start.
+    nwords = (2 << depth) - 1
+    if nwords * levels > traces.MAX_HEAP_ENTRIES:
+        raise InputError(f"a fatou run needs {nwords}*{levels} memo slots, "
+                         f"above the limit {traces.MAX_HEAP_ENTRIES}")
 
     # Every row as level masks over the thresholds the rows hold, ascending;
     # heights[k] = tops[k] - tops[k-1].

@@ -6,6 +6,13 @@ the construction they feed (cardinality bounds, per-member measures,
 semimeasure sums, tree laws, integral caps), which the generators verify
 before returning.  Families get a bias towards a common stabilized core so
 liminfs are frequently nonempty and coverage checks have teeth.
+
+Candidates are accepted in integers.  An open member grows as a mask of
+depth-level cells, and a drawn word joins it when the grown mask has at
+most floor(eps * 2^depth) cells: a union's measure is its cell count over
+2^depth.  The open core instead sums its words' cells without uniting them,
+so overlapping core words count twice, and keeps that sum within half of
+eps.  Tree masses are ints over 2^(3 + 6 * depth), split by eighths.
 """
 
 from __future__ import annotations
@@ -15,9 +22,9 @@ from fractions import Fraction
 
 from . import traces
 from .kernel import (
-    CylinderSet,
     InputError,
     ZERO,
+    cell_mask,
     format_rational,
     is_natural,
     word_to_text,
@@ -124,22 +131,32 @@ def _gen_sets(rng, nmax, depth, universe, bound, eps) -> str:
 def _gen_open(rng, nmax, depth, universe, bound, eps) -> str:
     del universe, bound
     eps = eps if eps is not None else Fraction(1, 4)
-    # A common core kept inside every member makes the liminf nonempty.
+    # Measures in depth-level cells: a measure of at most eps is at most
+    # floor(eps * 2^depth) cells, and one of at most eps / 2 at most
+    # floor(eps * 2^(depth-1)).
+    cap = (eps.numerator << depth) // eps.denominator
+    core_cap = (eps.numerator << depth) // (2 * eps.denominator)
+    # A common core kept inside every member makes the liminf nonempty.  Its
+    # words' cells are summed, not united, so an overlap counts twice.
     core: list[str] = []
-    core_measure = ZERO
+    core_cells = core_mask = 0
     for _ in range(rng.randint(0, 3)):
         w = _random_word(rng, depth)
-        mu = Fraction(1, 1 << len(w))
-        if core_measure + mu <= eps / 2:
+        cells = 1 << (depth - len(w))
+        if core_cells + cells <= core_cap:
             core.append(w)
-            core_measure += mu
+            core_cells += cells
+            core_mask |= cell_mask(w, depth)
     lines = []
     for n in range(nmax):
         words = list(core)
+        mask = core_mask
         for _ in range(rng.randint(0, 2 * depth)):
             w = _random_word(rng, depth)
-            if CylinderSet(words + [w]).measure() <= eps:
+            grown = mask | cell_mask(w, depth)
+            if grown.bit_count() <= cap:
                 words.append(w)
+                mask = grown
         for w in sorted(set(words)):
             lines.append(f"add {n} {word_to_text(w)}")
     return _emit(f"family open nmax={nmax} depth={depth}", lines, rng)
@@ -174,27 +191,30 @@ def _gen_measure(rng, nmax, depth, universe, bound, eps) -> str:
     return _emit(f"family measure nmax={nmax}", lines, rng)
 
 
-def _split_tree(rng, word: str, mass: Fraction, depth: int, out: dict[str, Fraction]):
+def _split_tree(rng, word: str, mass: int, depth: int, out: dict[str, int]):
     if mass <= 0:
         return
     out[word] = mass
     if len(word) >= depth or rng.random() < 0.3:
         return
-    share = mass * _dyadic(rng, 3)
-    left = share * _dyadic(rng, 3)
+    share = mass * rng.randint(1, 8) >> 3
+    left = share * rng.randint(1, 8) >> 3
     _split_tree(rng, word + "0", left, depth, out)
     _split_tree(rng, word + "1", share - left, depth, out)
 
 
 def _gen_tree(rng, nmax, depth, universe, bound, eps) -> str:
     del universe, bound, eps
+    # Masses are ints over 2^(3 + 6 * depth): the root draws eighths and each
+    # split two more, and only words shorter than depth split, so
+    # _split_tree's shifts are exact.
+    unit = 1 << (3 + 6 * depth)
     lines = []
     for n in range(nmax):
-        table: dict[str, Fraction] = {}
-        _split_tree(rng, "", _dyadic(rng, 3), depth, table)
+        table: dict[str, int] = {}
+        _split_tree(rng, "", rng.randint(1, 8) << 6 * depth, depth, table)
         for w in sorted(table, key=lambda w: (len(w), w)):
-            if table[w] > 0:
-                lines.append(f"raise {n} {word_to_text(w)} {format_rational(table[w])}")
+            lines.append(f"raise {n} {word_to_text(w)} {format_rational(Fraction(table[w], unit))}")
     return _emit(f"family tree nmax={nmax} depth={depth}", lines, rng)
 
 

@@ -347,6 +347,43 @@ def test_report_digests(tmp_path, digest_inputs, digest, argv):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# The generators' own bytes: the caps (open and tree 64x12, func 32x8), eps
+# 1/3 and eps 0, and the traces CI generates, at seed 1.  Open 2x3 at eps 1,
+# seed 7919, draws the core words 1, 10, 1: the core sums their cells, so it
+# refuses 10 and the second 1, where a union would take both.
+@pytest.mark.parametrize("kind,nmax,depth,eps,seed,digest", [
+    ("open", 64, 12, "1/4", 1,
+     "9a860b351b973afb7fcfabef0b2a0f6a406339263240930a661a8618ee82a05b"),
+    ("open", 64, 12, "1/3", 1,
+     "f7e82912b5668eac4d1a67637dfe66edd52c40c1b32921744c479ab804146545"),
+    ("open", 64, 12, "0", 1,
+     "2f2efe57e13a5c935ca9b54e21fb5bde214b65c64f7b1231305758830ad3db65"),
+    ("open", 16, 8, "1/3", 1,
+     "c95995da676e3aa21f23907bc37d12b183f380b0747af77e9ba87722afeeee41"),
+    ("open", 16, 8, "0", 1,
+     "ac73b6e66f4adca0fa9218a36749f73e2413fec0ed68c3eaeb04a6a06100107a"),
+    ("tree", 64, 12, None, 1,
+     "4ea06a8aa323d09f410311044d51ea3a6fb806e6504719a03bd179f7a8b0b78d"),
+    ("tree", 32, 7, None, 1,
+     "e7dcc1cb646b121b1a649d765a5177707419f332a08a521b5ceea706b042dac8"),
+    ("func", 32, 8, "1/4", 1,
+     "c9c73063517d6fcc0b0e0185dabf7f32f975b270d3813dafc963001cfc337b75"),
+    ("func", 32, 8, "1/3", 1,
+     "1d3ea01a1b17a97902b737f42258d915955c1b2dc00478a59fc482bd20ad318e"),
+    ("func", 32, 8, "0", 1,
+     "37f3a7dff789b436434766102b0cf0883e1533cf51c9dfd41653e88fbf13d21d"),
+    ("func", 8, 6, "1/4", 1,
+     "a4ba51fd543dc1e463fff7d8a99101cbddc26b8a99c347c273f6cc5afe6f1758"),
+    ("func", 8, 6, "1/3", 1,
+     "74ec98699c5826ef6ef7e52131f9d49bcae671b1a856c3f6b93f3d80ad8bc7fa"),
+    ("open", 2, 3, "1", 7919,
+     "1f22204c4f9f12e7906932e0196d368c0b75737f999f36a22eaf7f273bfd62cd"),
+])
+def test_generated_trace_digests(kind, nmax, depth, eps, seed, digest):
+    text = gen.gen_trace(kind, nmax, seed, depth=depth, eps=None if eps is None else Fraction(eps))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_failing_verdict_exits_one(tmp_path, capsys, monkeypatch):
     # Constructions never fail verification on valid input, so force a FAIL
     # to check the verdict-to-exit-code plumbing.
@@ -582,6 +619,13 @@ def exit_two_cases():
          "a tree family needs 2*(2^31-1) heap entries, above the limit 1048576"),
         ("fatou-depth-30", ["fatou", *eps], b"family func nmax=2 depth=30\nraise 0 e 1/2\n",
          "a func family needs 2*(2^31-1) heap entries, above the limit 1048576"),
+        # So are fatou memo slots, one per (word, level), before any is built.
+        *(
+            (f"fatou-grid-{g}", ["fatou", *eps, "--grid", str(g)],
+             b"family func nmax=1 depth=2\nraise 0 00 1/2\n",
+             f"a fatou run needs 7*{1 << g} memo slots, above the limit 1048576")
+            for g in (20, 30)
+        ),
         # So are open runs, before any cell mask is built.
         *(
             (f"opencover-{mode}-depth-40", ["opencover", "--mode", mode, *eps],

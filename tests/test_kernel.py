@@ -265,24 +265,30 @@ def test_from_mask_pinned_cases():
 
 @st.composite
 def depth_masks(draw):
-    # Random bits, or a union of cylinders so that full chunks are common.
+    # Random bits (words None), or a union of cylinders so that full chunks
+    # are common.
     depth = draw(st.integers(0, 8))
     if draw(st.booleans()):
-        return draw(st.integers(0, (1 << (1 << depth)) - 1)), depth
+        return draw(st.integers(0, (1 << (1 << depth)) - 1)), depth, None
     mask = 0
-    for word in draw(st.lists(st.text(alphabet="01", max_size=depth), max_size=6)):
+    words = draw(st.lists(st.text(alphabet="01", max_size=depth), max_size=6))
+    for word in words:
         base, span = cell_span(word, depth)
         mask |= ((1 << span) - 1) << base
-    return mask, depth
+    return mask, depth, words
 
 
 @given(depth_masks())
 def test_from_mask_is_the_canonical_set_of_its_cells(case):
-    mask, depth = case
+    mask, depth, words = case
     cells = [format(i, f"0{depth}b") if depth else "" for i in range(1 << depth) if mask >> i & 1]
     made = CylinderSet.from_mask(mask, depth)
     assert made == CylinderSet(cells)
     assert CylinderSet(made.words).words == made.words
+    if words is not None:
+        # A union's measure is its cell count over 2^depth, overlaps counted
+        # once: the generators accept open members by this popcount.
+        assert CylinderSet(words).measure() == Fraction(mask.bit_count(), 1 << depth)
 
 
 def test_real_interval():
