@@ -260,6 +260,7 @@ def _run_sweep(args, _) -> Verdict:
     k = (args.bound - 1).bit_length() if args.bound > 1 else 0
     modes = _OPEN_RUNNERS if args.kind == "open" else (None,)
     rows = [row for row in COMMANDS.values() if row.family == args.kind]
+    levels = 1 << RationalGrid(args.grid).resolution if args.kind == "func" else 1
     checks = []
     for seed in range(args.seed, args.seed + args.count):
         text = gen.gen_trace(
@@ -267,6 +268,8 @@ def _run_sweep(args, _) -> Verdict:
             bound=args.bound, eps=eps,
         )
         family = traces.parse_trace(text)
+        if seed == args.seed:  # count runs of the first family's size, before any runs
+            traces.run_size(family, args.count * levels)
         found = []
         for row in rows:
             for mode in modes:

@@ -233,7 +233,11 @@ def run_fatou(
     schedule = DeltaSchedule(eps, eps_prime)
     depth = family.depth
     assert depth is not None
-    ncells = 1 << depth
+
+    # Candidate levels: positive grid multiples up to the largest value seen.
+    g = grid.resolution
+    levels = max(1 << g, math.ceil(max((e.value for e in family.events), default=ZERO) * (1 << g)))
+    attempts = traces.run_size(family, levels)  # one per (start, word, level)
 
     # Everything in integers over a common denominator; integrals in units
     # of 1 / (scale * 2^depth).
@@ -241,18 +245,8 @@ def run_fatou(
     unit = scale << depth
     cell_rows = traces.member_rows(family, scale, eps=eps)
     integrals = [sum(row) for row in cell_rows]
-    top = family.nmax
-
-    # Candidate levels: positive grid multiples up to the largest value seen.
-    g = grid.resolution
-    max_scaled = max(max(row) for row in cell_rows)
-    levels = max(1 << g, -((-max_scaled << g) // scale))
+    top, ncells = family.nmax, 1 << depth
     step_scaled = scale >> g
-    # One memo slot per (word, level), and as many attempts per start.
-    nwords = (2 << depth) - 1
-    if nwords * levels > traces.MAX_HEAP_ENTRIES:
-        raise InputError(f"a fatou run needs {nwords}*{levels} memo slots, "
-                         f"above the limit {traces.MAX_HEAP_ENTRIES}")
 
     # Every row as level masks over the thresholds the rows hold, ascending;
     # heights[k] = tops[k] - tops[k-1].
@@ -262,7 +256,7 @@ def run_fatou(
     phi = [0] * len(tops)
 
     words = words_up_to(depth)
-    floors, settled_tf = schedule.floor_table(unit, (top + 1) * len(words) * levels)
+    floors, settled_tf = schedule.floor_table(unit, attempts)
     # Each cap removes at least one unit from u, whose integral starts at
     # most at levels * step * 2^depth units.
     settled = schedule.settled_attempt(levels * step_scaled * unit << depth)

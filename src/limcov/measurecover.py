@@ -209,6 +209,8 @@ def frequency_semimeasures(
     for i in values:
         if not 0 <= i < horizon:
             raise InputError(f"position {i} outside [0, {horizon})")
+    events = tuple(traces.Event(i, x) for i, x in values.items())  # sized as its trace
+    traces.run_size(traces.StabilizedFamily("measure", horizon, None, events))
     out: list[dict[str, Fraction]] = []
     counts: dict[str, int] = {}
     for n in range(1, horizon + 1):

@@ -270,11 +270,11 @@ def _first_overflow(
 
 def _run_setup(family: traces.StabilizedFamily, eps: Fraction, eps_prime: Fraction):
     """Member masks and counts, the words in heap order and their masks, and
-    the floor table of the run's (nmax+1) * (2^(depth+1)-1) attempts."""
+    the floor table of the run's attempts, traces.run_size."""
     masks = _member_masks(family, eps, eps_prime)
     depth = family.depth
     words = words_up_to(depth)
-    attempts = (family.nmax + 1) * len(words)
+    attempts = traces.run_size(family)
     floors, settled_tf = DeltaSchedule(eps, eps_prime).floor_table(1 << depth, attempts)
     counts = [m.bit_count() for m in masks]
     word_masks = [cell_mask(w, depth) for w in words]
@@ -387,7 +387,7 @@ def run_naive_cover(
                 pieces.append(Piece(words[j], start, None, attempt, 0, added))
                 uncovered &= ~candidate
     cover = CylinderSet.from_mask(full ^ uncovered, depth)
-    return OpenCoverResult("naive", cover, tuple(pieces), (top + 1) * width, ())
+    return OpenCoverResult("naive", cover, tuple(pieces), traces.run_size(family), ())
 
 
 def run_block_cover(

@@ -162,6 +162,7 @@ def deficiency_cover_family(
         raise InputError(f"depth {depth} must be at least nmax {nmax}")
     if c < 0:
         raise InputError("c must be non-negative")
+    traces.run_size(traces.StabilizedFamily("open", nmax, depth, ()))
     events = []
     for n in range(nmax):
         for u in sorted(deficiency_sets(decoder, n, c)):

@@ -16,7 +16,8 @@ share no logic with the covering processes beyond reading the family;
 liminf_values keeps the defining formula as the tests' reference.
 member_rows and check_liminf_domination check the two ends of every
 covering argument: small members in, checked on the rows each run then
-works on, and an output dominating the liminf out.
+works on, and an output dominating the liminf out; run_size sizes each
+run's attempt loop over (start N, key, level) before any row is built.
 
 Trace grammar (UTF-8, LF line endings, single spaces)::
 
@@ -66,7 +67,6 @@ __all__ = [
     "KINDS",
     "ParseError",
     "StabilizedFamily",
-    "check_heap_entries",
     "check_liminf_domination",
     "format_trace",
     "func_eval",
@@ -79,6 +79,7 @@ __all__ = [
     "member_rows",
     "opens_by_index",
     "parse_trace",
+    "run_size",
     "sets_by_index",
     "split_lines",
     "tree_law_break",
@@ -90,7 +91,10 @@ KINDS = ("sets", "open", "measure", "tree", "func")
 _DEPTH_KINDS = ("open", "tree", "func")
 _SET_KINDS = ("sets", "open")
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+\Z")
-MAX_HEAP_ENTRIES = 1 << 20  # gen's cap needs 524,224; tree 1x19: 7 s, 400 MB (2-core host)
+# run_size's limits (2-core host).  gen's caps need 539,616 attempts (func 32x8, grid 5), 2.2e9
+# cells (open 64x12 trim: 0.4-0.8 s) and 4.3e6 members (sets 64x1024).  Open 1x16 took 2-3 s,
+# func 1x17 at grid 2 17 s and sets 4096x1 2 s: a member scan costs about what 2^9 cells do.
+MAX_RUN_ATTEMPTS, MAX_RUN_CELLS, MAX_RUN_MEMBERS = 1 << 20, 1 << 32, 1 << 23
 
 
 class ParseError(ValueError):
@@ -338,20 +342,27 @@ def liminf_values(family: StabilizedFamily, point: str) -> Fraction:
     return best
 
 
-def check_heap_entries(family: StabilizedFamily) -> None:
-    """InputError past MAX_HEAP_ENTRIES entries, nmax * (2^(depth+1)-1): tree
-    and func heap rows, or an open run's attempts but its tail start's."""
+def run_size(family: StabilizedFamily, levels: int = 1) -> int:
+    """A run's attempts, (nmax+1) * keys * levels over the 2^(depth+1)-1 words
+    or the universe() (at least 1); InputError, from the header and events, when
+    the attempts or their scans of 2^depth cells or nmax members pass MAX_RUN_*."""
     nmax, depth = family.nmax, family.depth
-    assert depth is not None
-    if depth >= MAX_HEAP_ENTRIES.bit_length() or nmax * ((2 << depth) - 1) > MAX_HEAP_ENTRIES:
-        article = "an" if family.kind == "open" else "a"
-        raise InputError(f"{article} {family.kind} family needs {nmax}*(2^{depth + 1}-1) heap "
-                         f"entries, above the limit {MAX_HEAP_ENTRIES}")
+    shift = min(depth or 0, 64)  # no 2 << depth for a huge depth; past 20 it is refused
+    if depth is None:
+        keys, width, per, cap = len(universe(family)) or 1, nmax, f"{nmax} members", MAX_RUN_MEMBERS
+    else:
+        keys, width, per, cap = (2 << shift) - 1, 1 << shift, f"2^{depth} cells", MAX_RUN_CELLS
+    attempts = (nmax + 1) * keys * levels
+    if attempts > MAX_RUN_ATTEMPTS or attempts * width > cap:
+        shown = attempts if attempts < 1 << 64 else f"over 2^{attempts.bit_length() - 1}"
+        raise InputError(f"the run needs {shown} attempts of {per} on this {family.kind} family, "
+                         f"past the limits of {MAX_RUN_ATTEMPTS} attempts and {cap} scanned")
+    return attempts
 
 
 def heap_rows(family: StabilizedFamily, scale: int) -> list[list[int]]:
-    """Each tree or func member's word values times ``scale``, as ints;
-    InputError, before any is built, past check_heap_entries.
+    """Each tree or func member's word values times ``scale``, as ints, for
+    a family run_size admits (member_rows sizes it first).
 
     ``scale`` must be a common multiple of the value denominators.  A row
     is in heap order, word w at int("1" + w, 2) - 1, which is the order of
@@ -360,7 +371,6 @@ def heap_rows(family: StabilizedFamily, scale: int) -> list[list[int]]:
     """
     if family.kind not in ("tree", "func"):
         raise InputError(f"expected a tree or func family, got {family.kind!r}")
-    check_heap_entries(family)
     rows = [[0] * ((2 << family.depth) - 1) for _ in range(family.nmax)]
     for e in family.events:
         heap, i = rows[e.index], int("1" + e.key, 2) - 1
@@ -382,15 +392,16 @@ def member_rows(
     eps: Fraction | None = None,
 ) -> list:
     """Each member as the row its run works on: the set (sets), the cell
-    mask (open, past check_heap_entries), the values over universe()
-    (measure), the heap row (tree) or the depth-level cell values (func), as
-    ints times ``scale``, a common multiple of the denominators (by default
-    their lcm).  InputError names the first member that breaks the
-    hypothesis of its construction: more than ``bound`` elements (sets),
-    measure (open) or integral (func) above ``eps``, a sum above 1
-    (measure), or the tree law a(y) >= a(y0) + a(y1) with a(root) <= 1
-    (tree; absent words count as 0).  A bound left None is not checked."""
+    mask (open), the values over universe() (measure), the heap row (tree)
+    or the depth-level cell values (func), as ints times ``scale``, a common
+    multiple of the denominators (by default their lcm), once run_size admits
+    the run.  InputError names the first member that breaks the hypothesis
+    of its construction: more than ``bound`` elements (sets), measure (open)
+    or integral (func) above ``eps``, a sum above 1 (measure), or the tree
+    law a(y) >= a(y0) + a(y1) with a(root) <= 1 (tree; absent words count as
+    0).  A bound left None is not checked."""
     kind, depth = family.kind, family.depth
+    run_size(family)
     if scale is None:
         scale = math.lcm(*(e.value.denominator for e in family.events if e.value is not None))
     if kind == "sets":
@@ -421,7 +432,6 @@ def member_rows(
     else:
         # An open set is the func case of its indicator: measure = integral.
         if kind == "open":
-            check_heap_entries(family)
             rows = [0] * family.nmax
             for e in family.events:
                 rows[e.index] |= cell_mask(e.key, depth)

@@ -589,6 +589,7 @@ def exit_two_cases():
         yield pytest.param(argv, data, too_long, id=case_id)
     # The whole stderr line of each member-size precondition failure.
     eps = ["--eps", "1/4", "--eps-prime", "1/2"]
+    limits = "past the limits of 1048576 attempts and 4294967296 scanned"
     for case_id, argv, data, line in [
         ("setcover-above-bound", ["setcover", "--k", "0"], b"family sets nmax=1\nadd 0 a\nadd 0 b\n",
          "U_0 has 2 elements, above the bound 1"),
@@ -614,23 +615,22 @@ def exit_two_cases():
          b"family tree nmax=2 depth=3\nraise 0 e 1\nraise 1 e 14/15\nraise 1 0 1/3\n"
          b"raise 1 1 3/5\nraise 1 10 2/5\nraise 1 11 1/5\nraise 1 110 2/15\nraise 1 111 1/10\n",
          "a_1 violates the tree constraint at word 11: 1/5 < 7/30"),
-        # Heap rows past the stated limit are refused before any is built.
+        # Runs past traces.run_size's limits are refused before any row is
+        # built: heap rows, fatou levels and open cell masks alike.
         ("treecover-depth-30", ["treecover"], b"family tree nmax=2 depth=30\nraise 0 e 1/2\n",
-         "a tree family needs 2*(2^31-1) heap entries, above the limit 1048576"),
+         f"the run needs 6442450941 attempts of 2^30 cells on this tree family, {limits}"),
         ("fatou-depth-30", ["fatou", *eps], b"family func nmax=2 depth=30\nraise 0 e 1/2\n",
-         "a func family needs 2*(2^31-1) heap entries, above the limit 1048576"),
-        # So are fatou memo slots, one per (word, level), before any is built.
+         f"the run needs 103079215056 attempts of 2^30 cells on this func family, {limits}"),
         *(
             (f"fatou-grid-{g}", ["fatou", *eps, "--grid", str(g)],
              b"family func nmax=1 depth=2\nraise 0 00 1/2\n",
-             f"a fatou run needs 7*{1 << g} memo slots, above the limit 1048576")
+             f"the run needs {14 << g} attempts of 2^2 cells on this func family, {limits}")
             for g in (20, 30)
         ),
-        # So are open runs, before any cell mask is built.
         *(
             (f"opencover-{mode}-depth-40", ["opencover", "--mode", mode, *eps],
              b"family open nmax=1 depth=40\nadd 0 000000\n",
-             "an open family needs 1*(2^41-1) heap entries, above the limit 1048576")
+             f"the run needs 4398046511102 attempts of 2^40 cells on this open family, {limits}")
             for mode in ("trim", "naive", "blocks")
         ),
         # The whole stderr line of each eps-pair precondition failure.

@@ -206,22 +206,6 @@ def test_precondition_violations():
         run_trim_cover(fam, F(1, 2), F(5, 4))  # eps' > 1
 
 
-def test_runs_past_the_heap_limit_are_refused_before_any_mask():
-    # gen's cap, open 64x12, needs 64 * 8191 = 524,224 entries; the limit is
-    # 2^20.  One member at depth 40 would take masks of 2^40 bits.
-    for nmax, depth in [(gen.NMAX_CAP, gen.DEPTH_CAP), (1, 19), (2, 18)]:
-        traces.check_heap_entries(traces.StabilizedFamily("open", nmax, depth, ()))
-    with pytest.raises(InputError, match=r"^an open family needs 2\*\(2\^20-1\) heap entries"):
-        traces.check_heap_entries(traces.StabilizedFamily("open", 2, 19, ()))
-    fam = parse_trace("family open nmax=1 depth=40\nadd 0 000000\n")
-    for runner in ALL_RUNNERS:
-        with pytest.raises(InputError) as err:
-            runner(fam, F(1, 4), F(3, 8))
-        assert str(err.value) == (
-            "an open family needs 1*(2^41-1) heap entries, above the limit 1048576"
-        )
-
-
 def test_theta_stays_below_eps_prime():
     fam = parse_trace(DRIFT)
     for runner in ALL_RUNNERS:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from limcov import fatou, gen, traces
+from limcov import fatou, gen, opencover, traces
 from limcov.kernel import CylinderSet, InputError, words_up_to
 from limcov.measurecover import RationalGrid, run_measure_cover, run_tree_cover
 from limcov.setcover import run_set_cover
@@ -27,6 +27,9 @@ from limcov.traces import (
 )
 
 F = Fraction
+OPEN_RUNNERS = (
+    opencover.run_trim_cover, opencover.run_naive_cover, opencover.run_block_cover
+)
 
 
 def at_stage(family, stage):
@@ -344,19 +347,55 @@ def test_family_constructor_enforces_type_invariants():
         traces.StabilizedFamily("measure", 1, 3, ())
 
 
-def test_heap_rows_admit_the_generator_cap_and_refuse_past_the_limit():
-    # 64 members at depth 12 need 524,224 entries; nothing is built before
-    # a refusal, so a depth of 10^9 is refused at once.
-    cap = StabilizedFamily("tree", gen.NMAX_CAP, gen.DEPTH_CAP, ())
-    assert [len(row) for row in traces.heap_rows(cap, 1)] == [8191] * 64
-    assert traces.MAX_HEAP_ENTRIES == 1 << 20
-    assert len(traces.heap_rows(StabilizedFamily("func", 1, 19, ()), 1)[0]) == (1 << 20) - 1
-    assert len(traces.heap_rows(StabilizedFamily("tree", 2, 18, ()), 1)) == 2
-    for kind, nmax, depth in [("tree", 2, 19), ("func", 1, 20), ("tree", 1, 10**9), ("func", 10**9, 1)]:
-        message = f"a {kind} family needs {nmax}*(2^{depth + 1}-1) heap entries, above the limit 1048576"
-        with pytest.raises(InputError) as err:
-            traces.heap_rows(StabilizedFamily(kind, nmax, depth, ()), 1)
-        assert str(err.value) == message
+@pytest.mark.parametrize("kind,nmax,depth,keys,levels,size", [
+    # gen's caps, one.trace at grid 16 and the sets cap all run.
+    ("open", gen.NMAX_CAP, gen.DEPTH_CAP, 0, 1, 532_415),
+    ("tree", gen.NMAX_CAP, gen.DEPTH_CAP, 0, 1, 532_415),
+    ("func", 32, 8, 0, 32, 539_616),
+    ("func", 1, 2, 0, 1 << 16, 917_504),
+    ("sets", gen.NMAX_CAP, None, gen.UNIVERSE_CAP, 1, 66_560),
+    ("sets", 2048, None, 1, 1, 2049),
+    ("measure", 3, None, 0, 1, 4),  # an empty universe still builds each row
+    # Word masks of 2^16 to 2^19 bits per attempt: open 1x19 and 2x18 ran out
+    # of memory, though their heap rows passed the old limit of 2^20 entries.
+    *(("open", n, d, 0, 1, f"{(n + 1) * ((2 << d) - 1)} attempts of 2^{d} cells")
+      for n, d in [(1, 16), (1, 17), (1, 19), (2, 18)]),
+    ("tree", 1, 16, 0, 1, "262142 attempts of 2^16 cells"),
+    ("func", 1, 19, 0, 1, "2097150 attempts of 2^19 cells"),
+    ("tree", 2, 18, 0, 1, "1572861 attempts of 2^18 cells"),
+    ("func", 1, 17, 0, 4, "2097144 attempts of 2^17 cells"),
+    ("func", 300_000, 1, 0, 1 << 18, "235930386432 attempts of 2^1 cells"),
+    # A member step costs about what 2^9 cells do: setcover on 4,096 one-key
+    # members took about 2 s, and 16,384 took 36 s.
+    ("sets", 4096, None, 1, 1, "4097 attempts of 4096 members"),
+    ("sets", 10**8, None, 1, 1, "100000001 attempts of 100000000 members"),
+    ("measure", 10**11, None, 0, 1, "100000000001 attempts of 100000000000 members"),
+    # No 2 << depth is built past depth 64, nor a count past 2^64 written out.
+    ("tree", 1, 10**9, 0, 1, "over 2^65 attempts of 2^1000000000 cells"),
+    ("func", 10**9, 1, 0, 1 << 14_284, "over 2^14315 attempts of 2^1 cells"),
+])
+def test_run_size_admits_the_caps_and_refuses_past_its_limits(kind, nmax, depth, keys, levels, size):
+    events = tuple(traces.Event(0, f"k{i}") for i in range(keys))
+    family = StabilizedFamily(kind, nmax, depth, events)
+    if isinstance(size, int):
+        assert traces.run_size(family, levels) == size
+        if kind == "tree":  # member_rows then builds every heap row
+            assert [len(row) for row in traces.member_rows(family, 1)] == [8191] * nmax
+        return
+    most = 4294967296 if depth else 8388608
+    message = (f"the run needs {size} on this {kind} family, "
+               f"past the limits of 1048576 attempts and {most} scanned")
+    with pytest.raises(InputError) as err:
+        traces.run_size(family, levels)
+    assert str(err.value) == message
+    if levels == 1:  # refused before any row is built, in every run mode too
+        runners = [lambda f: traces.member_rows(f)]
+        if kind == "open":
+            runners += [lambda f, run=run: run(f, F(1, 4), F(3, 8)) for run in OPEN_RUNNERS]
+        for runner in runners:
+            with pytest.raises(InputError) as err:
+                runner(family)
+            assert str(err.value) == message
 
 
 def test_heap_rows_keep_each_words_largest_value():
