@@ -27,6 +27,7 @@ from .kernel import (
     cell_mask,
     format_rational,
     is_natural,
+    is_token,
     word_to_text,
 )
 
@@ -276,18 +277,20 @@ def gen_function_text(seed: int, horizon: int, value_range: int = 8) -> str:
 
 def parse_function_table(text: str | bytes) -> dict[int, str]:
     """Parse ``<i> <token>`` lines into a partial map (missing i = undefined)."""
-    lines = traces.split_lines(text)
+    usage = "'<i> <token>'"
     out: dict[int, str] = {}
-    for lineno, line in enumerate(lines, start=1):
-        fields = line.split(" ")
-        if len(fields) != 2 or "" in fields or not is_natural(fields[0]):
-            raise traces.ParseError(lineno, "expected '<i> <token>'")
-        i = int(fields[0])
+
+    def position(i_text: str, token: str) -> None:
+        if not is_natural(i_text):
+            raise InputError(f"expected {usage}")
+        i = int(i_text)
         if i in out:
-            raise traces.ParseError(lineno, f"duplicate position {i}")
-        if not traces._TOKEN_RE.match(fields[1]):
-            raise traces.ParseError(lineno, f"bad token {fields[1]!r}")
-        out[i] = fields[1]
+            raise InputError(f"duplicate position {i}")
+        if not is_token(token):
+            raise InputError(f"bad token {token!r}")
+        out[i] = token
+
+    traces.read_lines(traces.split_lines(text), 2, usage, position)
     return out
 
 

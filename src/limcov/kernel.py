@@ -30,8 +30,10 @@ __all__ = [
     "RealInterval",
     "cell_mask",
     "cell_span",
+    "check_exponent",
     "format_rational",
     "is_natural",
+    "is_token",
     "is_word",
     "parse_rational",
     "word_from_text",
@@ -99,14 +101,28 @@ def format_rational(value: Fraction) -> str:
 
 
 def is_natural(text: str) -> bool:
-    """True for non-empty runs of ASCII digits 0-9 (no signs, no Unicode
-    digits such as '²' or '١' that str.isdigit() also accepts)."""
-    return text.isascii() and text.isdigit()
+    """True for non-empty runs of at most 4300 ASCII digits 0-9, the most
+    int() converts (no signs, no Unicode digits such as '²' or '١' that
+    str.isdigit() also accepts)."""
+    return text.isascii() and text.isdigit() and len(text) <= _MAX_DECIMAL_DIGITS
+
+
+# is_token(text) is truthy for non-empty strings over [A-Za-z0-9_].
+is_token = re.compile(r"[A-Za-z0-9_]+").fullmatch
 
 
 def is_word(text: str) -> bool:
     """True for (possibly empty) strings over the alphabet {0, 1}."""
     return not text.strip("01")
+
+
+def check_exponent(name: str, k: int) -> None:
+    """Refuse a k outside [0, MAX_EXPONENT]: 2^-k must be small enough to
+    build and render."""
+    if k < 0:
+        raise InputError(f"{name} must be non-negative")
+    if k > MAX_EXPONENT:
+        raise InputError(f"{name} must be at most {MAX_EXPONENT}")
 
 
 def word_to_text(word: str) -> str:

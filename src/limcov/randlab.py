@@ -25,12 +25,13 @@ from fractions import Fraction
 
 from . import opencover, traces
 from .kernel import (
-    MAX_EXPONENT,
     CylinderSet,
     InputError,
     ZERO,
+    check_exponent,
     format_rational,
     is_natural,
+    is_word,
     word_from_text,
     word_to_text,
 )
@@ -68,7 +69,7 @@ class DecoderTable:
                 raise InputError(f"duplicate program {word_to_text(program)}")
             seen.add(program)
             for side in (program, output):
-                if any(ch not in "01" for ch in side):
+                if not is_word(side):
                     raise InputError(f"not a binary word: {side!r}")
 
     def complexity(self) -> dict[str, int]:
@@ -84,23 +85,17 @@ class DecoderTable:
 
 def parse_decoder(text: str | bytes) -> DecoderTable:
     """Parse lines ``<program> <output>`` (binary words, ``e`` for empty)."""
-    lines = traces.split_lines(text)
-    entries = []
     seen = set()
-    for lineno, line in enumerate(lines, start=1):
-        fields = line.split(" ")
-        if len(fields) != 2 or "" in fields:
-            raise traces.ParseError(lineno, "expected '<program> <output>'")
-        try:
-            program = word_from_text(fields[0])
-            output = word_from_text(fields[1])
-        except InputError as exc:
-            raise traces.ParseError(lineno, str(exc)) from None
+
+    def entry(program_text: str, output_text: str) -> tuple[str, str]:
+        program, output = word_from_text(program_text), word_from_text(output_text)
         if program in seen:
-            raise traces.ParseError(lineno, f"duplicate program {fields[0]}")
+            raise InputError(f"duplicate program {program_text}")
         seen.add(program)
-        entries.append((program, output))
-    return DecoderTable(tuple(entries))
+        return program, output
+
+    lines = traces.split_lines(text)
+    return DecoderTable(tuple(traces.read_lines(lines, 2, "'<program> <output>'", entry)))
 
 
 def deficiency_sets(decoder: DecoderTable, n: int, c: int) -> frozenset[str]:
@@ -175,7 +170,7 @@ def deficiency_eps(c: int) -> tuple[Fraction, Fraction]:
     covered at; requires c >= 1 so that eps' <= 1."""
     if c < 1:
         raise InputError("the covering step needs c >= 1 (eps' = 2^-(c-1))")
-    _check_exponent(c)
+    check_exponent("c", c)
     return Fraction(1, 1 << c), Fraction(1, 1 << (c - 1))
 
 
@@ -198,7 +193,7 @@ def bar_deficiency(decoder: DecoderTable, x: str, limit: int) -> int | None:
     Undescribed extensions carry no deficiency value and are skipped; None
     means x has no described extension within the bound.
     """
-    if any(ch not in "01" for ch in x):
+    if not is_word(x):
         raise InputError(f"not a binary word: {x!r}")
     if len(x) > limit:
         raise InputError(f"|x| = {len(x)} exceeds the bound {limit}")
@@ -233,15 +228,6 @@ def verify_bar_deficiency(
     )
 
 
-def _check_exponent(c: int) -> None:
-    """Refuse a c outside [0, MAX_EXPONENT]: 2^-c must be small enough to
-    build and render."""
-    if c < 0:
-        raise InputError("c must be non-negative")
-    if c > MAX_EXPONENT:
-        raise InputError(f"c must be at most {MAX_EXPONENT}")
-
-
 @dataclass(frozen=True)
 class TestApproximation:
     """Computable approximations I_{i,n} of a sequence of intervals.
@@ -255,7 +241,7 @@ class TestApproximation:
     c: int
 
     def __post_init__(self):
-        _check_exponent(self.c)
+        check_exponent("c", self.c)
         for (i, n), word in self.intervals.items():
             _check_interval(i, n, word)
 
@@ -266,7 +252,7 @@ def _check_interval(i: int, n: int, word: str) -> None:
         raise InputError("interval indices must be non-negative")
     if n < i:
         raise InputError(f"interval at (i={i}, n={n}) sits before its index")
-    if any(ch not in "01" for ch in word):
+    if not is_word(word):
         raise InputError(f"not a binary word: {word!r}")
     if len(word) > n:
         raise InputError(f"interval at (i={i}, n={n}) has measure below 2^-{n}")
@@ -274,23 +260,19 @@ def _check_interval(i: int, n: int, word: str) -> None:
 
 def parse_test_table(text: str | bytes, c: int) -> TestApproximation:
     """Parse lines ``<i> <n> <word>`` into a TestApproximation."""
-    _check_exponent(c)
-    lines = traces.split_lines(text)
+    check_exponent("c", c)
     table: dict[tuple[int, int], str] = {}
-    for lineno, line in enumerate(lines, start=1):
-        fields = line.split(" ")
-        if len(fields) != 3 or "" in fields:
-            raise traces.ParseError(lineno, "expected '<i> <n> <word>'")
-        if not is_natural(fields[0]) or not is_natural(fields[1]):
-            raise traces.ParseError(lineno, "indices must be non-negative integers")
-        i, n = int(fields[0]), int(fields[1])
+
+    def interval(i_text: str, n_text: str, word_text: str) -> None:
+        if not is_natural(i_text) or not is_natural(n_text):
+            raise InputError("indices must be non-negative integers")
+        i, n = int(i_text), int(n_text)
         if (i, n) in table:
-            raise traces.ParseError(lineno, f"duplicate interval at ({i}, {n})")
-        try:
-            table[(i, n)] = word_from_text(fields[2])
-            _check_interval(i, n, table[(i, n)])
-        except InputError as exc:
-            raise traces.ParseError(lineno, str(exc)) from None
+            raise InputError(f"duplicate interval at ({i}, {n})")
+        table[i, n] = word_from_text(word_text)
+        _check_interval(i, n, table[i, n])
+
+    traces.read_lines(traces.split_lines(text), 3, "'<i> <n> <word>'", interval)
     return TestApproximation(table, c)
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import traces
-from .kernel import MAX_EXPONENT, InputError
+from .kernel import InputError, check_exponent
 from .verdict import Check, Verdict
 
 __all__ = ["SetCoverResult", "run_set_cover", "verify_set_cover"]
@@ -47,10 +47,7 @@ def run_set_cover(family: traces.StabilizedFamily, k: int) -> SetCoverResult:
     enumerated cannot belong to the liminf nor block an addition, so the
     universe suffices.
     """
-    if k < 0:
-        raise InputError("k must be non-negative")
-    if k > MAX_EXPONENT:
-        raise InputError(f"k must be at most {MAX_EXPONENT}")
+    check_exponent("k", k)
     if family.kind != "sets":
         raise InputError(f"expected a sets family, got {family.kind!r}")
     bound = 1 << k

@@ -31,7 +31,8 @@ Trace grammar (UTF-8, LF line endings, single spaces)::
 Values are positive ASCII rationals written as p/q or in decimal notation.
 A duplicate add is idempotent and a raise below the current value is a
 no-op, so objects grow monotonically with the stage.  Traces, partial maps,
-decoder tables and interval tables are all read by split_lines.
+decoder tables and interval tables are all read by read_lines: single
+spaces, a fixed number of fields per line, and a ParseError naming the line.
 
 Parsed families are immutable; the covering modules operate on private
 mutable copies and may be run concurrently on the same family.
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import math
 import operator
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -54,6 +54,7 @@ from .kernel import (
     cell_mask,
     format_rational,
     is_natural,
+    is_token,
     is_word,
     parse_rational,
     word_from_text,
@@ -79,6 +80,7 @@ __all__ = [
     "member_rows",
     "opens_by_index",
     "parse_trace",
+    "read_lines",
     "run_size",
     "sets_by_index",
     "split_lines",
@@ -90,7 +92,6 @@ __all__ = [
 KINDS = ("sets", "open", "measure", "tree", "func")
 _DEPTH_KINDS = ("open", "tree", "func")
 _SET_KINDS = ("sets", "open")
-_TOKEN_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 # run_size's limits (2-core host).  gen's caps need 539,616 attempts (func 32x8, grid 5), 2.2e9
 # cells (open 64x12 trim: 0.4-0.8 s) and 4.3e6 members (sets 64x1024).  Open 1x16 took 2-3 s,
 # func 1x17 at grid 2 17 s and sets 4096x1 2 s: a member scan costs about what 2^9 cells do.
@@ -177,28 +178,20 @@ def _parse_header(line: str) -> tuple[str, int, int | None]:
     return kind, nmax, depth
 
 
-def _parse_index(lineno: int, field: str, nmax: int) -> int:
-    if not is_natural(field):
-        raise ParseError(lineno, f"bad index {field!r}")
-    n = int(field)
-    if n >= nmax:
-        raise ParseError(lineno, f"index {n} not below nmax={nmax}")
-    return n
-
-
-def _parse_key(lineno: int, field: str, kind: str, depth: int | None) -> str:
-    if kind in ("sets", "measure"):
-        if not _TOKEN_RE.match(field):
-            raise ParseError(lineno, f"bad token {field!r}")
-        return field
-    try:
-        word = word_from_text(field)
-    except InputError as exc:
-        raise ParseError(lineno, str(exc)) from None
-    assert depth is not None
-    if len(word) > depth:
-        raise ParseError(lineno, f"word {field!r} longer than depth {depth}")
-    return word
+def read_lines(lines: list[str], width: int, usage: str, parse: Callable, first: int = 1) -> list:
+    """parse(*fields) of each line, numbered from ``first``, split at single
+    spaces; ParseError naming the line when it has not exactly ``width``
+    non-empty fields ("expected <usage>") or when parse raises InputError."""
+    out = []
+    for lineno, line in enumerate(lines, first):
+        fields = line.split(" ")
+        if len(fields) != width or "" in fields:
+            raise ParseError(lineno, f"expected {usage}")
+        try:
+            out.append(parse(*fields))
+        except InputError as exc:
+            raise ParseError(lineno, str(exc)) from None
+    return out
 
 
 def parse_trace(text: str | bytes) -> StabilizedFamily:
@@ -208,26 +201,28 @@ def parse_trace(text: str | bytes) -> StabilizedFamily:
         raise ParseError(1, "empty trace")
     kind, nmax, depth = _parse_header(lines[0])
     verb = "add" if kind in _SET_KINDS else "raise"
-    nfields = 3 if kind in _SET_KINDS else 4
 
-    events = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(" ")
-        if len(fields) != nfields or "" in fields:
-            raise ParseError(lineno, f"expected '{verb} <n> <key>{' <value>' if nfields == 4 else ''}'")
-        if fields[0] != verb:
-            raise ParseError(lineno, f"kind {kind!r} uses verb {verb!r}, got {fields[0]!r}")
-        n = _parse_index(lineno, fields[1], nmax)
-        key = _parse_key(lineno, fields[2], kind, depth)
-        value = None
-        if nfields == 4:
-            try:
-                value = parse_rational(fields[3])
-            except InputError as exc:
-                raise ParseError(lineno, str(exc)) from None
-            if value.numerator <= 0:
-                raise ParseError(lineno, f"non-positive rational {fields[3]!r}")
-        events.append(Event(n, key, value))
+    def event(given: str, index: str, key: str, value: str | None = None) -> Event:
+        if given != verb:
+            raise InputError(f"kind {kind!r} uses verb {verb!r}, got {given!r}")
+        if not is_natural(index):
+            raise InputError(f"bad index {index!r}")
+        if (n := int(index)) >= nmax:
+            raise InputError(f"index {n} not below nmax={nmax}")
+        if depth is None:
+            if not is_token(key):
+                raise InputError(f"bad token {key!r}")
+        elif len(word := word_from_text(key)) > depth:
+            raise InputError(f"word {key!r} longer than depth {depth}")
+        else:
+            key = word
+        rational = None if value is None else parse_rational(value)
+        if rational is not None and rational.numerator <= 0:
+            raise InputError(f"non-positive rational {value!r}")
+        return Event(n, key, rational)
+
+    usage = "'add <n> <key>'" if kind in _SET_KINDS else "'raise <n> <key> <value>'"
+    events = read_lines(lines[1:], 3 if kind in _SET_KINDS else 4, usage, event, first=2)
     return StabilizedFamily(kind, nmax, depth, tuple(events))
 
 

@@ -545,6 +545,8 @@ def exit_two_cases():
          "k must be at most 14284"),
         ("setcover-huge-k", ["setcover", "--trace", "{input}", "--k", "99999999999"], sets,
          "k must be at most 14284"),
+        ("setcover-negative-k", ["setcover", "--trace", "{input}", "--k", "-1"], sets,
+         "limcov: k must be non-negative\n"),
         ("randlab-cover-c", ["randlab", "cover", "--decoder", "{input}", "--c", "20000",
                              "--nmax", "3", "--depth", "3"], b"0 00\n", "c must be at most 14284"),
         ("randlab-stabilize-c", ["randlab", "stabilize", "--table", "{input}", "--c", "-1"],
@@ -655,6 +657,57 @@ def exit_two_cases():
     ]:
         argv = ["randlab", "stabilize", "--table", "{input}", "--c", "1"]
         yield pytest.param(argv, data, f"limcov: {{input}}: {line}\n", id=case_id)
+    # A number past the 4300 digits int() converts is refused as malformed, in
+    # a header, an index or a position; it used to end in a ValueError traceback.
+    long = "9" * 4301
+    for name, data, line in [
+        ("setcover", f"family sets nmax={long}\n", f"line 1: expected nmax=<INT>, got 'nmax={long}'"),
+        ("measurecover", f"family measure nmax=2\nraise {long} a 1/2\n", f"line 2: bad index '{long}'"),
+        ("treecover", f"family tree nmax=1 depth={long}\n",
+         f"line 1: expected depth=<INT>, got 'depth={long}'"),
+        ("opencover", f"family open nmax=2 depth=2\nadd 0 0\nadd {long} 1\n", f"line 3: bad index '{long}'"),
+        ("fatou", f"family func nmax={long} depth=2\n", f"line 1: expected nmax=<INT>, got 'nmax={long}'"),
+        ("freq", f"0 x\n{long} y\n", "line 2: expected '<i> <token>'"),
+        ("randlab stabilize", f"0 {long} 0\n", "line 1: indices must be non-negative integers"),
+    ]:
+        argv = [*name.split(), f"--{COMMANDS[name].source}", "{input}", *OTHER_FLAGS[name]]
+        yield pytest.param(argv, data.encode(), f"limcov: {{input}}: {line}\n", id=f"{name}-long-number")
+    # A line bad in two ways reports the first fault in its format's order:
+    # events check verb, index, key, value; decoders the words, then repeats;
+    # tables and maps a repeated position before the word or token, and
+    # tables the word before the interval's invariants.
+    for case_id, name, data, line in [
+        ("setcover-index-before-token", "setcover", "family sets nmax=2\nadd 5 a-b\n",
+         "line 2: index 5 not below nmax=2"),
+        ("treecover-word-before-value", "treecover", "family tree nmax=1 depth=2\nraise 0 000 -1\n",
+         "line 2: word '000' longer than depth 2"),
+        ("randlab-bard-word-before-repeat", "randlab bard", "0 00\n0 2\n", "line 2: not a binary word: '2'"),
+        ("randlab-stabilize-repeat-before-word", "randlab stabilize", "0 1 0\n0 1 2\n",
+         "line 2: duplicate interval at (0, 1)"),
+        ("randlab-stabilize-word-before-interval", "randlab stabilize", "3 2 2\n",
+         "line 1: not a binary word: '2'"),
+        ("freq-repeat-before-token", "freq", "0 x\n0 y-z\n", "line 2: duplicate position 0"),
+        # One fault each: the field count of every format, and the per-line texts.
+        ("setcover-fields", "setcover", "family sets nmax=1\nadd 0\n", "line 2: expected 'add <n> <key>'"),
+        ("measurecover-fields", "measurecover", "family measure nmax=1\nraise 0 a\n",
+         "line 2: expected 'raise <n> <key> <value>'"),
+        ("setcover-verb", "setcover", "family sets nmax=1\nraise 0 a\n",
+         "line 2: kind 'sets' uses verb 'add', got 'raise'"),
+        ("measurecover-token", "measurecover", "family measure nmax=1\nraise 0 a-b 1/2\n",
+         "line 2: bad token 'a-b'"),
+        ("opencover-word", "opencover", "family open nmax=1 depth=2\nadd 0 2\n",
+         "line 2: not a binary word: '2'"),
+        ("measurecover-non-positive", "measurecover", "family measure nmax=1\nraise 0 a 0\n",
+         "line 2: non-positive rational '0'"),
+        ("treecover-not-rational", "treecover", "family tree nmax=1 depth=1\nraise 0 e x\n",
+         "line 2: not a rational number: 'x'"),
+        ("randlab-bard-fields", "randlab bard", "0\n", "line 1: expected '<program> <output>'"),
+        ("randlab-bard-repeat", "randlab bard", "0 0\n0 1\n", "line 2: duplicate program 0"),
+        ("randlab-stabilize-fields", "randlab stabilize", "0 1\n", "line 1: expected '<i> <n> <word>'"),
+        ("freq-token", "freq", "0 x\n1 x-y\n", "line 2: bad token 'x-y'"),
+    ]:
+        argv = [*name.split(), f"--{COMMANDS[name].source}", "{input}", *OTHER_FLAGS[name]]
+        yield pytest.param(argv, data.encode(), f"limcov: {{input}}: {line}\n", id=case_id)
 
 
 @pytest.mark.parametrize("argv,data,message", exit_two_cases())

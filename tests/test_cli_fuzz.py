@@ -3,9 +3,10 @@ with no traceback.
 
 Each case starts from a small valid input and flag set of one COMMANDS row
 and then mutates it: numbers in the header, events and flags are replaced
-by draws up to 10^11, lines are dropped or repeated, or the input
-file is replaced by random bytes.  Runs past traces.run_size's limits must
-be refused before they allocate, so the huge numbers end at once.
+by draws up to 10^11 or by runs of 4299-4302 digits, around the 4300 that
+int() converts, lines are dropped or repeated, or the input file is
+replaced by random bytes.  Runs past traces.run_size's limits must be
+refused before they allocate, so the huge numbers end at once.
 """
 
 import contextlib
@@ -49,13 +50,18 @@ SEEDS = {
 
 # Small numbers keep a run at desk scale; large ones must be refused.  The
 # gap between them holds admitted runs of up to a second or so (open 1x15).
-NUMBERS = st.one_of(st.integers(0, 9), st.integers(10**5, 10**11))
+# The longest are built as strings: str() of an int past 4300 digits raises.
+NUMBERS = st.one_of(
+    st.integers(0, 9).map(str),
+    st.integers(10**5, 10**11).map(str),
+    st.builds(str.__mul__, st.sampled_from("19"), st.integers(4299, 4302)),
+)
 MODES = {"--mode": ["trim", "naive", "blocks"], "--kind": list(traces.KINDS)}
 
 
 def _numbers(draw, text: str) -> str:
     """``text`` with each run of digits kept or replaced by a draw."""
-    return re.sub(r"\d+", lambda m: str(draw(NUMBERS)) if draw(st.booleans()) else m[0], text)
+    return re.sub(r"\d+", lambda m: draw(NUMBERS) if draw(st.booleans()) else m[0], text)
 
 
 @st.composite

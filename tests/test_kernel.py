@@ -218,8 +218,9 @@ def test_max_exponent_is_the_last_power_of_two_str_renders():
 
 
 def test_is_natural_takes_ascii_digits_only():
-    assert is_natural("0") and is_natural("0042")
-    for text in ("", "-1", "+1", "1 ", "\u00b2", "\u0661", "\uff11", "1_000"):
+    assert is_natural("0") and is_natural("0042") and is_natural("9" * 4300)
+    # int() converts at most 4300 digits; one more would raise ValueError.
+    for text in ("", "-1", "+1", "1 ", "\u00b2", "\u0661", "\uff11", "1_000", "9" * 4301):
         assert not is_natural(text), text
 
 
