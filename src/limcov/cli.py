@@ -151,7 +151,7 @@ def _render_opencover(args, family, result: opencover.OpenCoverResult):
         _threshold_line(args.eps, args.eps_prime, result.attempts),
         f"COVER {cover_words}".rstrip(),
         f"PIECES {len(result.pieces)}",
-        f"TRIMS {sum(count for _, count in result.trim_events)}",
+        f"TRIMS {sum(result.trims)}",
     ]
 
 
@@ -255,6 +255,8 @@ def _run_sweep(args, _) -> Verdict:
     --mode choice for open families, and k from --bound for sets."""
     if args.count < 1:
         raise InputError("count must be positive")
+    if args.seed + args.count > 10**4300:  # each seed=N check renders its seed
+        raise InputError("the last seed must have at most 4300 digits")
     depth = args.depth if args.kind in ("open", "tree", "func") else None
     eps = args.eps if args.kind in ("open", "func") else None
     k = (args.bound - 1).bit_length() if args.bound > 1 else 0

@@ -80,10 +80,7 @@ class RationalGrid:
     def common_scale(self, values: Iterable[Fraction]) -> int:
         """The lcm of 2^g and the denominators of ``values``: every value and
         every grid point is an integer multiple of 1/scale."""
-        scale = 1 << self.resolution
-        for v in values:
-            scale = math.lcm(scale, v.denominator)
-        return scale
+        return math.lcm(1 << self.resolution, *{v.denominator for v in values})
 
 
 @dataclass(frozen=True)
@@ -140,6 +137,7 @@ def run_measure_cover(
     if family.kind != "measure":
         raise InputError(f"expected a measure family, got {family.kind!r}")
     keys = traces.universe(family)
+    traces.run_size(family)  # before the common denominator is built
     scale = grid.common_scale(e.value for e in family.events)
     rows = traces.member_rows(family, scale)
     for row in rows:
@@ -272,6 +270,7 @@ def run_tree_cover(
     """
     if family.kind != "tree":
         raise InputError(f"expected a tree family, got {family.kind!r}")
+    traces.run_size(family)  # before the common denominator is built
     scale = grid.common_scale(e.value for e in family.events)
     rows = traces.member_rows(family, scale)
 

@@ -42,9 +42,9 @@ every member from its start index on is skipped without a scan: it can trim
 nothing and change no mask.
 
 Cross-start replicas (trim mode).  Each word keeps one memo of its last
-scanned attempt: its attempt number, its integer threshold tf, its first hit
-and its trim count; a commit retires it.  An attempt for the same word at a
-later start reuses that outcome without a scan when no commit has happened
+scanned attempt: its attempt number, its integer threshold tf and its first
+hit; a commit retires it.  An attempt for the same word at a later start
+copies that attempt's trim count without a scan when no commit has happened
 since, tf is the same and the first hit is at or after the new start's first
 member, min(start, nmax-1).  This is exact: a scan hits a member only once
 every earlier member has passed, and a trim (a cap, for fatou) only shrinks
@@ -90,6 +90,7 @@ Runs are single-threaded and deterministic; results are immutable.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -239,7 +240,11 @@ class OpenCoverResult:
     cover: CylinderSet
     pieces: tuple[Piece, ...]
     attempts: int
-    trim_events: tuple[tuple[int, int], ...]
+    trims: Sequence[int]  # trims[t]: attempt t's trim count; empty for naive and blocks
+
+    @property
+    def trim_events(self) -> tuple[tuple[int, int], ...]:
+        return tuple((t, count) for t, count in enumerate(self.trims) if count)
 
 
 def _member_masks(
@@ -302,10 +307,11 @@ def run_trim_cover(
 
     uncovered = full
     pieces: list[Piece] = []
-    trim_events: list[tuple[int, int]] = []
-    # memo[j]: (attempt, tf, first hit, trims) of word j's last scanned
-    # attempt that committed nothing; see the module docstring.
-    memo = [(-1, -1, -1, 0)] * len(words)
+    # trims[t]: attempt t's count.  "H" holds it: no count passes run_size's 2^depth <= 2^15 cells.
+    trims = array("H", [0]) * ((top + 1) * len(words))
+    # memo[j]: (attempt, tf, first hit) of word j's last scanned attempt
+    # that committed nothing; see the module docstring.
+    memo = [(-1, -1, -1)] * len(words)
     attempt = changed = -1
     for start in range(top + 1):
         low = min(start, top - 1)  # the tail start reads member nmax-1
@@ -316,41 +322,40 @@ def run_trim_cover(
         outside = full ^ reduce(and_, masks[low:], full)
         for j, (word, candidate) in enumerate(zip(words, word_masks)):
             attempt += 1
-            trims = 0
             if candidate & outside:
                 tf = floors[attempt] if attempt < len(floors) else settled_tf
-                seen, seen_tf, hit, seen_trims = memo[j]
+                seen, seen_tf, hit = memo[j]
                 if changed < seen and seen_tf == tf and hit >= low:
                     # A cross-start replica: see the module docstring.
-                    trim_events.append((attempt, seen_trims))
+                    trims[attempt] = trims[seen]
                     continue
                 # The parent hint: see the module docstring.
-                seen, _, hit, _ = memo[(j - 1) >> 1]
+                seen, _, hit = memo[(j - 1) >> 1]
                 members = range(hit if j and changed < seen else low, top)
                 first = hit = _first_overflow(candidate, masks, counts, members, tf)
-                if hit >= 0:
-                    while hit >= 0:
-                        candidate &= masks[hit]
-                        trims += 1
-                        assert attempt >= settled or schedule.allows_trims(attempt, trims)
-                        hit = (
-                            _first_overflow(candidate, masks, counts, members, tf)
-                            if candidate & outside
-                            else -1
-                        )
-                    trim_events.append((attempt, trims))
+                count = 0
+                while hit >= 0:
+                    candidate &= masks[hit]
+                    count += 1
+                    assert attempt >= settled or schedule.allows_trims(attempt, count)
+                    hit = (
+                        _first_overflow(candidate, masks, counts, members, tf)
+                        if candidate & outside
+                        else -1
+                    )
+                trims[attempt] = count
                 if candidate & outside:
                     _commit(candidate, masks, counts, low, tf)
                     outside &= ~candidate
                     changed = attempt
                 else:
-                    memo[j] = (attempt, tf, first, trims)
+                    memo[j] = (attempt, tf, first)
             if candidate & uncovered:
                 added = CylinderSet.from_mask(candidate, depth)
-                pieces.append(Piece(word, start, None, attempt, trims, added))
+                pieces.append(Piece(word, start, None, attempt, trims[attempt], added))
                 uncovered &= ~candidate
     cover = CylinderSet.from_mask(full ^ uncovered, depth)
-    return OpenCoverResult("trim", cover, tuple(pieces), attempt + 1, tuple(trim_events))
+    return OpenCoverResult("trim", cover, tuple(pieces), attempt + 1, memoryview(trims).toreadonly())
 
 
 def run_naive_cover(
@@ -448,10 +453,8 @@ def verify_open_cover(
     working-set machinery with the construction runs.  The attempt count is
     re-derived from the input: trim and naive runs make one attempt per
     (start, word), (nmax+1) * (2^(depth+1)-1) in all, and a blocks run takes
-    one increment per block piece, every piece but the tail.  The trim-bound
-    check still reads the run's own trim_events; it checks only the events
-    before the settled attempt of their largest count, since every later
-    one passes.
+    one increment per block piece, every piece but the tail.  trim-bound
+    reads the run's own trims, up to the settled attempt of their largest.
     """
     union = CylinderSet(w for piece in result.pieces for w in piece.added.words)
     consistent = union == result.cover
@@ -483,9 +486,9 @@ def verify_open_cover(
     checks.append(Check("coverage", covered, missing))
 
     trim_witness = ""
-    settled = schedule.settled_attempt(max((c for _, c in result.trim_events), default=0))
-    for attempt, count in result.trim_events:
-        if attempt < settled and not schedule.allows_trims(attempt, count):
+    settled = schedule.settled_attempt(max(result.trims, default=0))
+    for attempt, count in enumerate(result.trims[:max(settled, 0)]):
+        if not schedule.allows_trims(attempt, count):
             trim_witness = f"attempt {attempt}: {count} trims"
             break
     checks.append(Check("trim-bound", not trim_witness, trim_witness))

@@ -48,6 +48,7 @@ from itertools import repeat
 from typing import Callable, Iterable
 
 from .kernel import (
+    MAX_EXPONENT,
     CylinderSet,
     InputError,
     ZERO,
@@ -340,7 +341,9 @@ def liminf_values(family: StabilizedFamily, point: str) -> Fraction:
 def run_size(family: StabilizedFamily, levels: int = 1) -> int:
     """A run's attempts, (nmax+1) * keys * levels over the 2^(depth+1)-1 words
     or the universe() (at least 1); InputError, from the header and events, when
-    the attempts or their scans of 2^depth cells or nmax members pass MAX_RUN_*."""
+    the attempts or their scans of 2^depth cells or nmax members pass MAX_RUN_*,
+    or when the lcm of the value denominators has more bits than one parsed
+    denominator may, MAX_EXPONENT + 1."""
     nmax, depth = family.nmax, family.depth
     shift = min(depth or 0, 64)  # no 2 << depth for a huge depth; past 20 it is refused
     if depth is None:
@@ -352,6 +355,10 @@ def run_size(family: StabilizedFamily, levels: int = 1) -> int:
         shown = attempts if attempts < 1 << 64 else f"over 2^{attempts.bit_length() - 1}"
         raise InputError(f"the run needs {shown} attempts of {per} on this {family.kind} family, "
                          f"past the limits of {MAX_RUN_ATTEMPTS} attempts and {cap} scanned")
+    scale = 1
+    for q in {e.value.denominator for e in family.events if e.value is not None}:
+        if (scale := math.lcm(scale, q)).bit_length() > MAX_EXPONENT + 1:
+            raise InputError(f"the values' common denominator has more than {MAX_EXPONENT + 1} bits")
     return attempts
 
 

@@ -364,7 +364,7 @@ def test_criterion_10_oracle_independence():
             ),
         ),
         attempts=ores.attempts,
-        trim_events=ores.trim_events,
+        trims=ores.trims,
     )
     assert not opencover.verify_open_cover(ofam, F(1, 4), F(1, 2), inflated).passed
     _report("10 (oracle independence + mutation tests)")

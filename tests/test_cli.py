@@ -562,6 +562,9 @@ def exit_two_cases():
          b"0 x\n1 y\n2 x\n", "grid resolution must be at most 14284"),
         ("sweep-huge-grid", ["sweep", "--kind", "measure", "--count", "1", "--grid", "99999999999"],
          None, "grid resolution must be at most 14284"),
+        # The report names each seed; str() renders at most 4300 digits.
+        ("sweep-huge-seed", ["sweep", "--kind", "sets", "--count", "2", "--nmax", "2", "--seed",
+                             "9" * 4300], None, "limcov: the last seed must have at most 4300 digits\n"),
         *(
             (f"{name}-huge-grid", [name, f"--{flag}", "{input}", *OTHER_FLAGS[name], "--grid",
                                    "99999999999"], data, "grid resolution must be at most 14284")
@@ -634,6 +637,20 @@ def exit_two_cases():
              b"family open nmax=1 depth=40\nadd 0 000000\n",
              f"the run needs 4398046511102 attempts of 2^40 cells on this open family, {limits}")
             for mode in ("trim", "naive", "blocks")
+        ),
+        # Ten values of 3,320-bit denominators have a common denominator past
+        # the 14,285 bits of one 4300-digit denominator; 300 of them ran for
+        # seconds building it.  They are refused before it is built.
+        *(
+            (f"{name}-common-denominator", [name, *flags],
+             "".join([header, *(f"raise 0 {key} 1/{10**999 + i}\n" for i in range(10))]).encode(),
+             "the values' common denominator has more than 14285 bits")
+            for name, flags, header, key in [
+                ("measurecover", [], "family measure nmax=1\n", "k"),
+                ("treecover", [], "family tree nmax=1 depth=1\n", "e"),
+                ("fatou", ["--eps", "1", "--eps-prime", "2", "--grid", "2"],
+                 "family func nmax=1 depth=1\n", "0"),
+            ]
         ),
         # The whole stderr line of each eps-pair precondition failure.
         ("fatou-eps-above-eps-prime", ["fatou", "--eps", "1/2", "--eps-prime", "1/4"],

@@ -5,8 +5,9 @@ Each case starts from a small valid input and flag set of one COMMANDS row
 and then mutates it: numbers in the header, events and flags are replaced
 by draws up to 10^11 or by runs of 4299-4302 digits, around the 4300 that
 int() converts, lines are dropped or repeated, or the input file is
-replaced by random bytes.  Runs past traces.run_size's limits must be
-refused before they allocate, so the huge numbers end at once.
+replaced by random bytes.  Modes, kinds and seeds are drawn from values of
+their own, seeds up to 4301 digits.  Runs past traces.run_size's limits
+must be refused before they allocate, so the huge numbers end at once.
 """
 
 import contextlib
@@ -45,7 +46,7 @@ SEEDS = {
     "randlab stabilize": (b"0 2 01\n1 3 0\n", ["--c", "1"]),
     "randlab bard": (b"0 00\n1 011\n", ["--x", "0", "--length", "3"]),
     "gen": (None, ["--kind", "open", "--nmax", "4", "--depth", "3", "--seed", "1", "--eps", "1/4"]),
-    "sweep": (None, ["--kind", "sets", "--count", "2", "--nmax", "4"]),
+    "sweep": (None, ["--kind", "sets", "--count", "2", "--nmax", "4", "--seed", "0"]),
 }
 
 # Small numbers keep a run at desk scale; large ones must be refused.  The
@@ -56,7 +57,15 @@ NUMBERS = st.one_of(
     st.integers(10**5, 10**11).map(str),
     st.builds(str.__mul__, st.sampled_from("19"), st.integers(4299, 4302)),
 )
-MODES = {"--mode": ["trim", "naive", "blocks"], "--kind": list(traces.KINDS)}
+# Flags drawn from values of their own.  A sweep report names every seed, so
+# seeds run up to and past the 4300 digits str() renders.
+DRAWS = {
+    "--mode": st.sampled_from(["trim", "naive", "blocks"]),
+    "--kind": st.sampled_from(traces.KINDS),
+    "--seed": st.one_of(
+        st.integers(0, 9).map(str), st.builds(str.__mul__, st.just("9"), st.integers(4299, 4301))
+    ),
+}
 
 
 def _numbers(draw, text: str) -> str:
@@ -70,8 +79,8 @@ def cases(draw):
     data, flags = SEEDS[name]
     flags = list(flags)
     for i, flag in enumerate(flags[:-1]):
-        if flag in MODES:
-            flags[i + 1] = draw(st.sampled_from(MODES[flag]))
+        if flag in DRAWS:
+            flags[i + 1] = draw(DRAWS[flag])
         elif draw(st.booleans()):
             flags[i + 1] = _numbers(draw, flags[i + 1])
     if data is not None:

@@ -7,9 +7,13 @@ and exact Fraction thresholds directly.
 
 import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -239,7 +243,7 @@ def test_mutated_piece_flips_verdict():
             added=CylinderSet.full(),
         ),),
         attempts=res.attempts,
-        trim_events=res.trim_events,
+        trims=res.trims,
     )
     verdict = verify_open_cover(fam, F(1, 4), F(1, 2), inflated)
     assert not verdict.passed
@@ -269,12 +273,13 @@ def test_forged_trim_count_fails_trim_bound():
     eps, eps_prime = F(1, 4), F(1, 2)
     res = run_trim_cover(fam, eps, eps_prime)
     schedule = DeltaSchedule(eps, eps_prime)
-    # The second event lies past the attempt from which the run stops
-    # checking trim counts; the verifier must still check it.
+    # The second count lies past the attempt from which the run stops
+    # checking trim counts; the verifier must still check it.  It may pass
+    # 2^16, so the record is a tuple.
     late = schedule.settled_attempt(1 << fam.depth) + 10
     for attempt in (0, late):
         count = trim_limit(schedule, attempt)
-        forged = dataclasses.replace(res, trim_events=((attempt, count),))
+        forged = dataclasses.replace(res, trims=(0,) * attempt + (count,))
         failed = verify_open_cover(fam, eps, eps_prime, forged).failures()
         assert [(c.name, c.witness) for c in failed] == [
             ("trim-bound", f"attempt {attempt}: {count} trims")
@@ -495,6 +500,31 @@ def test_member_floor_drops_only_at_the_tail_start(mutant):
     assert run_rows(run_trim_cover(fam, eps, eps_prime), eps, eps_prime) == literal
     assert literal[2][0][:4] == ("", 1, 7, 1)
     assert piece_rows(broken(fam, eps, eps_prime))[0][:4] == ("", 2, 14, 1)
+
+
+# One run on open 64x12 (gen seed 1) in a fresh process, which prints its
+# peak RSS in KiB.
+PEAK_RSS_CHILD = """
+import resource, sys
+from fractions import Fraction as F
+from limcov import gen, opencover, traces
+family = traces.parse_trace(gen.gen_trace("open", 64, seed=1, depth=12, eps=F(1, 4)))
+getattr(opencover, sys.argv[1])(family, F(1, 4), F(3, 8))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
+def test_trim_run_takes_about_the_memory_of_a_naive_run():
+    # A trim run keeps one 2-byte trim count per attempt, 532,415 of them:
+    # 1 MiB.  One tuple per trimming attempt took 47 MB more than naive.
+    env = {**os.environ, "PYTHONPATH": str(Path(opencover.__file__).parents[1])}
+    peak = {}
+    for run in ("run_trim_cover", "run_naive_cover"):
+        child = subprocess.run([sys.executable, "-c", PEAK_RSS_CHILD, run], env=env,
+                               capture_output=True, text=True, check=True)
+        peak[run] = int(child.stdout) / 1024
+    assert peak["run_trim_cover"] - peak["run_naive_cover"] < 8, peak
 
 
 def test_random_sweep_all_modes():

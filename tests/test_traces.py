@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from limcov import fatou, gen, opencover, traces
+from limcov import fatou, gen, measurecover, opencover, traces
 from limcov.kernel import CylinderSet, InputError, words_up_to
 from limcov.measurecover import RationalGrid, run_measure_cover, run_tree_cover
 from limcov.setcover import run_set_cover
@@ -396,6 +396,26 @@ def test_run_size_admits_the_caps_and_refuses_past_its_limits(kind, nmax, depth,
             with pytest.raises(InputError) as err:
                 runner(family)
             assert str(err.value) == message
+
+
+def test_run_size_bounds_the_common_denominator():
+    # One parsed denominator has at most 14,285 bits (4300 digits), and so may
+    # their lcm; freq's largest admitted horizon has lcm(1..2895), 4,192 bits.
+    refused = "the values' common denominator has more than 14285 bits"
+    freq = measurecover.frequency_trace({i: "x" for i in range(0, 2895, 2)}, 2895)
+    assert traces.run_size(freq) == 2896
+    for denominators, ok in [((1 << 14284,), True), ((1 << 14284, 3), False),
+                             ((10**4300 - 1,), True), ((10**999 + 1, 10**999 + 2) * 3, True),
+                             (tuple(10**999 + i for i in range(5)), False)]:
+        events = tuple(traces.Event(0, "k", Fraction(1, q)) for q in denominators)
+        family = StabilizedFamily("measure", 1, None, events)
+        if ok:
+            assert traces.run_size(family) == 2
+        else:
+            with pytest.raises(InputError, match=refused):
+                traces.run_size(family)
+            with pytest.raises(InputError, match=refused):
+                run_measure_cover(family, RationalGrid(1))
 
 
 def test_heap_rows_keep_each_words_largest_value():
