@@ -73,11 +73,12 @@ a fixed (m, U) the levels rise with the attempts:
   level step; otherwise the member scan decides it, as the first hit being
   s1 again.  Once tf has settled, every level up to that reach is skipped
   in one step.
-- Cross-start replica.  The trim-mode rule in the opencover module
-  docstring, kept per (U, level): an attempt that repeats the last scanned one at the same
-  U and level from an earlier start, with no commit since, the same integer
-  threshold and that attempt's first hit at or after min(m, nmax-1), caps
-  and ends the same way.  It restores that attempt's replica, whose reach
+- Cross-start replica.  Each (U, level) keeps a memo of its last scanned
+  attempt that committed nothing.  An attempt at a later start m with no
+  commit since, the same integer threshold and the memo's first hit at or
+  after min(m, nmax-1) caps and ends the same way: a scan hits a member only
+  once every earlier one has passed and a cap only shrinks u, so the members
+  m drops lay before every hit.  It restores the memo's replica, whose reach
   is a lower bound at m (the least slack is now taken over fewer members),
   and logs nothing, since phi already holds u.
 

@@ -41,29 +41,29 @@ T, not the threshold theta_after(T).  An attempt whose candidate lies inside
 every member from its start index on is skipped without a scan: it can trim
 nothing and change no mask.
 
-Cross-start replicas (trim mode).  Each word keeps one memo of its last
-scanned attempt: its attempt number, its integer threshold tf and its first
-hit; a commit retires it.  An attempt for the same word at a later start
-copies that attempt's trim count without a scan when no commit has happened
-since, tf is the same and the first hit is at or after the new start's first
-member, min(start, nmax-1).  This is exact: a scan hits a member only once
-every earlier member has passed, and a trim (a cap, for fatou) only shrinks
-the candidate, so every later hit comes after the first one.  The members
-the new start drops lay before every hit, so the scans, trims and final
-candidate all repeat; that candidate committed nothing and was already
-offered to the cover, so the replica adds no piece.  fatou keeps the same
-memo per (word, level).
-
-The parent hint (trim mode).  Words are attempted in heap order, so word
-j's parent (j-1)//2 was tried earlier at the same start.  While no mask has
-grown, the child (a subset of the parent, under a threshold no lower)
-cannot overflow any member before the parent's first overflow, so its scans
-start at the first hit in the parent's memo when no commit has come since
-that memo's attempt.  This is exact: a parent scanned without a commit at
-this start wrote that memo, and a replayed one reused it, with its hit at
-or after the start's first member; a parent that committed did so after its
-memo's attempt; and a parent with no cell outside leaves its child none, so
-the child needs no scan.
+The level rule (trim mode).  From attempt max(len(floors),
+settled_attempt(2^depth)) on, tf is the settled floor and no trim count is
+checked, so a run decides the words of one (start, level) together: they
+are disjoint blocks of 2^k cells, and a spread mask holds one bit at the
+first cell of each.  Word x overflows member m when more than room =
+tf - |U_m| of its cells lie outside U_m.  A block popcount of the cells
+outside U_m (SWAR, one field per word), plus 2^k - 1 - room in every field,
+carries into bit k of just the fields that overflow; when room >= 2^k no
+word can, and the pass skips m.  The masks are cached per member until a
+commit grows it.  One pass over the members from min(start, nmax-1) on,
+hit = pending & over(m) and pending ^= hit, gives every word with a cell
+outside its first overflowing member, the one its scan trims it by first.
+A word hit at m whose trimmed candidate x & U_m has no cell outside lies
+in every member from the start on, so its scan ends there with one trim
+and commits nothing; a word with no cell outside keeps its cylinder.
+Every other word, trimmed and still outside or overflowing nothing (a
+commit), runs the per-word scan in heap order, and so does every attempt
+before that first one.  This is exact: an attempt that commits nothing
+changes no mask, so each word of the level up to the next commit meets the
+masks the pass read, and a commit makes the pass decide the rest of the
+level again.  Pieces change only the cover, and words of one level are
+disjoint, so the level's pieces, each a word's final candidate where it is
+new to the cover, are taken at its end in heap order.
 
 The naive rule.  A naive run visits only the attempts that may commit or
 add a piece.  (1) Once the floor has settled tf is fixed and masks only
@@ -90,6 +90,7 @@ Runs are single-threaded and deterministic; results are immutable.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -103,10 +104,8 @@ from .kernel import (
     CylinderSet,
     InputError,
     RealInterval,
-    cell_mask,
     format_rational,
     word_to_text,
-    words_up_to,
 )
 from .verdict import Check, Verdict
 
@@ -273,17 +272,20 @@ def _first_overflow(
     return -1
 
 
+def _bits(spread: int, k: int):
+    """The word indices of a span-2^k spread mask, ascending."""
+    while spread:
+        one = spread & -spread
+        yield one.bit_length() - 1 >> k
+        spread ^= one
+
+
 def _run_setup(family: traces.StabilizedFamily, eps: Fraction, eps_prime: Fraction):
-    """Member masks and counts, the words in heap order and their masks, and
-    the floor table of the run's attempts, traces.run_size."""
+    """Member masks and counts, and the floor table of run_size's attempts."""
     masks = _member_masks(family, eps, eps_prime)
-    depth = family.depth
-    words = words_up_to(depth)
     attempts = traces.run_size(family)
-    floors, settled_tf = DeltaSchedule(eps, eps_prime).floor_table(1 << depth, attempts)
-    counts = [m.bit_count() for m in masks]
-    word_masks = [cell_mask(w, depth) for w in words]
-    return masks, counts, words, word_masks, floors, settled_tf
+    floors, settled_tf = DeltaSchedule(eps, eps_prime).floor_table(1 << family.depth, attempts)
+    return masks, [m.bit_count() for m in masks], floors, settled_tf
 
 
 def _commit(candidate: int, masks: list[int], counts: list[int], low: int, tf: int) -> None:
@@ -298,64 +300,109 @@ def run_trim_cover(
     family: traces.StabilizedFamily, eps: Fraction, eps_prime: Fraction
 ) -> OpenCoverResult:
     """Trimming mode; covers the liminf within measure eps'."""
-    masks, counts, words, word_masks, floors, settled_tf = _run_setup(family, eps, eps_prime)
-    depth, top = family.depth, family.nmax
-    full = (1 << (1 << depth)) - 1
+    masks, counts, floors, settled_tf = _run_setup(family, eps, eps_prime)
+    depth, top, cells = family.depth, family.nmax, 1 << family.depth
+    width = 2 * cells - 1  # words a start, in heap order: word w is int("1" + w, 2) - 1
+    full = uncovered = (1 << cells) - 1
     schedule = DeltaSchedule(eps, eps_prime)
     # Every trim removes at least one of the 2^depth cells.
-    settled = schedule.settled_attempt(1 << depth)
+    settled = schedule.settled_attempt(cells)
+    # From this attempt on tf is settled_tf and no count is checked: the level rule.
+    level_from = max(len(floors), settled)
+    # bases[k]: one bit at the first cell of each span-2^k word; halves[k] and
+    # rests[k]: the low half, and all but the top bit, of each such field.
+    bases = [full // ((1 << (1 << k)) - 1) for k in range(depth + 1)]
+    halves = [(b << (1 << k >> 1)) - b for k, b in enumerate(bases)]
+    rests = [(b << (1 << k) - 1) - b for k, b in enumerate(bases)]
 
-    uncovered = full
+    def touched(mask: int, k: int) -> int:
+        # The span-2^k words with a cell in mask: adding rests[k] carries
+        # into the top bit of every field with a low bit set.
+        return ((mask & rests[k]) + rests[k] | mask) >> ((1 << k) - 1) & bases[k]
+
+    def overflows(m: int) -> list[int]:
+        # over[k]: the span-2^k words with more than room = tf - counts[m]
+        # cells outside masks[m], by a block popcount plus 2^k - 1 - room per
+        # field; read only where room < 2^k, so the sum stays in its field.
+        room, count = settled_tf - counts[m], full ^ masks[m]
+        over = [count]
+        for k in range(1, depth + 1):
+            count = (count & halves[k]) + (count >> (1 << k >> 1) & halves[k])
+            over.append(count + ((1 << k) - 1 - room) * bases[k] >> k & bases[k])
+        return over
+
     pieces: list[Piece] = []
     # trims[t]: attempt t's count.  "H" holds it: no count passes run_size's 2^depth <= 2^15 cells.
-    trims = array("H", [0]) * ((top + 1) * len(words))
-    # memo[j]: (attempt, tf, first hit) of word j's last scanned attempt
-    # that committed nothing; see the module docstring.
-    memo = [(-1, -1, -1)] * len(words)
-    attempt = changed = -1
+    trims = array("H", [0]) * ((top + 1) * width)
+    ones_at = memoryview(trims).cast("B")[sys.byteorder == "big"::2]  # each count's low byte
+    digits = bytes.maketrans(b"01", b"\0\1")
+    over: list = [None] * top  # overflows(m), until a commit grows masks[m]
     for start in range(top + 1):
         low = min(start, top - 1)  # the tail start reads member nmax-1
         # The cells outside the AND of masks[low:]; a commit adds the
         # candidate to every member from low on, so it joins that AND too.
-        # A candidate with no cell outside overflows no member and changes
-        # no mask, so no scan is needed.
         outside = full ^ reduce(and_, masks[low:], full)
-        for j, (word, candidate) in enumerate(zip(words, word_masks)):
-            attempt += 1
-            if candidate & outside:
-                tf = floors[attempt] if attempt < len(floors) else settled_tf
-                seen, seen_tf, hit = memo[j]
-                if changed < seen and seen_tf == tf and hit >= low:
-                    # A cross-start replica: see the module docstring.
-                    trims[attempt] = trims[seen]
-                    continue
-                # The parent hint: see the module docstring.
-                seen, _, hit = memo[(j - 1) >> 1]
-                members = range(hit if j and changed < seen else low, top)
-                first = hit = _first_overflow(candidate, masks, counts, members, tf)
-                count = 0
-                while hit >= 0:
-                    candidate &= masks[hit]
-                    count += 1
-                    assert attempt >= settled or schedule.allows_trims(attempt, count)
-                    hit = (
-                        _first_overflow(candidate, masks, counts, members, tf)
-                        if candidate & outside
-                        else -1
-                    )
-                trims[attempt] = count
-                if candidate & outside:
-                    _commit(candidate, masks, counts, low, tf)
-                    outside &= ~candidate
-                    changed = attempt
+        for level in range(depth + 1):
+            k, n = depth - level, 1 << level
+            span, row = 1 << k, start * width + n - 1  # row: its first attempt
+            finals = written = pos = 0  # finals: the final candidates decided so far
+            while pos < n:
+                if row + pos < level_from:
+                    slow, fin = range(pos, stop := min(n, level_from - row)), 0
                 else:
-                    memo[j] = (attempt, tf, first)
-            if candidate & uncovered:
-                added = CylinderSet.from_mask(candidate, depth)
-                pieces.append(Piece(word, start, None, attempt, trims[attempt], added))
-                uncovered &= ~candidate
+                    # The level rule: see the module docstring.
+                    region = full >> (pos << k) << (pos << k)
+                    pending = touched(outside & region, k)
+                    inside = bases[k] & region ^ pending
+                    fin, ones, ragged = (inside << span) - inside, 0, 0
+                    for m in range(low, top):
+                        if not pending:
+                            break
+                        if settled_tf - counts[m] < span:
+                            if over[m] is None:
+                                over[m] = overflows(m)
+                            if hit := pending & over[m][k]:
+                                pending ^= hit
+                                one = hit & ~touched(masks[m] & outside, k)
+                                ones, ragged = ones | one, ragged | hit ^ one
+                                fin |= (one << span) - one & masks[m]
+                    if ones or written:
+                        bits = bin(ones | 1 << cells)[-1 - (pos << k):-1 - cells:-span]
+                        ones_at[row + pos:row + n] = bits.encode().translate(digits)
+                        written = ones
+                    slow, stop = _bits(ragged | pending, k) if ragged | pending else (), n
+                for i in slow:
+                    attempt = row + i
+                    candidate = (1 << span) - 1 << (i << k)
+                    if candidate & outside:
+                        tf = floors[attempt] if attempt < len(floors) else settled_tf
+                        hit = _first_overflow(candidate, masks, counts, range(low, top), tf)
+                        count = 0
+                        while hit >= 0:
+                            candidate &= masks[hit]
+                            count += 1
+                            assert attempt >= settled or schedule.allows_trims(attempt, count)
+                            if not candidate & outside:
+                                break  # it fits every member; else those up to hit still fit
+                            hit = _first_overflow(candidate, masks, counts, range(hit + 1, top), tf)
+                        trims[attempt] = count
+                    finals |= candidate
+                    if candidate & outside:
+                        _commit(candidate, masks, counts, low, tf)
+                        outside &= ~candidate
+                        over[low:] = [None] * (top - low)
+                        stop = i + 1  # the rest of the level is decided again
+                        break
+                finals |= fin & (1 << (stop << k)) - 1
+                pos = stop
+            if new := finals & uncovered:
+                for i in _bits(touched(new, k), k):
+                    added = CylinderSet.from_mask(finals & (1 << span) - 1 << (i << k), depth)
+                    word = f"{(1 << level) + i:b}"[1:]
+                    pieces.append(Piece(word, start, None, row + i, trims[row + i], added))
+                uncovered ^= new
     cover = CylinderSet.from_mask(full ^ uncovered, depth)
-    return OpenCoverResult("trim", cover, tuple(pieces), attempt + 1, memoryview(trims).toreadonly())
+    return OpenCoverResult("trim", cover, tuple(pieces), len(trims), memoryview(trims).toreadonly())
 
 
 def run_naive_cover(
@@ -363,8 +410,8 @@ def run_naive_cover(
 ) -> OpenCoverResult:
     """No-trimming mode: violating attempts are skipped.  Covers the union
     of interiors of suffix intersections, which equals the liminf here."""
-    masks, counts, words, word_masks, floors, settled_tf = _run_setup(family, eps, eps_prime)
-    depth, top, width = family.depth, family.nmax, len(words)
+    masks, counts, floors, settled_tf = _run_setup(family, eps, eps_prime)
+    depth, top, width = family.depth, family.nmax, (2 << family.depth) - 1
     full = uncovered = (1 << (1 << depth)) - 1
     pieces: list[Piece] = []
     # due[s]: the words to visit at start s, all of them at start 0.
@@ -374,7 +421,8 @@ def run_naive_cover(
         outside = full ^ reduce(and_, masks[low:], full)
         for j in sorted(due[start]):
             attempt = start * width + j
-            candidate = word_masks[j]
+            level = (j + 1).bit_length() - 1  # word j's mask from its heap index
+            candidate = (1 << (1 << depth - level)) - 1 << (j + 1 - (1 << level) << depth - level)
             if candidate & outside:
                 tf = floors[attempt] if attempt < len(floors) else settled_tf
                 hit = _first_overflow(candidate, masks, counts, range(top - 1, low - 1, -1), tf)
@@ -389,7 +437,7 @@ def run_naive_cover(
                 outside &= ~candidate
             if candidate & uncovered:
                 added = CylinderSet.from_mask(candidate, depth)
-                pieces.append(Piece(words[j], start, None, attempt, 0, added))
+                pieces.append(Piece(f"{j + 1:b}"[1:], start, None, attempt, 0, added))
                 uncovered &= ~candidate
     cover = CylinderSet.from_mask(full ^ uncovered, depth)
     return OpenCoverResult("naive", cover, tuple(pieces), traces.run_size(family), ())

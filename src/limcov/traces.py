@@ -397,14 +397,15 @@ def member_rows(
     mask (open), the values over universe() (measure), the heap row (tree)
     or the depth-level cell values (func), as ints times ``scale``, a common
     multiple of the denominators (by default their lcm), once run_size admits
-    the run.  InputError names the first member that breaks the hypothesis
-    of its construction: more than ``bound`` elements (sets), measure (open)
-    or integral (func) above ``eps``, a sum above 1 (measure), or the tree
-    law a(y) >= a(y0) + a(y1) with a(root) <= 1 (tree; absent words count as
-    0).  A bound left None is not checked."""
+    the run: a caller that passes a scale has sized it first.  InputError
+    names the first member that breaks the hypothesis of its construction:
+    more than ``bound`` elements (sets), measure (open) or integral (func)
+    above ``eps``, a sum above 1 (measure), or the tree law a(y) >= a(y0) +
+    a(y1) with a(root) <= 1 (tree; absent words count as 0).  A bound left
+    None is not checked."""
     kind, depth = family.kind, family.depth
-    run_size(family)
     if scale is None:
+        run_size(family)
         scale = math.lcm(*(e.value.denominator for e in family.events if e.value is not None))
     if kind == "sets":
         rows = sets_by_index(family)

@@ -1,6 +1,8 @@
 """Checks the tests hold the library to, kept out of the library itself.
 
-trim_limit is the closed-form trim cap of the open-cover argument.
+trim_limit is the closed-form trim cap of the open-cover argument, and
+trim_cover_per_word the trim run one attempt at a time, with no rule that
+skips or batches attempts.
 fatou_specializes is the paper's "same argument" as a test: a finite set,
 a semimeasure or an open set is the indicator case of a step function, so
 the step-function pipeline run on the embedded family must guarantee
@@ -12,9 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import and_
 
 from limcov import fatou, measurecover, opencover, setcover, traces
-from limcov.kernel import InputError, ZERO, format_rational
+from limcov.kernel import InputError, ZERO, cell_mask, format_rational, words_up_to
 from limcov.measurecover import RationalGrid
 from limcov.verdict import Check, Verdict
 
@@ -28,6 +32,45 @@ def trim_limit(schedule, attempt):
     """ceil(1 / delta_t): every trim of attempt t removes more than delta_t,
     so its trim counts stay strictly below this."""
     return math.ceil(1 / delta(schedule, attempt))
+
+
+def trim_cover_per_word(family, eps, eps_prime):
+    """The trim run as the opencover module docstring states it, on cell
+    masks: at each (start, word) in heap order the candidate, the word's
+    cylinder, is cut down to the first member from min(start, nmax-1) on
+    that it would push past the attempt's floor, until none is, and is then
+    added to every member from there on (a candidate inside all of them
+    changes none, and none can overflow).  Returns the pieces as (word,
+    start, attempt, trims, cell mask), the cover's cell mask and every
+    attempt's trim count."""
+    depth, top = family.depth, family.nmax
+    masks = traces.member_rows(family, eps=eps)
+    floors, settled = opencover.DeltaSchedule(eps, eps_prime).floor_table(
+        1 << depth, traces.run_size(family))
+    words = words_up_to(depth)
+    cylinders = [cell_mask(word, depth) for word in words]
+    full = uncovered = (1 << (1 << depth)) - 1
+    pieces, trims = [], []
+    for start in range(top + 1):
+        members = range(min(start, top - 1), top)
+        outside = full ^ reduce(and_, masks[members.start:])
+        for word, candidate in zip(words, cylinders):
+            attempt = len(trims)
+            tf = floors[attempt] if attempt < len(floors) else settled
+            count = 0
+            while candidate & outside and (hit := next(
+                    (m for m in members if (masks[m] | candidate).bit_count() > tf), -1)) >= 0:
+                candidate &= masks[hit]
+                count += 1
+            if candidate & outside:
+                for m in members:
+                    masks[m] |= candidate
+                outside &= ~candidate
+            if candidate & uncovered:
+                pieces.append((word, start, attempt, count, candidate))
+                uncovered &= ~candidate
+            trims.append(count)
+    return pieces, full ^ uncovered, trims
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import random
 import subprocess
 import sys
 import time
+from array import array
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from limcov.opencover import (
     verify_open_cover,
 )
 from limcov.traces import liminf_open, parse_trace
-from reference import delta, trim_limit
+from reference import delta, trim_cover_per_word, trim_limit
 
 F = Fraction
 
@@ -332,13 +333,32 @@ def test_matches_literal_reference_while_the_floor_rises():
                     assert fast == literal_cover(fam, eps, eps_prime, trim), (text, eps, trim)
 
 
-@pytest.mark.parametrize("hinted,members", [(True, 57_575), (False, 67_488)])
-def test_trim_run_scans_from_the_parent_hint(monkeypatch, mutant, hinted, members):
-    # Open 32x8 (gen seed 1): the trim run makes 3,833 member scans.  Started
-    # at the parent's first hit, their member ranges total 57,575; started at
-    # the start's first member, 67,488.  Results are the same either way.
+def test_matches_a_per_word_reference_past_depth_4():
+    # literal_cover stops at depth 4, and the level rule's popcount fields
+    # behave differently at spans 1, 2 and 4 and up; eps' = 1/2 + 2^-40
+    # keeps the floors rising for some 38 attempts.
+    rng = random.Random(26)
+    for i in range(300):
+        nmax, depth = rng.randint(1, 40), rng.randint(1, 10)
+        eps = rng.choice([F(1, 8), F(1, 4), F(3, 8)])
+        eps_prime = rng.choice([eps + F(1, 8), (1 + eps) / 2, F(1, 2) + F(1, 1 << 40)])
+        text = gen.gen_trace("open", nmax, seed=10_000 + i, depth=depth, eps=eps)
+        fam = parse_trace(text)
+        res = run_trim_cover(fam, eps, eps_prime)
+        pieces, cover, trims = trim_cover_per_word(fam, eps, eps_prime)
+        assert [(p.word, p.start, p.attempt, p.trims, p.added) for p in res.pieces] == [
+            (w, s, a, t, CylinderSet.from_mask(c, depth)) for w, s, a, t, c in pieces
+        ], (text, eps_prime)
+        assert res.cover == CylinderSet.from_mask(cover, depth)
+        assert res.attempts == len(trims)
+        assert bytes(res.trims) == bytes(array("H", trims)), (text, eps_prime)
+
+
+def test_trim_run_scans_only_the_words_the_level_rule_leaves_open(monkeypatch):
+    # Open 32x8 (gen seed 1), 16,863 attempts: the level rule decides the
+    # rest, and the per-word scans left make 743 member scans over 12,166
+    # members in all.
     fam = parse_trace(gen.gen_trace("open", 32, seed=1, depth=8, eps=F(1, 4)))
-    expected = run_trim_cover(fam, F(1, 4), F(3, 8))
     calls = []
     first_overflow = opencover._first_overflow
 
@@ -346,13 +366,10 @@ def test_trim_run_scans_from_the_parent_hint(monkeypatch, mutant, hinted, member
         calls.append(len(members))
         return first_overflow(candidate, masks, counts, members, tf)
 
-    # A mutant copies the module's names, so it is built after the patch.
     monkeypatch.setattr(opencover, "_first_overflow", counting)
-    run = opencover.run_trim_cover if hinted else mutant(
-        opencover.run_trim_cover, "hit if j and changed < seen else low", "low"
-    )
-    assert run(fam, F(1, 4), F(3, 8)) == expected
-    assert (len(calls), sum(calls)) == (3_833, members)
+    res = run_trim_cover(fam, F(1, 4), F(3, 8))
+    assert verify_open_cover(fam, F(1, 4), F(3, 8), res).passed
+    assert (len(calls), sum(calls)) == (743, 12_166)
 
 
 def test_naive_run_scans_only_the_attempts_the_rule_leaves_open(monkeypatch):
@@ -385,60 +402,96 @@ def test_naive_piece_inside_every_later_member():
     )
 
 
-def test_parent_hint_is_dropped_after_a_commit():
-    # At start 0 (threshold 3 of 4 cells throughout) word 0 first overflows
-    # U_1.  Its sibling 1 then commits, which fills U_0 to cells 01, 10,
-    # 11, so the child 00 first overflows U_0, before its parent's first
-    # overflow.  A scan that resumed at U_1 would commit 00 in naive mode
-    # and push U_0 past the threshold.
-    fam = parse_trace("family open nmax=2 depth=2\nadd 0 01\nadd 1 1\n")
-    eps, eps_prime = F(1, 2), F(1)
+@pytest.mark.parametrize(
+    "text,eps,eps_prime",
+    [
+        # At start 0 word 1 first overflows the tail and is trimmed away
+        # once.  The commit of word 00 then fills U_1, which word 1
+        # overflows first at start 1, so it is trimmed twice there.
+        ("family open nmax=3 depth=2\nadd 1 10\nadd 2 01\nadd 2 00\n", F(1, 2), F(3, 4)),
+        # At start 0 word 01 first overflows U_0; from start 1 on it fits
+        # every member and commits.
+        ("family open nmax=4 depth=2\nadd 0 10\nadd 1 01\nadd 3 01\n", F(1, 4), F(1, 2)),
+        # The floor of 4 * theta_t is 1 up to attempt 7 and 2 from attempt 8
+        # on.  Word 00 first overflows U_1 at start 0 (attempt 3); at start 1
+        # (attempt 10) it fits every member and commits.
+        ("family open nmax=3 depth=2\nadd 0 00\nadd 1 01\nadd 2 10\n", F(1, 4), F(513, 1024)),
+        # At start 0 (threshold 3 of 4 cells throughout) word 0 first
+        # overflows U_1.  Its sibling 1 then commits, which fills U_0 to
+        # cells 01, 10 and 11, so the child 00 first overflows U_0, before
+        # its parent's first overflow; in naive mode it must not commit.
+        ("family open nmax=2 depth=2\nadd 0 01\nadd 1 1\n", F(1, 2), F(1)),
+    ],
+    ids=["twice-after-a-commit", "fits-from-next-start", "floor-rises", "commit-moves-first-hit"],
+)
+def test_hand_built_families_match_literal_reference(text, eps, eps_prime):
+    fam = parse_trace(text)
     for trim in (True, False):
         res = (run_trim_cover if trim else run_naive_cover)(fam, eps, eps_prime)
-        cover, theta, pieces, trim_events = literal_cover(fam, eps, eps_prime, trim)
-        res_theta = DeltaSchedule(eps, eps_prime).theta_after(res.attempts)
-        assert (res.cover, res_theta, piece_rows(res), list(res.trim_events)) == (
-            cover, theta, pieces, trim_events
-        ), trim
+        assert run_rows(res, eps, eps_prime) == literal_cover(fam, eps, eps_prime, trim), trim
         assert verify_open_cover(fam, eps, eps_prime, res).passed
 
 
-# Each case drops one condition under which a trim attempt reuses its word's
-# outcome from an earlier start (see the opencover module docstring): the
-# run matches the literal reference and the mutant does not.
+# Each case breaks one condition of the level rule (see the opencover module
+# docstring): the run matches the literal reference and the mutant does not.
 @pytest.mark.parametrize(
-    "condition,text,eps,eps_prime",
+    "old,new,text,eps,eps_prime",
     [
-        # No commit since.  At start 0 word 1 first overflows the tail and
-        # is trimmed away once.  The commit of word 00 then fills U_1, which
-        # word 1 overflows first at start 1, so it is trimmed twice there.
+        # The carry constant 2^k - 1 - room.  The floor of 4 * theta_t is 2
+        # from attempt 7 on, and the level rule starts at attempt 9, word 1
+        # of the tail start.  That word has one cell outside U_0 = 10, room
+        # 2 - 1 = 1, so it fits and commits; a constant one larger would
+        # count |x \ U_0| = room as an overflow and trim it.
         (
-            "changed < seen and ",
-            "family open nmax=3 depth=2\nadd 1 10\nadd 2 01\nadd 2 00\n",
+            "((1 << k) - 1 - room)", "((1 << k) - room)",
+            "family open nmax=1 depth=2\nadd 0 10\n",
+            F(3, 8), F(513, 1024),
+        ),
+        # A member whose room is at least the span overflows no word of the
+        # level.  U_0 is empty with room 1, so at attempt 1 cell 0 fits and
+        # commits; read there, the level-0 entry (cut for room 0) would
+        # trim both cells away.
+        (
+            "if settled_tf - counts[m] < span:", "if True:",
+            "family open nmax=1 depth=1\n",
             F(1, 2), F(3, 4),
         ),
-        # The first hit lies at or after the new start's first member.  At
-        # start 0 word 01 first overflows U_0; from start 1 on it fits every
-        # member and commits.
+        # A trimmed candidate must lie in every member to end its scan.  At
+        # start 1 the root first overflows U_1 = 0 and is trimmed to cell 0,
+        # which U_3 = 1 lacks, so U_3 trims it away: 2 trims.  Taken as
+        # inside, it would stop at one trim and make the piece 0.
         (
-            " and hit >= low",
-            "family open nmax=4 depth=2\nadd 0 10\nadd 1 01\nadd 3 01\n",
-            F(1, 4), F(1, 2),
+            "touched(masks[m] & outside, k)", "0",
+            "family open nmax=4 depth=1\nadd 1 0\nadd 3 1\n",
+            F(3, 4), F(7, 8),
         ),
-        # The same threshold floor.  The floor of 4 * theta_t is 1 up to
-        # attempt 7 and 2 from attempt 8 on.  Word 00 first overflows U_1 at
-        # start 0 (attempt 3); at start 1 (attempt 10) it fits every member
-        # and commits.
+        # A commit makes the pass decide the rest of the level again.  At
+        # start 0 word 00 (attempt 3) commits and fills U_0 to cells 00, 101
+        # and 11.  Decided before that, word 10 first overflows U_1 = 0 and
+        # is trimmed away; decided again, it first overflows U_0, is trimmed
+        # to 101 and commits it: a piece at attempt 5, not 12.
         (
-            " and seen_tf == tf",
-            "family open nmax=3 depth=2\nadd 0 00\nadd 1 01\nadd 2 10\n",
-            F(1, 4), F(513, 1024),
+            "stop = i + 1  # the rest of the level is decided again\n"
+            "                        break",
+            "pass",
+            "family open nmax=2 depth=3\nadd 0 101\nadd 0 11\nadd 1 0\n",
+            F(1, 2), F(3, 4),
+        ),
+        # Attempts before the floor settles run the per-word scan.  The floor
+        # of 8 * theta_t is 3 up to attempt 37 and 4 from attempt 38 on.
+        # Word 0 (attempt 1) overflows U_0 and then U_1 under 3: 2 trims;
+        # under the settled floor 4 the level rule would give it one.
+        (
+            "max(len(floors), settled)", "0",
+            "family open nmax=3 depth=3\nadd 0 01\nadd 1 10\n",
+            F(1, 4), F(1, 2) + F(1, 1 << 40),
         ),
     ],
+    ids=["carry", "room-skip", "still-outside", "decided-again", "per-word-first"],
 )
-def test_each_cross_start_replica_condition_is_needed(mutant, condition, text, eps, eps_prime):
+def test_each_level_rule_condition_is_needed(mutant, old, new, text, eps, eps_prime):
     fam = parse_trace(text)
-    broken = mutant(opencover.run_trim_cover, condition, "")
+    broken = mutant(opencover.run_trim_cover, old, new)
     literal = literal_cover(fam, eps, eps_prime, True)
     assert run_rows(run_trim_cover(fam, eps, eps_prime), eps, eps_prime) == literal
     assert run_rows(broken(fam, eps, eps_prime), eps, eps_prime) != literal
@@ -502,19 +555,24 @@ def test_member_floor_drops_only_at_the_tail_start(mutant):
     assert piece_rows(broken(fam, eps, eps_prime))[0][:4] == ("", 2, 14, 1)
 
 
-# One run on open 64x12 (gen seed 1) in a fresh process, which prints its
-# peak RSS in KiB.
+# The end of a child process that prints its own peak RSS in KiB: VmHWM, as
+# ru_maxrss keeps the peak of the process that started it (here pytest's).
+PRINT_PEAK = """
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+# One run on open 64x12 (gen seed 1) in a fresh process.
 PEAK_RSS_CHILD = """
-import resource, sys
+import sys
 from fractions import Fraction as F
 from limcov import gen, opencover, traces
 family = traces.parse_trace(gen.gen_trace("open", 64, seed=1, depth=12, eps=F(1, 4)))
 getattr(opencover, sys.argv[1])(family, F(1, 4), F(3, 8))
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-"""
+""" + PRINT_PEAK
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM in /proc on Linux")
 def test_trim_run_takes_about_the_memory_of_a_naive_run():
     # A trim run keeps one 2-byte trim count per attempt, 532,415 of them:
     # 1 MiB.  One tuple per trimming attempt took 47 MB more than naive.
@@ -525,6 +583,31 @@ def test_trim_run_takes_about_the_memory_of_a_naive_run():
                                capture_output=True, text=True, check=True)
         peak[run] = int(child.stdout) / 1024
     assert peak["run_trim_cover"] - peak["run_naive_cover"] < 8, peak
+
+
+# One opencover call on the deepest open family run_size admits, in a fresh
+# process, which prints its exit code and then its peak RSS.
+DEEP_RSS_CHILD = """
+import os, sys
+from limcov import cli
+print(cli.main(["opencover", "--mode", sys.argv[1], "--trace", sys.argv[2],
+                "--eps", "1/4", "--eps-prime", "3/8", "--out", os.devnull]))
+""" + PRINT_PEAK
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM in /proc on Linux")
+@pytest.mark.parametrize("mode", ["trim", "naive"])
+def test_the_deepest_admitted_open_run_stays_under_64_mb(tmp_path, mode):
+    # Open nmax=1 depth=15: 65,535 words of up to 2^15 cells.  A mask per
+    # word, built before the run, took 167 MB; the runs build a word's mask
+    # from its heap index when they visit it.
+    trace = tmp_path / "deep.trace"
+    trace.write_text("family open nmax=1 depth=15\nadd 0 000000\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(opencover.__file__).parents[1])}
+    child = subprocess.run([sys.executable, "-c", DEEP_RSS_CHILD, mode, str(trace)], env=env,
+                           capture_output=True, text=True, check=True)
+    code, peak = map(int, child.stdout.split())
+    assert code == 0 and peak / 1024 < 64, (code, peak)
 
 
 def test_random_sweep_all_modes():

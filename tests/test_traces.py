@@ -440,3 +440,20 @@ def test_each_run_builds_its_member_rows_once(monkeypatch, kind, builder, run):
     monkeypatch.setattr(traces, builder, lambda *args: calls.append(args) or built(*args))
     run(fam)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind,run", [
+    ("func", lambda f: fatou.run_fatou(f, F(1, 4), F(3, 8), RationalGrid(3))),
+    ("tree", lambda f: run_tree_cover(f, RationalGrid(4))),
+    ("measure", lambda f: run_measure_cover(f, RationalGrid(4))),
+], ids=["fatou", "tree", "measure"])
+def test_each_run_reads_the_denominators_once(monkeypatch, kind, run):
+    # run_size reads every event's denominator, before the run builds its
+    # common scale; member_rows takes that scale and does not size again.
+    depth = 6 if kind in ("tree", "func") else None
+    fam = parse_trace(gen.gen_trace(kind, 8, 1, depth=depth))
+    calls = []
+    sized = traces.run_size
+    monkeypatch.setattr(traces, "run_size", lambda *args: calls.append(args) or sized(*args))
+    run(fam)
+    assert len(calls) == 1
