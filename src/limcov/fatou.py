@@ -73,14 +73,28 @@ a fixed (m, U) the levels rise with the attempts:
   level step; otherwise the member scan decides it, as the first hit being
   s1 again.  Once tf has settled, every level up to that reach is skipped
   in one step.
-- Cross-start replica.  Each (U, level) keeps a memo of its last scanned
-  attempt that committed nothing.  An attempt at a later start m with no
-  commit since, the same integer threshold and the memo's first hit at or
-  after min(m, nmax-1) caps and ends the same way: a scan hits a member only
-  once every earlier one has passed and a cap only shrinks u, so the members
-  m drops lay before every hit.  It restores the memo's replica, whose reach
-  is a lower bound at m (the least slack is now taken over fewer members),
-  and logs nothing, since phi already holds u.
+- Active cells.  Let lows be the cellwise minimum of f_m, f_{m+1}, ...;
+  phi never exceeds it, since each u folded into phi is at most lows or is
+  committed and lifts lows with it.  Each cap takes the minimum with a row
+  at least lows, and the caps stop once u <= lows, so an attempt at level r
+  that commits nothing ends at u = min(r, lows) on its cylinder and grows
+  phi only where phi < lows.  One that commits lifts some cell c of its
+  cylinder from lows(c) to u(c) <= r, where u(c) is r or a member's value,
+  so u(c) >= min(r, t(c)) with t(c) the least value a member holds on c
+  above lows(c); each member at lows on c gains that much, so c is
+  unblocked at r: lows(c) < r and min(r, t(c)) - lows(c) <= R(c), the least
+  room tf - integral(f_s) of those members.  Taken at the settled tf, which
+  no attempt's tf exceeds, R(c) bounds every attempt's room, and c stays
+  unblocked up to the top level if t(c) - lows(c) <= R(c), else up to
+  lows(c) + R(c).  The run keys each cell by that last level, and the cells
+  where phi < lows by the top one, and runs each (m, U) only up to the
+  highest key on its cylinder: the levels above commit nothing and leave
+  phi as it is.  The keys hold for the rest of the start.  Rooms only
+  shrink; a later commit that lifts c lifts the member that had the least
+  room at lows on c too, by as much in all, and to r or a value some member
+  held on c above lows(c); and phi < lows only where it was so, since a
+  commit lifts phi with lows.  So the keys are built at each start and,
+  only to skip more, again after a commit or phi's growth.
 
 A cap removes at least one integer unit from u, so the run stops checking
 trim counts from DeltaSchedule.settled_attempt(levels * step * 2^depth *
@@ -97,7 +111,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import and_, or_
+from itertools import accumulate
+from operator import and_, itemgetter, or_, xor
 
 from . import traces
 from .kernel import InputError, ZERO, cell_span, format_rational, words_up_to
@@ -223,6 +238,45 @@ def _first_raise(
     return -1, slack
 
 
+def _reach(lows: list[int], tops: list[int], rooms: list[tuple[int, list[int]]], full: int,
+           step: int, levels: int) -> tuple[list[int], list[int]]:
+    """The unblocked cells, keyed by the last level j at which each stays
+    unblocked (see the module docstring): ascending keys from 0 and nested
+    masks, masks[i] the cells whose key is at least keys[i] (all cells at
+    key 0).  ``rooms`` pairs each member's room with its row, least first."""
+    # bands[k]: the cells where lows is tops[k-1] (0 for k = 0); a member is
+    # above lows there where it reaches tops[k].
+    bands = list(map(xor, [full, *lows], [*lows, 0]))
+    ends: dict[int, int] = {}
+    left = full  # the cells no member with less room sits at lows on
+    for room, row in rooms:
+        above = reduce(or_, map(xor, row, lows), 0)  # where the member is above lows
+        at, left = left & ~above, left & above
+        for k, band in enumerate(bands):
+            cells = band & at
+            if cells:
+                # Where a member holds a value within the room above lows, u
+                # may be capped to it at every level.
+                base = tops[k - 1] if k else 0
+                cut = bisect_right(tops, base + room)
+                capped = 0
+                if cut > k:  # tops[k] lies within the room
+                    for _, other in rooms:
+                        capped |= cells & other[k] & ~(other[cut] if cut < len(tops) else 0)
+                        if capped == cells:
+                            break
+                if capped:
+                    ends[levels] = ends.get(levels, 0) | capped
+                key = min(levels, (base + room) // step)
+                if cells != capped and key > base // step:
+                    ends[key] = ends.get(key, 0) | cells ^ capped
+        if not left:
+            break
+    keys = sorted(ends, reverse=True)
+    masks = list(accumulate(map(ends.get, keys), or_))
+    return [0, *keys[::-1]], [full, *masks[::-1]]
+
+
 def run_fatou(
     family: traces.StabilizedFamily,
     eps: Fraction,
@@ -263,10 +317,8 @@ def run_fatou(
     settled = schedule.settled_attempt(levels * step_scaled * unit << depth)
     spans = [cell_span(word, depth) for word in words]
     log: list[tuple[int, int, str, Fraction, int]] = []
-    # memos[w][j-1]: (attempt, tf, first hit, replica after it) of the last
-    # scanned attempt at word w and level j that committed nothing.
-    memos = [[(-1, -1, -1, None)] * levels for _ in words]
-    attempt = changed = -1
+    full = (1 << ncells) - 1
+    attempt = -1
     for start in range(top + 1):
         low = min(start, top - 1)  # the tail start reads member nmax-1
         members = range(low, top)
@@ -277,7 +329,8 @@ def run_fatou(
         _merge([*work[low:], phi], tops, heights, len(tops))
         lows = [reduce(and_, layer) for layer in zip(*work[low:])]
         rows = [phi, lows, *work[low:]]
-        for word, (base, span), memo in zip(words, spans, memos):
+        keys = growing = None  # built when first needed, again after a change
+        for word, (base, span) in zip(words, spans):
             cyl = ((1 << span) - 1) << base  # the cylinder's cells
             before = attempt  # level j is attempt before + j
             # The fast path, folded at once: see the module docstring.
@@ -292,10 +345,21 @@ def run_fatou(
                 _merge(rows, tops, heights, k)
                 for i in range(floor // step_scaled + 1, j + 1):
                     log.append((before + i, start, word, Fraction(i, 1 << g), 0))
+            # Levels above the highest key on the cylinder commit nothing and
+            # leave phi as it is: see the module docstring.
+            if growing is None:  # the cells where phi is below lows
+                growing = reduce(or_, map(xor, lows, phi), 0)
+            jend = levels
+            if not growing & cyl:
+                if keys is None:
+                    keys, masks = _reach(lows, tops, sorted(
+                        ((settled_tf - integrals[s], work[s]) for s in members),
+                        key=itemgetter(0)), full, step_scaled, levels)
+                jend = keys[bisect_left(masks, True, key=lambda m: not m & cyl) - 1]
             # (tf, first hit, highest level known to replay) of the last
             # attempt that later ones replay exactly; see the module docstring.
             replica = None
-            while j < levels:
+            while j < jend:
                 j += 1
                 attempt = before + j
                 tf = floors[attempt] if attempt < len(floors) else settled_tf
@@ -307,11 +371,6 @@ def run_fatou(
                     if tf == settled_tf:
                         # tf has settled: every level up to the reach replays.
                         j = min(levels, replica[2] // step_scaled)
-                    continue
-                seen, seen_tf, hit, seen_replica = memo[j - 1]
-                if changed < seen and seen_tf == tf and hit >= low:
-                    # A cross-start replica: see the module docstring.
-                    replica = seen_replica
                     continue
                 # u = level on the cylinder: the layers up to threshold k,
                 # the last cut at level when level lies between thresholds
@@ -333,11 +392,9 @@ def run_fatou(
                     replayed = replica is not None and replica[:2] == (tf, hit)
                     replica = (tf, hit, reach)
                     if replayed:
-                        memo[j - 1] = (attempt, tf, hit, replica)
                         continue
                 else:
                     replica = None
-                first = hit
                 while hit >= 0:
                     u = list(map(and_, u, row))
                     trims += 1
@@ -346,7 +403,6 @@ def run_fatou(
                     assert attempt >= settled or schedule.allows_trims(
                         attempt, trims, level * span, unit)
                     if not any(map(operator.ne, map(and_, u, lows), u)):
-                        memo[j - 1] = (attempt, tf, first, replica)
                         break
                     total = sum(map(operator.mul, hu, map(int.bit_count, u)))
                     hit = _first_raise(u, hu, total, work, integrals, members, tf)[0]
@@ -371,10 +427,10 @@ def run_fatou(
                             integrals[s] += gained
                             assert integrals[s] <= tf
                     lows[:len(u)] = map(or_, u, lows)
-                    replica = None
-                    changed = attempt
+                    replica = keys = None
                 if grows:
                     phi[:len(u)] = map(or_, u, phi)
+                    growing = None
                     log.append((attempt, start, word, Fraction(j, 1 << g), trims))
                 # Thresholds up to level that no row holds any more go.
                 _merge(rows, tops, heights, k + 1)

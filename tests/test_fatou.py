@@ -286,45 +286,106 @@ def test_off_grid_sweep_matches_literal_reference():
     assert logged and trimmed
 
 
-# Each case drops one condition under which an attempt reuses the outcome
-# of the same (word, level) at an earlier start (see the opencover module
-# docstring): the run matches the literal reference and the mutant does not.
+def test_equivalence_sweep_matches_literal_reference():
+    # 303 gen families (grids 1-5, eps' up to eps + 1/2) and 40 hand-built
+    # ones with off-grid values up to 2: the skip rules leave phi, the
+    # threshold and the log as the literal run has them.  A shape (nmax
+    # 1-16, depth 1-6) is drawn again while nmax^2 * 4^depth * 2^grid, about
+    # the reference's work, passes 2^9, which leaves nmax 1-8 and depth 1-4;
+    # func 16x1, 2x5 and 1x6 follow.  The sweep takes about 6 s.
+    rng = random.Random(35)
+    shapes = []
+    while len(shapes) < 300:
+        nmax, depth, g = rng.randint(1, 16), rng.randint(1, 6), rng.randint(1, 5)
+        if nmax * nmax << (2 * depth + g) <= 1 << 9:
+            shapes.append((nmax, depth, g))
+    cases = []
+    for nmax, depth, g in [*shapes, (16, 1, 2), (2, 5, 1), (1, 6, 1)]:
+        eps = rng.choice([F(1, 8), F(1, 4), F(1, 2)])
+        text = gen.gen_trace("func", nmax, seed=rng.randrange(10**6), depth=depth, eps=eps)
+        eps_prime = eps + rng.choice([F(1, 64), F(1, 8), F(1, 4), F(1, 2)])
+        cases.append((parse_trace(text), eps, eps_prime, g))
+    for _ in range(40):
+        nmax, depth = rng.randint(1, 4), rng.randint(1, 3)
+        words = words_up_to(depth)
+        lines = [f"family func nmax={nmax} depth={depth}"]
+        for n in range(nmax):
+            for _ in range(rng.randint(1, 3)):
+                d = rng.choice([3, 5, 6, 7, 12])
+                word = rng.choice(words + words[-(1 << depth):]) or "e"
+                lines.append(f"raise {n} {word} {F(rng.randint(1, 2 * d), d)}")
+        fam = parse_trace("\n".join(lines) + "\n")
+        eps = max(from_table(t, depth).integral() for t in traces.values_by_index(fam))
+        eps_prime = eps + rng.choice([F(1, 12), F(1, 7), F(1, 3), F(1, 2)])
+        cases.append((fam, eps, eps_prime, rng.randint(1, 4 - depth)))
+    for fam, eps, eps_prime, g in cases:
+        fast = run_fatou(fam, eps, eps_prime, RationalGrid(g))
+        phi, theta, log = literal_fatou(fam, eps, eps_prime, RationalGrid(g))
+        assert fast.phi == phi
+        assert DeltaSchedule(eps, eps_prime).theta_after(fast.attempts) == theta
+        assert list(fast.log) == log
+
+
+# Each case drops or loosens one condition of the active-cell rule (see the
+# fatou module docstring): the run matches the literal reference and the
+# mutant, which skips an attempt that grows phi, does not.
 @pytest.mark.parametrize(
-    "condition,text,eps,eps_prime,g",
+    "function,old,new,text,eps,eps_prime,g",
     [
-        # No commit since.  Level 1 on cylinder 00 is capped without a
-        # commit at start 0 (attempt 7).  Level 1/2 on cylinder 10 then
-        # commits (attempt 10), after which the attempt of level 1 on 00 at
-        # start 1 (attempt 21) commits.
+        # The least room among the members at lows, not among all members.
+        # Integrals are counted in units of 1/16 and tf is 8 throughout.  At
+        # start 0 the root at level 1/2 (attempt 0) is capped to U_0, which
+        # is full but above lows on cell 1, and commits 1/2 there: U_1, at
+        # lows there, has room for it.  Counting U_0's room blocks cell 1.
         (
-            "changed < seen and ",
-            "family func nmax=3 depth=2\nraise 1 00 3/8\nraise 1 01 1/2\n"
-            "raise 2 11 3/8\nraise 2 10 7/8\n",
-            F(5, 16), F(7, 16), 1,
+            "_reach", "reduce(or_, map(xor, row, lows), 0)", "0",
+            "family func nmax=2 depth=1\nraise 0 1 1\nraise 1 0 1/8\n",
+            F(1, 2), F(9, 16), 1,
         ),
-        # The first hit lies at or after the new start's first member.  At
-        # start 0 the root at levels 1/4, 1/2 and 3/4 first overflows U_0;
-        # at start 1, which drops U_0, the same attempts (28-30) are capped
-        # to a u that grows phi.
+        # The gap is cut at a value a member holds above lows.  Units of
+        # 1/48; tf is 29 from attempt 2 on.  Attempt 20 lifts U_1 to 1/4 on
+        # cell 10, leaving it 2 units of room; cell 10 at level 1/2 (attempt
+        # 21) is then capped to U_0's 1/3 there and commits, a gain of 1 unit
+        # to U_1, where the whole step to the level would be 3.
         (
-            " and hit >= low",
-            "family func nmax=2 depth=2\nraise 0 00 3/4\nraise 1 11 5/8\n",
-            F(3, 16), F(13, 64), 2,
+            "_reach", "if cut > k:", "if False:",
+            "family func nmax=2 depth=2\nraise 0 e 1/3\nraise 0 00 1/2\nraise 1 0 1\n",
+            F(1, 2), F(5, 8), 2,
         ),
-        # The same threshold floor.  Integrals are counted in units of 1/4,
-        # and the floor of 4 * theta_t is 2 up to attempt 6 and 3 from
-        # attempt 7 on.  Level 1/2 on cylinder 1 first overflows U_1 at
-        # start 0 (attempt 4); at start 1 (attempt 10) it fits every member
-        # and commits.
+        # The cells where phi is below lows.  One member, 2 on cell 0; the
+        # root commits at levels 1/4 and 1/2 and fills its room, and from
+        # 3/4 on (attempts 2-7) it is capped to U_0, commits nothing and
+        # still grows phi on cell 0, where no cell is unblocked.
         (
-            " and seen_tf == tf",
-            "family func nmax=2 depth=1\nraise 0 1 1\nraise 1 0 1\n",
-            F(1, 2), F(385, 512), 1,
+            "run_fatou", "if not growing & cyl:", "if True:",
+            "family func nmax=1 depth=1\nraise 0 0 2\n",
+            F(1), F(4, 3), 2,
+        ),
+        # The keys are built anew at each start.  Units of 1/96; tf is 55
+        # from attempt 4 on.  Start 1 drops U_0, and U_1, at 4/3 on cell 10
+        # with 2 units of room, takes cell 10 at level 11/8 (attempt 142);
+        # in start 0's keys U_0, at lows 1/2 there with 1 unit of room,
+        # blocks it.
+        (
+            "run_fatou", "keys = growing = None",
+            "keys, growing = (keys if start else None), None",
+            "family func nmax=2 depth=2\nraise 0 00 5/4\nraise 1 10 4/3\n",
+            F(1, 3), F(7, 12), 3,
+        ),
+        # So are the cells where phi is below lows.  Units of 1/4, tf 2.  At
+        # start 0 lows is 0 everywhere; at start 1, which drops U_0, it is
+        # U_1's 1 on cell 1, and the root (attempts 6-7) is capped to U_1 and
+        # grows phi there.
+        (
+            "run_fatou", "keys = growing = None",
+            "keys, growing = None, (growing if start else None)",
+            "family func nmax=2 depth=1\nraise 0 0 1\nraise 1 1 1\n",
+            F(1, 2), F(5, 8), 1,
         ),
     ],
 )
-def test_each_cross_start_replica_condition_is_needed(
-    mutant, condition, text, eps, eps_prime, g
+def test_each_active_cell_condition_is_needed(
+    mutant, monkeypatch, function, old, new, text, eps, eps_prime, g
 ):
     fam = parse_trace(text)
     grid = RationalGrid(g)
@@ -335,8 +396,9 @@ def test_each_cross_start_replica_condition_is_needed(
 
     literal = literal_fatou(fam, eps, eps_prime, grid)
     assert rows(run_fatou(fam, eps, eps_prime, grid)) == literal
-    broken = mutant(run_fatou, condition, "")
-    assert rows(broken(fam, eps, eps_prime, grid)) != literal
+    broken = mutant(getattr(fatou, function), old, new)
+    monkeypatch.setattr(fatou, function, broken)
+    assert rows(fatou.run_fatou(fam, eps, eps_prime, grid)) != literal
 
 
 # Each case changes one rule of the level loop: the run matches the literal
@@ -384,9 +446,11 @@ def test_each_level_loop_rule_is_needed(mutant, old, new, text, eps, eps_prime, 
 
 
 def test_run_scans_the_same_member_ranges(monkeypatch):
-    # Func 8x6 (gen seed 1) at grid 3: the run makes 1,642 member scans,
-    # whose member ranges total 7,694, with rows as cell lists or as level
-    # masks alike.  A change of representation keeps these counts.
+    # Func 8x6 (gen seed 1) at grid 3: the run makes 195 member scans, whose
+    # member ranges total 1,104, of 9,144 attempts.  The counts pin which
+    # attempts the skip rules leave to a scan, not how rows are held: the
+    # cross-start memo this rule replaced scanned 1,642 ranges totalling
+    # 7,694.
     fam = parse_trace(gen.gen_trace("func", 8, seed=1, depth=6, eps=F(1, 4)))
     grid = RationalGrid(3)
     expected = run_fatou(fam, F(1, 4), F(3, 8), grid)
@@ -399,7 +463,38 @@ def test_run_scans_the_same_member_ranges(monkeypatch):
 
     monkeypatch.setattr(fatou, "_first_raise", counting)
     assert run_fatou(fam, F(1, 4), F(3, 8), grid) == expected
-    assert (len(calls), sum(calls)) == (1_642, 7_694)
+    assert (len(calls), sum(calls)) == (195, 1_104)
+
+
+# The active cells are rebuilt after a commit and after phi grows only to
+# skip more: the keys built earlier in a start still bound every attempt
+# (see the fatou module docstring).  Without either rebuild the run is the
+# same and scans more: func 16x6 (gen seed 1) at grid 3 makes 389 scans,
+# 849 without the rebuild after a commit and 457 without the one after
+# phi grows.
+@pytest.mark.parametrize(
+    "old,new,scans",
+    [
+        ("replica = keys = None", "replica = None", 849),
+        ("growing = None\n                    log.append", "log.append", 457),
+    ],
+)
+def test_active_cells_are_rebuilt_only_to_skip_more(mutant, monkeypatch, old, new, scans):
+    fam = parse_trace(gen.gen_trace("func", 16, seed=1, depth=6, eps=F(1, 4)))
+    grid = RationalGrid(3)
+    calls = []
+    first_raise = fatou._first_raise
+
+    def counting(*args):
+        calls.append(1)
+        return first_raise(*args)
+
+    monkeypatch.setattr(fatou, "_first_raise", counting)
+    expected = run_fatou(fam, F(1, 4), F(3, 8), grid)
+    assert len(calls) == 389
+    calls.clear()
+    assert mutant(run_fatou, old, new)(fam, F(1, 4), F(3, 8), grid) == expected
+    assert len(calls) == scans
 
 
 def test_fine_grid_keeps_only_the_thresholds_the_rows_hold():
