@@ -41,7 +41,7 @@ T, not the threshold theta_after(T).  An attempt whose candidate lies inside
 every member from its start index on is skipped without a scan: it can trim
 nothing and change no mask.
 
-The level rule (trim mode).  From attempt max(len(floors),
+The level rule.  From attempt max(len(floors),
 settled_attempt(2^depth)) on, tf is the settled floor and no trim count is
 checked, so a run decides the words of one (start, level) together: they
 are disjoint blocks of 2^k cells, and a spread mask holds one bit at the
@@ -53,9 +53,10 @@ word can, and the pass skips m.  The masks are cached per member until a
 commit grows it.  One pass over the members from min(start, nmax-1) on,
 hit = pending & over(m) and pending ^= hit, gives every word with a cell
 outside its first overflowing member, the one its scan trims it by first.
-A word hit at m whose trimmed candidate x & U_m has no cell outside lies
-in every member from the start on, so its scan ends there with one trim
-and commits nothing; a word with no cell outside keeps its cylinder.
+A naive run drops such a word where trim cuts it: it commits nothing and
+adds no piece.  A word hit at m whose trimmed candidate x & U_m has no cell
+outside lies in every member from the start on, so its scan ends there with
+one trim and commits nothing; a word with no cell outside keeps its cylinder.
 Every other word, trimmed and still outside or overflowing nothing (a
 commit), runs the per-word scan in heap order, and so does every attempt
 before that first one.  This is exact: an attempt that commits nothing
@@ -64,20 +65,6 @@ masks the pass read, and a commit makes the pass decide the rest of the
 level again.  Pieces change only the cover, and words of one level are
 disjoint, so the level's pieces, each a word's final candidate where it is
 new to the cover, are taken at its end in heap order.
-
-The naive rule.  A naive run visits only the attempts that may commit or
-add a piece.  (1) Once the floor has settled tf is fixed and masks only
-grow, so a word x that overflows member m, |masks[m] | x| > tf, overflows
-it at every later attempt.  (2) So x is not inside m, which would make that
-count |masks[m]| <= tf, and it commits and adds nothing at any start whose
-first member min(start, nmax-1) is at most m: it is filed under the last
-member it overflows (scanned from nmax-1 down), due again at start m+1, or
-never for m = nmax-1.  (3) Inside is permanent, as masks grow and suffixes
-shrink, so an inside or committed word is visited once, for its piece.
-(4) A word scanned before the floor settles may fit under a later tf: it
-is due again at the next start, the tail start included.  Due words run in
-heap order, attempt start * (2^(depth+1)-1) + j for word j.  Trim mode has
-no such rule: an overflowing word is trimmed, and its remnant may commit.
 
 Each trim removes at least one cell, so from
 DeltaSchedule.settled_attempt(2^depth) on no trim count can break the cap
@@ -280,31 +267,33 @@ def _bits(spread: int, k: int):
         spread ^= one
 
 
-def _run_setup(family: traces.StabilizedFamily, eps: Fraction, eps_prime: Fraction):
-    """Member masks and counts, and the floor table of run_size's attempts."""
-    masks = _member_masks(family, eps, eps_prime)
-    attempts = traces.run_size(family)
-    floors, settled_tf = DeltaSchedule(eps, eps_prime).floor_table(1 << family.depth, attempts)
-    return masks, [m.bit_count() for m in masks], floors, settled_tf
-
-
-def _commit(candidate: int, masks: list[int], counts: list[int], low: int, tf: int) -> None:
-    """Add the candidate to every member from low on."""
-    for n in range(low, len(masks)):
-        masks[n] |= candidate
-        counts[n] = masks[n].bit_count()
-        assert counts[n] <= tf
-
-
 def run_trim_cover(
     family: traces.StabilizedFamily, eps: Fraction, eps_prime: Fraction
 ) -> OpenCoverResult:
     """Trimming mode; covers the liminf within measure eps'."""
-    masks, counts, floors, settled_tf = _run_setup(family, eps, eps_prime)
+    return _open_run(family, eps, eps_prime, True)
+
+
+def run_naive_cover(
+    family: traces.StabilizedFamily, eps: Fraction, eps_prime: Fraction
+) -> OpenCoverResult:
+    """No-trimming mode: violating attempts are skipped.  Covers the union
+    of interiors of suffix intersections, which equals the liminf here."""
+    return _open_run(family, eps, eps_prime, False)
+
+
+def _open_run(
+    family: traces.StabilizedFamily, eps: Fraction, eps_prime: Fraction, trim: bool
+) -> OpenCoverResult:
+    """The trim run, or with ``trim`` false the naive run: one attempt loop
+    that cuts an overflowing candidate down, or drops it."""
+    masks = _member_masks(family, eps, eps_prime)
+    counts = [m.bit_count() for m in masks]
     depth, top, cells = family.depth, family.nmax, 1 << family.depth
     width = 2 * cells - 1  # words a start, in heap order: word w is int("1" + w, 2) - 1
     full = uncovered = (1 << cells) - 1
     schedule = DeltaSchedule(eps, eps_prime)
+    floors, settled_tf = schedule.floor_table(cells, traces.run_size(family))
     # Every trim removes at least one of the 2^depth cells.
     settled = schedule.settled_attempt(cells)
     # From this attempt on tf is settled_tf and no count is checked: the level rule.
@@ -362,10 +351,11 @@ def run_trim_cover(
                             if over[m] is None:
                                 over[m] = overflows(m)
                             if hit := pending & over[m][k]:
-                                pending ^= hit
-                                one = hit & ~touched(masks[m] & outside, k)
-                                ones, ragged = ones | one, ragged | hit ^ one
-                                fin |= (one << span) - one & masks[m]
+                                pending ^= hit  # naive drops the words trim cuts
+                                if trim:
+                                    one = hit & ~touched(masks[m] & outside, k)
+                                    ones, ragged = ones | one, ragged | hit ^ one
+                                    fin |= (one << span) - one & masks[m]
                     if ones or written:
                         bits = bin(ones | 1 << cells)[-1 - (pos << k):-1 - cells:-span]
                         ones_at[row + pos:row + n] = bits.encode().translate(digits)
@@ -377,6 +367,8 @@ def run_trim_cover(
                     if candidate & outside:
                         tf = floors[attempt] if attempt < len(floors) else settled_tf
                         hit = _first_overflow(candidate, masks, counts, range(low, top), tf)
+                        if hit >= 0 and not trim:
+                            continue
                         count = 0
                         while hit >= 0:
                             candidate &= masks[hit]
@@ -387,8 +379,11 @@ def run_trim_cover(
                             hit = _first_overflow(candidate, masks, counts, range(hit + 1, top), tf)
                         trims[attempt] = count
                     finals |= candidate
-                    if candidate & outside:
-                        _commit(candidate, masks, counts, low, tf)
+                    if candidate & outside:  # commit: add it to every member from low on
+                        for m in range(low, top):
+                            masks[m] |= candidate
+                            counts[m] = masks[m].bit_count()
+                            assert counts[m] <= tf
                         outside &= ~candidate
                         over[low:] = [None] * (top - low)
                         stop = i + 1  # the rest of the level is decided again
@@ -402,45 +397,8 @@ def run_trim_cover(
                     pieces.append(Piece(word, start, None, row + i, trims[row + i], added))
                 uncovered ^= new
     cover = CylinderSet.from_mask(full ^ uncovered, depth)
-    return OpenCoverResult("trim", cover, tuple(pieces), len(trims), memoryview(trims).toreadonly())
-
-
-def run_naive_cover(
-    family: traces.StabilizedFamily, eps: Fraction, eps_prime: Fraction
-) -> OpenCoverResult:
-    """No-trimming mode: violating attempts are skipped.  Covers the union
-    of interiors of suffix intersections, which equals the liminf here."""
-    masks, counts, floors, settled_tf = _run_setup(family, eps, eps_prime)
-    depth, top, width = family.depth, family.nmax, (2 << family.depth) - 1
-    full = uncovered = (1 << (1 << depth)) - 1
-    pieces: list[Piece] = []
-    # due[s]: the words to visit at start s, all of them at start 0.
-    due = [list(range(width))] + [[] for _ in range(top)]
-    for start in range(top + 1):
-        low = min(start, top - 1)
-        outside = full ^ reduce(and_, masks[low:], full)
-        for j in sorted(due[start]):
-            attempt = start * width + j
-            level = (j + 1).bit_length() - 1  # word j's mask from its heap index
-            candidate = (1 << (1 << depth - level)) - 1 << (j + 1 - (1 << level) << depth - level)
-            if candidate & outside:
-                tf = floors[attempt] if attempt < len(floors) else settled_tf
-                hit = _first_overflow(candidate, masks, counts, range(top - 1, low - 1, -1), tf)
-                if hit >= 0:  # filed by the naive rule (module docstring)
-                    if attempt < len(floors):
-                        if start < top:  # the tail start, top, included
-                            due[start + 1].append(j)
-                    elif hit < top - 1:
-                        due[hit + 1].append(j)
-                    continue
-                _commit(candidate, masks, counts, low, tf)
-                outside &= ~candidate
-            if candidate & uncovered:
-                added = CylinderSet.from_mask(candidate, depth)
-                pieces.append(Piece(f"{j + 1:b}"[1:], start, None, attempt, 0, added))
-                uncovered &= ~candidate
-    cover = CylinderSet.from_mask(full ^ uncovered, depth)
-    return OpenCoverResult("naive", cover, tuple(pieces), traces.run_size(family), ())
+    record = memoryview(trims).toreadonly() if trim else ()  # naive counts stay 0
+    return OpenCoverResult("trim" if trim else "naive", cover, tuple(pieces), len(trims), record)
 
 
 def run_block_cover(

@@ -1,8 +1,8 @@
 """Checks the tests hold the library to, kept out of the library itself.
 
 trim_limit is the closed-form trim cap of the open-cover argument, and
-trim_cover_per_word the trim run one attempt at a time, with no rule that
-skips or batches attempts.
+trim_cover_per_word the trim or naive run one attempt at a time, with no
+rule that skips or batches attempts.
 fatou_specializes is the paper's "same argument" as a test: a finite set,
 a semimeasure or an open set is the indicator case of a step function, so
 the step-function pipeline run on the embedded family must guarantee
@@ -34,15 +34,17 @@ def trim_limit(schedule, attempt):
     return math.ceil(1 / delta(schedule, attempt))
 
 
-def trim_cover_per_word(family, eps, eps_prime):
+def trim_cover_per_word(family, eps, eps_prime, trim=True):
     """The trim run as the opencover module docstring states it, on cell
     masks: at each (start, word) in heap order the candidate, the word's
     cylinder, is cut down to the first member from min(start, nmax-1) on
     that it would push past the attempt's floor, until none is, and is then
     added to every member from there on (a candidate inside all of them
-    changes none, and none can overflow).  Returns the pieces as (word,
-    start, attempt, trims, cell mask), the cover's cell mask and every
-    attempt's trim count."""
+    changes none, and none can overflow).  With ``trim`` false it is the
+    naive run: a candidate that would push a member past the floor is
+    dropped, and adds nothing.  Returns the pieces as (word, start, attempt,
+    trims, cell mask), the cover's cell mask and every attempt's trim
+    count."""
     depth, top = family.depth, family.nmax
     masks = traces.member_rows(family, eps=eps)
     floors, settled = opencover.DeltaSchedule(eps, eps_prime).floor_table(
@@ -60,6 +62,9 @@ def trim_cover_per_word(family, eps, eps_prime):
             count = 0
             while candidate & outside and (hit := next(
                     (m for m in members if (masks[m] | candidate).bit_count() > tf), -1)) >= 0:
+                if not trim:
+                    candidate = 0
+                    break
                 candidate &= masks[hit]
                 count += 1
             if candidate & outside:

@@ -297,6 +297,32 @@ def test_coverage_witness_names_an_uncovered_word():
     assert [(c.name, c.witness) for c in failed] == [("coverage", "11")]
 
 
+def test_piece_consistency_compares_the_cover_with_its_pieces():
+    # The verifier reads coverage and measure off the pieces, so a cover
+    # that claims less than they add fails this check alone.
+    fam = parse_trace("family open nmax=2 depth=2\nadd 0 00\nadd 0 11\nadd 1 00\nadd 1 11\n")
+    res = run_trim_cover(fam, F(1, 2), F(3, 4))
+    assert verify_open_cover(fam, F(1, 2), F(3, 4), res).passed
+    short = dataclasses.replace(res, cover=CylinderSet(["00"]))
+    failed = verify_open_cover(fam, F(1, 2), F(3, 4), short).failures()
+    assert [(c.name, c.witness) for c in failed] == [
+        ("piece-consistency", "cover disagrees with the union of pieces")
+    ]
+
+
+def test_measure_bound_names_the_measure_of_the_pieces():
+    # One more piece, the cylinder 1, takes the union to 3/4 > eps' = 5/8;
+    # the cover names the same union, so no other check fails.
+    fam = parse_trace("family open nmax=2 depth=2\nadd 0 00\nadd 0 11\nadd 1 00\nadd 1 11\n")
+    eps, eps_prime = F(1, 2), F(5, 8)
+    res = run_naive_cover(fam, eps, eps_prime)
+    assert verify_open_cover(fam, eps, eps_prime, res).passed
+    extra = dataclasses.replace(res.pieces[0], word="1", added=CylinderSet(["1"]))
+    wide = dataclasses.replace(res, cover=res.cover | extra.added, pieces=(*res.pieces, extra))
+    failed = verify_open_cover(fam, eps, eps_prime, wide).failures()
+    assert [(c.name, c.witness) for c in failed] == [("measure-bound", "3/4")]
+
+
 def test_matches_literal_reference():
     rng = random.Random(21)
     for i in range(25):
@@ -336,7 +362,8 @@ def test_matches_literal_reference_while_the_floor_rises():
 def test_matches_a_per_word_reference_past_depth_4():
     # literal_cover stops at depth 4, and the level rule's popcount fields
     # behave differently at spans 1, 2 and 4 and up; eps' = 1/2 + 2^-40
-    # keeps the floors rising for some 38 attempts.
+    # keeps the floors rising for some 38 attempts.  Both modes run the
+    # level rule, so both are checked.
     rng = random.Random(26)
     for i in range(300):
         nmax, depth = rng.randint(1, 40), rng.randint(1, 10)
@@ -344,21 +371,22 @@ def test_matches_a_per_word_reference_past_depth_4():
         eps_prime = rng.choice([eps + F(1, 8), (1 + eps) / 2, F(1, 2) + F(1, 1 << 40)])
         text = gen.gen_trace("open", nmax, seed=10_000 + i, depth=depth, eps=eps)
         fam = parse_trace(text)
-        res = run_trim_cover(fam, eps, eps_prime)
-        pieces, cover, trims = trim_cover_per_word(fam, eps, eps_prime)
-        assert [(p.word, p.start, p.attempt, p.trims, p.added) for p in res.pieces] == [
-            (w, s, a, t, CylinderSet.from_mask(c, depth)) for w, s, a, t, c in pieces
-        ], (text, eps_prime)
-        assert res.cover == CylinderSet.from_mask(cover, depth)
-        assert res.attempts == len(trims)
-        assert bytes(res.trims) == bytes(array("H", trims)), (text, eps_prime)
+        for trim in (True, False):
+            res = (run_trim_cover if trim else run_naive_cover)(fam, eps, eps_prime)
+            pieces, cover, trims = trim_cover_per_word(fam, eps, eps_prime, trim)
+            assert [(p.word, p.start, p.attempt, p.trims, p.added) for p in res.pieces] == [
+                (w, s, a, t, CylinderSet.from_mask(c, depth)) for w, s, a, t, c in pieces
+            ], (text, eps_prime, trim)
+            assert res.cover == CylinderSet.from_mask(cover, depth)
+            assert res.attempts == len(trims)
+            record = array("H", trims) if trim else ()
+            assert bytes(res.trims) == bytes(record), (text, eps_prime, trim)
 
 
-def test_trim_run_scans_only_the_words_the_level_rule_leaves_open(monkeypatch):
-    # Open 32x8 (gen seed 1), 16,863 attempts: the level rule decides the
-    # rest, and the per-word scans left make 743 member scans over 12,166
-    # members in all.
-    fam = parse_trace(gen.gen_trace("open", 32, seed=1, depth=8, eps=F(1, 4)))
+def member_scans(monkeypatch, runner, text):
+    """A run's _first_overflow calls and the members they read, at eps 1/4
+    and eps' 3/8; the run must pass its verifier."""
+    fam = parse_trace(text)
     calls = []
     first_overflow = opencover._first_overflow
 
@@ -367,26 +395,31 @@ def test_trim_run_scans_only_the_words_the_level_rule_leaves_open(monkeypatch):
         return first_overflow(candidate, masks, counts, members, tf)
 
     monkeypatch.setattr(opencover, "_first_overflow", counting)
-    res = run_trim_cover(fam, F(1, 4), F(3, 8))
+    res = runner(fam, F(1, 4), F(3, 8))
+    monkeypatch.undo()
     assert verify_open_cover(fam, F(1, 4), F(3, 8), res).passed
-    assert (len(calls), sum(calls)) == (743, 12_166)
+    return len(calls), sum(calls)
+
+
+def test_trim_run_scans_only_the_words_the_level_rule_leaves_open(monkeypatch):
+    # Open 32x8 (gen seed 1), 16,863 attempts: the level rule decides the
+    # rest, and the per-word scans left make 743 member scans over 12,166
+    # members in all.
+    text = gen.gen_trace("open", 32, seed=1, depth=8, eps=F(1, 4))
+    assert member_scans(monkeypatch, run_trim_cover, text) == (743, 12_166)
 
 
 def test_naive_run_scans_only_the_attempts_the_rule_leaves_open(monkeypatch):
-    # Open 32x8 (gen seed 1): scanning every attempt whose candidate is not
-    # inside takes 3,363 member scans; the naive rule leaves 465.
-    fam = parse_trace(gen.gen_trace("open", 32, seed=1, depth=8, eps=F(1, 4)))
-    calls = []
-    first_overflow = opencover._first_overflow
-
-    def counting(*args):
-        calls.append(args)
-        return first_overflow(*args)
-
-    monkeypatch.setattr(opencover, "_first_overflow", counting)
-    res = run_naive_cover(fam, F(1, 4), F(3, 8))
-    assert verify_open_cover(fam, F(1, 4), F(3, 8), res).passed
-    assert len(calls) == 465
+    # The naive run drops in the level pass the words that trim cuts, so
+    # only its commits and the attempts before the level rule are scanned:
+    # open 32x8 and 64x12 (gen seed 1), and nmax=1 depth=15.
+    cases = [
+        (gen.gen_trace("open", 32, seed=1, depth=8, eps=F(1, 4)), (13, 416)),
+        (gen.gen_trace("open", 64, seed=1, depth=12, eps=F(1, 4)), (50, 1_989)),
+        ("family open nmax=1 depth=15\nadd 0 000000\n", (25, 25)),
+    ]
+    for text, scans in cases:
+        assert member_scans(monkeypatch, run_naive_cover, text) == scans, text.split("\n")[0]
 
 
 def test_naive_piece_inside_every_later_member():
@@ -421,8 +454,15 @@ def test_naive_piece_inside_every_later_member():
         # cells 01, 10 and 11, so the child 00 first overflows U_0, before
         # its parent's first overflow; in naive mode it must not commit.
         ("family open nmax=2 depth=2\nadd 0 01\nadd 1 1\n", F(1, 2), F(1)),
+        # The floor of 8 * theta_t is 3 up to attempt 37 and 4 from attempt
+        # 38 on.  Word 011 overflows U_1 at start 1 (attempt 25); at the
+        # tail start (attempt 40) it fits and commits.
+        ("family open nmax=2 depth=3\n", F(1, 4), F(1, 2) + F(1, 1 << 40)),
     ],
-    ids=["twice-after-a-commit", "fits-from-next-start", "floor-rises", "commit-moves-first-hit"],
+    ids=[
+        "twice-after-a-commit", "fits-from-next-start", "floor-rises", "commit-moves-first-hit",
+        "fits-at-the-tail-start",
+    ],
 )
 def test_hand_built_families_match_literal_reference(text, eps, eps_prime):
     fam = parse_trace(text)
@@ -491,52 +531,50 @@ def test_hand_built_families_match_literal_reference(text, eps, eps_prime):
 )
 def test_each_level_rule_condition_is_needed(mutant, old, new, text, eps, eps_prime):
     fam = parse_trace(text)
-    broken = mutant(opencover.run_trim_cover, old, new)
+    broken = mutant(opencover._open_run, old, new)
     literal = literal_cover(fam, eps, eps_prime, True)
     assert run_rows(run_trim_cover(fam, eps, eps_prime), eps, eps_prime) == literal
-    assert run_rows(broken(fam, eps, eps_prime), eps, eps_prime) != literal
+    assert run_rows(broken(fam, eps, eps_prime, True), eps, eps_prime) != literal
 
 
-# Each case breaks one condition of the naive rule (see the opencover module
-# docstring): the run matches the literal reference and the mutant does not.
+# Each case makes the naive run trim where it must drop, in one of the two
+# places the shared loop tells the modes apart: the run matches the literal
+# reference and the mutant does not.
 @pytest.mark.parametrize(
     "old,new,text,eps,eps_prime",
     [
-        # A word is filed under a member only once tf has settled.  The
-        # floor of 4 * theta_t is 1 up to attempt 7 and 2 from attempt 8 on.
-        # Word 00 overflows U_1 and U_2 at start 0 (attempt 3); at start 1
-        # (attempt 10) it fits every member and commits.  Filed under U_2,
-        # it would wait for the tail start.
+        # The level pass.  The floor of 4 * theta_t is 1 throughout, and the
+        # level rule starts at attempt 2, word 1 of start 0.  U_0 = 10 has
+        # no room, so word 1 overflows it; naive drops it, and the piece 10
+        # comes at word 10 (attempt 5).  Made to trim, the pass would cut
+        # word 1 to 10, inside U_0, and take the piece there.
         (
-            "attempt < len(floors):", "False:",
-            "family open nmax=3 depth=2\nadd 0 00\nadd 1 01\nadd 2 10\n",
-            F(1, 4), F(513, 1024),
-        ),
-        # Words scanned before tf settles are visited again at the tail
-        # start too.  The floor of 8 * theta_t is 3 up to attempt 37 and 4
-        # from attempt 38 on.  Word 011 overflows U_1 at start 1 (attempt
-        # 25); at the tail start (attempt 40) it fits and commits.
-        (
-            "start < top:", "start < top - 1:",
-            "family open nmax=2 depth=3\n",
-            F(1, 4), F(1, 2) + F(1, 1 << 40),
-        ),
-        # A word filed under member m is visited again at start m + 1.  At
-        # start 0 word 01 overflows U_0 alone; at start 1 it fits every
-        # member and commits.
-        (
-            "due[hit + 1]", "due[hit + 2]",
-            "family open nmax=4 depth=2\nadd 0 10\nadd 1 01\nadd 3 01\n",
+            "pending ^= hit  # naive drops the words trim cuts\n"
+            "                                if trim:",
+            "pending ^= hit\n"
+            "                                if True:",
+            "family open nmax=1 depth=2\nadd 0 10\n",
             F(1, 4), F(1, 2),
         ),
+        # The per-word scan.  The floor of 2 * theta_t is 1 throughout, and
+        # the root (attempt 0) runs before the level rule.  It overflows
+        # U_0 = 0; naive drops it, and the piece 0 comes at word 0 (attempt
+        # 1).  Made to trim, the scan would cut the root to 0 and take the
+        # piece there.
+        (
+            "hit >= 0 and not trim", "hit >= 0 and False",
+            "family open nmax=1 depth=1\nadd 0 0\n",
+            F(1, 2), F(3, 4),
+        ),
     ],
+    ids=["level-pass", "per-word-scan"],
 )
-def test_each_naive_rule_condition_is_needed(mutant, old, new, text, eps, eps_prime):
+def test_naive_drops_each_word_trim_would_cut(mutant, old, new, text, eps, eps_prime):
     fam = parse_trace(text)
-    broken = mutant(opencover.run_naive_cover, old, new)
+    broken = mutant(opencover._open_run, old, new)
     literal = literal_cover(fam, eps, eps_prime, False)
     assert run_rows(run_naive_cover(fam, eps, eps_prime), eps, eps_prime) == literal
-    assert run_rows(broken(fam, eps, eps_prime), eps, eps_prime) != literal
+    assert run_rows(broken(fam, eps, eps_prime, False), eps, eps_prime) != literal
 
 
 def test_member_floor_drops_only_at_the_tail_start(mutant):
@@ -548,11 +586,11 @@ def test_member_floor_drops_only_at_the_tail_start(mutant):
     # twice, and the piece 0 would wait for the tail start (attempt 14).
     fam = parse_trace("family open nmax=2 depth=2\nadd 0 1\nadd 1 0\n")
     eps, eps_prime = F(1, 2), F(49153, 65536)
-    broken = mutant(opencover.run_trim_cover, "min(start, top - 1)", "max(start - 1, 0)")
+    broken = mutant(opencover._open_run, "min(start, top - 1)", "max(start - 1, 0)")
     literal = literal_cover(fam, eps, eps_prime, True)
     assert run_rows(run_trim_cover(fam, eps, eps_prime), eps, eps_prime) == literal
     assert literal[2][0][:4] == ("", 1, 7, 1)
-    assert piece_rows(broken(fam, eps, eps_prime))[0][:4] == ("", 2, 14, 1)
+    assert piece_rows(broken(fam, eps, eps_prime, True))[0][:4] == ("", 2, 14, 1)
 
 
 # The end of a child process that prints its own peak RSS in KiB: VmHWM, as
