@@ -96,6 +96,38 @@ a fixed (m, U) the levels rise with the attempts:
   commit lifts phi with lows.  So the keys are built at each start and,
   only to skip more, again after a commit or phi's growth.
 
+The level rule.  A (start, word) pair is idle when its fold is not due
+and it has no level to run: j >= levels if its cylinder meets growing, the
+cells where phi < lows, and j >= the highest key on it otherwise.  An idle
+pair changes no state; at most it builds growing or the keys where they
+are not built.  A due fold lifts phi where it is below level j <= lows, so
+its word meets growing; a word off growing has a level to run exactly when
+it meets the cells keyed above its j.  So the run decides the words of one
+(start, length) at once: they are disjoint blocks of 2^e cells, and a
+spread mask holds one bit at the first cell of each (kernel.WordBlocks).
+The words whose cylinder c layers of lows fill share the least value of
+lows there, tops[c-1] (0 for c = 0), hence j, and one pass over the layers
+marks the words that meet growing or the cells keyed above their j, in
+O(layers) int operations.  Only they run the per-word body, in heap order;
+every skipped word still counts its levels as attempts.  This is exact.
+The keys are the same whenever they are built between two commits of a
+start (they read only lows, the rows and the rooms), and the pass builds
+them where the per-word run did, at the first word off growing after they
+were dropped; growing, built by the first word after it was dropped after
+that word's fold, is built by that word taken on its own.  A word's marks
+read lows on its own cylinder, which the other words of its length do not
+touch, so they hold until a commit drops the keys or phi's growth drops
+growing; the pass then decides the rest of the length again.  Marks taken
+before such a change would still be exact, since keys and growing built
+earlier in a start stay valid bounds: deciding again only keeps the bodies
+to the active words.  In a run growing is empty after each start's root,
+which is taken on its own: the root meets every cell where phi < lows, so
+it runs up to the top level, whose attempt, run or replayed, ends at
+u >= lows (every cap takes the minimum with a row at least lows), and
+phi < lows only where it was so.  So only the keys mark the words of a
+start's other lengths; the growing mark keeps the pass exact, and its
+scans the per-word run's, for any growing, a stale one included.
+
 A cap removes at least one integer unit from u, so the run stops checking
 trim counts from DeltaSchedule.settled_attempt(levels * step * 2^depth *
 unit) on.  A member whose room tf - integral(f_s) covers the integral of u
@@ -113,9 +145,10 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 from operator import and_, itemgetter, or_, xor
+from typing import Sequence
 
 from . import traces
-from .kernel import InputError, ZERO, cell_span, format_rational, words_up_to
+from .kernel import InputError, WordBlocks, ZERO, cell_span, format_rational, spread_indices
 from .measurecover import RationalGrid
 from .opencover import DeltaSchedule
 from .verdict import Check, Verdict
@@ -277,6 +310,25 @@ def _reach(lows: list[int], tops: list[int], rooms: list[tuple[int, list[int]]],
     return [0, *keys[::-1]], [full, *masks[::-1]]
 
 
+def _active(blocks: WordBlocks, e: int, region: int, lows: list[int], tops: list[int],
+            step: int, growing: int, keys: Sequence[int], masks: list[int]) -> int:
+    """The words of ``region``, a spread mask of span-2^e words, that meet
+    growing or the cells keyed above their j (see "The level rule" in the
+    module docstring); with no keys, the words that meet growing."""
+    touched = blocks.touched
+    active = touched(growing, e) & region
+    words, j = region, 0  # the words whose cylinder c layers of lows at least fill
+    for c in range(len(tops) + 1):
+        more = blocks.filled(lows[c], e) & words if c < len(tops) else 0
+        i = bisect_right(keys, j)  # the first key above j
+        if words != more and i < len(keys):  # the least of lows there is tops[c-1]
+            active |= (words ^ more) & touched(masks[i], e)
+        if not more:
+            return active
+        words, j = more, tops[c] // step
+    return active
+
+
 def run_fatou(
     family: traces.StabilizedFamily,
     eps: Fraction,
@@ -310,15 +362,15 @@ def run_fatou(
     work = [_level_masks(row, tops) for row in cell_rows]
     phi = [0] * len(tops)
 
-    words = words_up_to(depth)
     floors, settled_tf = schedule.floor_table(unit, attempts)
     # Each cap removes at least one unit from u, whose integral starts at
     # most at levels * step * 2^depth units.
     settled = schedule.settled_attempt(levels * step_scaled * unit << depth)
-    spans = [cell_span(word, depth) for word in words]
+    blocks = WordBlocks(depth)
+    width = 2 * ncells - 1  # words a start, in heap order: word w is int("1" + w, 2) - 1
     log: list[tuple[int, int, str, Fraction, int]] = []
     full = (1 << ncells) - 1
-    attempt = -1
+    masks: list[int] = []  # the keys' nested masks, read only once the keys are built
     for start in range(top + 1):
         low = min(start, top - 1)  # the tail start reads member nmax-1
         members = range(low, top)
@@ -329,118 +381,142 @@ def run_fatou(
         _merge([*work[low:], phi], tops, heights, len(tops))
         lows = [reduce(and_, layer) for layer in zip(*work[low:])]
         rows = [phi, lows, *work[low:]]
-        keys = growing = None  # built when first needed, again after a change
-        for word, (base, span) in zip(words, spans):
-            cyl = ((1 << span) - 1) << base  # the cylinder's cells
-            before = attempt  # level j is attempt before + j
-            # The fast path, folded at once: see the module docstring.
-            j = min(levels, _least(lows, tops, cyl) // step_scaled)
-            level = j * step_scaled
-            k = bisect_left(tops, level)  # the lows reach level: k < len(tops)
-            if j and phi[k] & cyl != cyl:
-                floor = _least(phi, tops, cyl)
-                if tops[k] != level:
-                    _split(rows, tops, heights, k, level)
-                phi[:k + 1] = [m | cyl for m in phi[:k + 1]]
-                _merge(rows, tops, heights, k)
-                for i in range(floor // step_scaled + 1, j + 1):
-                    log.append((before + i, start, word, Fraction(i, 1 << g), 0))
-            # Levels above the highest key on the cylinder commit nothing and
-            # leave phi as it is: see the module docstring.
-            if growing is None:  # the cells where phi is below lows
-                growing = reduce(or_, map(xor, lows, phi), 0)
-            jend = levels
-            if not growing & cyl:
-                if keys is None:
-                    keys, masks = _reach(lows, tops, sorted(
-                        ((settled_tf - integrals[s], work[s]) for s in members),
-                        key=itemgetter(0)), full, step_scaled, levels)
-                jend = keys[bisect_left(masks, True, key=lambda m: not m & cyl) - 1]
-            # (tf, first hit, highest level known to replay) of the last
-            # attempt that later ones replay exactly; see the module docstring.
-            replica = None
-            while j < jend:
-                j += 1
-                attempt = before + j
-                tf = floors[attempt] if attempt < len(floors) else settled_tf
-                level = j * step_scaled
-                # A replayed attempt has the same trims as the original at a
-                # larger level and attempt number, so it keeps the trim-count
-                # bound a fortiori.
-                if replica is not None and replica[0] == tf and level <= replica[2]:
-                    if tf == settled_tf:
-                        # tf has settled: every level up to the reach replays.
-                        j = min(levels, replica[2] // step_scaled)
-                    continue
-                # u = level on the cylinder: the layers up to threshold k,
-                # the last cut at level when level lies between thresholds
-                # (above every threshold, no member reaches it).
-                k = bisect_left(tops, level)
-                above = bisect_right(tops, level, k)
-                u = [cyl] * (k + 1)
-                hu = heights if above > k or k == len(tops) else [
-                    *heights[:k], level - (tops[k - 1] if k else 0)]
-                total = level * span
-                trims = 0
-                hit, slack = _first_raise(u, hu, total, work, integrals, members, tf)
-                row = work[hit]  # unused when hit is -1: a commit follows
-                if hit >= 0 and (above == len(tops) or not row[above] & cyl):
-                    # The first cap sets u to work[hit] on the cylinder, and
-                    # each level step adds at most span to a member's gain.
-                    reach = (levels * step_scaled if slack is None
-                             else level + slack // span)
-                    replayed = replica is not None and replica[:2] == (tf, hit)
-                    replica = (tf, hit, reach)
-                    if replayed:
-                        continue
+        keys = growing = None  # built for the first word, again after a change
+        for e in reversed(range(depth + 1)):  # the words of length depth - e
+            n, span = 1 << depth - e, 1 << e
+            pos = 0
+            while pos < n:
+                # The level rule: see the module docstring.  A word visited
+                # while growing or the keys are not built builds them, so the
+                # pass stops at it and marks it.
+                region = blocks.bases[e] >> (pos << e) << (pos << e)
+                if growing is None:  # this word builds growing after its fold
+                    stop = region & -region
+                elif keys is None:  # the first word off growing builds the keys
+                    stop = region & ~blocks.touched(growing, e)
+                    stop &= -stop
                 else:
+                    stop = 0
+                if stop:
+                    region &= (stop << 1) - 1
+                active = stop
+                if growing is not None:
+                    active |= _active(blocks, e, region, lows, tops, step_scaled, growing,
+                                      keys or (), masks)
+                pos = (region.bit_length() - 1 >> e) + 1
+                for i in spread_indices(active, e):
+                    word, cyl = f"{n + i:b}"[1:], (1 << span) - 1 << (i << e)
+                    before = (start * width + n - 1 + i) * levels - 1  # level j: attempt before + j
+                    # The fast path, folded at once: see the module docstring.
+                    j = min(levels, _least(lows, tops, cyl) // step_scaled)
+                    level = j * step_scaled
+                    k = bisect_left(tops, level)  # the lows reach level: k < len(tops)
+                    if j and phi[k] & cyl != cyl:
+                        floor = _least(phi, tops, cyl)
+                        if tops[k] != level:
+                            _split(rows, tops, heights, k, level)
+                        phi[:k + 1] = [m | cyl for m in phi[:k + 1]]
+                        _merge(rows, tops, heights, k)
+                        for folded in range(floor // step_scaled + 1, j + 1):
+                            log.append((before + folded, start, word, Fraction(folded, 1 << g), 0))
+                    # Levels above the highest key on the cylinder commit nothing and
+                    # leave phi as it is: see the module docstring.
+                    if growing is None:  # the cells where phi is below lows
+                        growing = reduce(or_, map(xor, lows, phi), 0)
+                    jend = levels
+                    if not growing & cyl:
+                        if keys is None:
+                            keys, masks = _reach(lows, tops, sorted(
+                                ((settled_tf - integrals[s], work[s]) for s in members),
+                                key=itemgetter(0)), full, step_scaled, levels)
+                        jend = keys[bisect_left(masks, True, key=lambda m: not m & cyl) - 1]
+                    # (tf, first hit, highest level known to replay) of the last
+                    # attempt that later ones replay exactly; see the module docstring.
                     replica = None
-                while hit >= 0:
-                    u = list(map(and_, u, row))
-                    trims += 1
-                    # Each cap removes more than delta_t from the integral
-                    # of u, which starts at level * span / unit.
-                    assert attempt >= settled or schedule.allows_trims(
-                        attempt, trims, level * span, unit)
-                    if not any(map(operator.ne, map(and_, u, lows), u)):
+                    while j < jend:
+                        j += 1
+                        attempt = before + j
+                        tf = floors[attempt] if attempt < len(floors) else settled_tf
+                        level = j * step_scaled
+                        # A replayed attempt has the same trims as the original at a
+                        # larger level and attempt number, so it keeps the trim-count
+                        # bound a fortiori.
+                        if replica is not None and replica[0] == tf and level <= replica[2]:
+                            if tf == settled_tf:
+                                # tf has settled: every level up to the reach replays.
+                                j = min(levels, replica[2] // step_scaled)
+                            continue
+                        # u = level on the cylinder: the layers up to threshold k,
+                        # the last cut at level when level lies between thresholds
+                        # (above every threshold, no member reaches it).
+                        k = bisect_left(tops, level)
+                        above = bisect_right(tops, level, k)
+                        u = [cyl] * (k + 1)
+                        hu = heights if above > k or k == len(tops) else [
+                            *heights[:k], level - (tops[k - 1] if k else 0)]
+                        total = level * span
+                        trims = 0
+                        hit, slack = _first_raise(u, hu, total, work, integrals, members, tf)
+                        row = work[hit]  # unused when hit is -1: a commit follows
+                        if hit >= 0 and (above == len(tops) or not row[above] & cyl):
+                            # The first cap sets u to work[hit] on the cylinder, and
+                            # each level step adds at most span to a member's gain.
+                            reach = (levels * step_scaled if slack is None
+                                     else level + slack // span)
+                            replayed = replica is not None and replica[:2] == (tf, hit)
+                            replica = (tf, hit, reach)
+                            if replayed:
+                                continue
+                        else:
+                            replica = None
+                        while hit >= 0:
+                            u = list(map(and_, u, row))
+                            trims += 1
+                            # Each cap removes more than delta_t from the integral
+                            # of u, which starts at level * span / unit.
+                            assert attempt >= settled or schedule.allows_trims(
+                                attempt, trims, level * span, unit)
+                            if not any(map(operator.ne, map(and_, u, lows), u)):
+                                break
+                            total = sum(map(operator.mul, hu, map(int.bit_count, u)))
+                            hit = _first_raise(u, hu, total, work, integrals, members, tf)[0]
+                            row = work[hit]
+                        # An uncapped u above every threshold rises above phi.
+                        grows = len(u) > len(phi) or any(map(operator.ne, map(and_, u, phi), u))
+                        if hit >= 0 and not grows:
+                            continue
+                        if k == above and k < len(u) and u[k]:
+                            # u takes the value level, which no row holds yet.
+                            _split(rows, tops, heights, k, level)
+                        if hit < 0:
+                            # No member overflows and u rises above some member:
+                            # commit.  Rows that gain nothing keep their bound: tf
+                            # never decreases.
+                            for s in members:
+                                row = work[s]
+                                gained = total - sum(map(operator.mul, hu, map(
+                                    int.bit_count, map(and_, u, row))))
+                                if gained:
+                                    row[:len(u)] = map(or_, u, row)
+                                    integrals[s] += gained
+                                    assert integrals[s] <= tf
+                            lows[:len(u)] = map(or_, u, lows)
+                            replica = keys = None
+                        if grows:
+                            phi[:len(u)] = map(or_, u, phi)
+                            growing = None
+                            log.append((attempt, start, word, Fraction(j, 1 << g), trims))
+                        # Thresholds up to level that no row holds any more go.
+                        _merge(rows, tops, heights, k + 1)
+                    if keys is None or growing is None:  # a commit, or phi grew
+                        pos = i + 1  # the rest of the length is decided again
                         break
-                    total = sum(map(operator.mul, hu, map(int.bit_count, u)))
-                    hit = _first_raise(u, hu, total, work, integrals, members, tf)[0]
-                    row = work[hit]
-                # An uncapped u above every threshold rises above phi.
-                grows = len(u) > len(phi) or any(map(operator.ne, map(and_, u, phi), u))
-                if hit >= 0 and not grows:
-                    continue
-                if k == above and k < len(u) and u[k]:
-                    # u takes the value level, which no row holds yet.
-                    _split(rows, tops, heights, k, level)
-                if hit < 0:
-                    # No member overflows and u rises above some member:
-                    # commit.  Rows that gain nothing keep their bound: tf
-                    # never decreases.
-                    for s in members:
-                        row = work[s]
-                        gained = total - sum(map(operator.mul, hu, map(
-                            int.bit_count, map(and_, u, row))))
-                        if gained:
-                            row[:len(u)] = map(or_, u, row)
-                            integrals[s] += gained
-                            assert integrals[s] <= tf
-                    lows[:len(u)] = map(or_, u, lows)
-                    replica = keys = None
-                if grows:
-                    phi[:len(u)] = map(or_, u, phi)
-                    growing = None
-                    log.append((attempt, start, word, Fraction(j, 1 << g), trims))
-                # Thresholds up to level that no row holds any more go.
-                _merge(rows, tops, heights, k + 1)
-            attempt = before + levels
     # phi on a cell is the threshold of the last of its layers holding it.
     values = [ZERO, *(Fraction(t, scale) for t in tops)]
     bits = [format(m, f"0{ncells}b")[::-1] for m in phi]
     cells = [values[held.count("1")] for held in zip(*bits)] if bits else [ZERO] * ncells
     phi_fn = StepFunction(depth, tuple(cells))
-    return FatouResult(phi_fn, attempt + 1, tuple(log))
+    return FatouResult(phi_fn, attempts, tuple(log))
 
 
 def verify_fatou(

@@ -28,6 +28,7 @@ __all__ = [
     "InputError",
     "MAX_EXPONENT",
     "RealInterval",
+    "WordBlocks",
     "cell_mask",
     "cell_span",
     "check_exponent",
@@ -36,6 +37,7 @@ __all__ = [
     "is_token",
     "is_word",
     "parse_rational",
+    "spread_indices",
     "word_from_text",
     "word_to_text",
     "words_up_to",
@@ -164,6 +166,42 @@ def cell_mask(word: str, depth: int) -> int:
     """The cells below ``word`` as a bit mask, cell i at bit i as cell_span numbers it."""
     base, span = cell_span(word, depth)
     return ((1 << span) - 1) << base
+
+
+class WordBlocks:
+    """The words of each length as blocks of a cell mask over the 2^depth
+    cells, the word of length depth - k a block of 2^k cells.  A spread
+    mask holds one bit at the first cell of each word of one length, so a
+    whole length of words is read in a few big-int operations."""
+
+    __slots__ = ("bases", "rests")
+
+    def __init__(self, depth: int):
+        full = (1 << (1 << depth)) - 1
+        # bases[k]: one bit at the first cell of each span-2^k word; rests[k]:
+        # all but the top bit of each such field.
+        self.bases = [full // ((1 << (1 << k)) - 1) for k in range(depth + 1)]
+        self.rests = [(b << (1 << k) - 1) - b for k, b in enumerate(self.bases)]
+
+    def touched(self, mask: int, k: int) -> int:
+        """The span-2^k words with a cell in mask: adding rests[k] carries
+        into the top bit of every field with a low bit set."""
+        rest = self.rests[k]
+        return ((mask & rest) + rest | mask) >> ((1 << k) - 1) & self.bases[k]
+
+    def filled(self, mask: int, k: int) -> int:
+        """The span-2^k words with every cell in mask: adding one to the low
+        bits carries into the top bit of every field whose low bits are set."""
+        base = self.bases[k]
+        return ((mask & self.rests[k]) + base & mask) >> ((1 << k) - 1) & base
+
+
+def spread_indices(spread: int, k: int):
+    """The word indices of a span-2^k spread mask, ascending."""
+    while spread:
+        one = spread & -spread
+        yield one.bit_length() - 1 >> k
+        spread ^= one
 
 
 _ROOT_WORDS = frozenset(("",))

@@ -91,7 +91,9 @@ from .kernel import (
     CylinderSet,
     InputError,
     RealInterval,
+    WordBlocks,
     format_rational,
+    spread_indices,
     word_to_text,
 )
 from .verdict import Check, Verdict
@@ -259,14 +261,6 @@ def _first_overflow(
     return -1
 
 
-def _bits(spread: int, k: int):
-    """The word indices of a span-2^k spread mask, ascending."""
-    while spread:
-        one = spread & -spread
-        yield one.bit_length() - 1 >> k
-        spread ^= one
-
-
 def run_trim_cover(
     family: traces.StabilizedFamily, eps: Fraction, eps_prime: Fraction
 ) -> OpenCoverResult:
@@ -293,21 +287,16 @@ def _open_run(
     width = 2 * cells - 1  # words a start, in heap order: word w is int("1" + w, 2) - 1
     full = uncovered = (1 << cells) - 1
     schedule = DeltaSchedule(eps, eps_prime)
-    floors, settled_tf = schedule.floor_table(cells, traces.run_size(family))
+    attempts = traces.run_size(family)
+    floors, settled_tf = schedule.floor_table(cells, attempts)
     # Every trim removes at least one of the 2^depth cells.
     settled = schedule.settled_attempt(cells)
     # From this attempt on tf is settled_tf and no count is checked: the level rule.
     level_from = max(len(floors), settled)
-    # bases[k]: one bit at the first cell of each span-2^k word; halves[k] and
-    # rests[k]: the low half, and all but the top bit, of each such field.
-    bases = [full // ((1 << (1 << k)) - 1) for k in range(depth + 1)]
+    blocks = WordBlocks(depth)
+    bases, touched = blocks.bases, blocks.touched
+    # halves[k]: the low half of each span-2^k field.
     halves = [(b << (1 << k >> 1)) - b for k, b in enumerate(bases)]
-    rests = [(b << (1 << k) - 1) - b for k, b in enumerate(bases)]
-
-    def touched(mask: int, k: int) -> int:
-        # The span-2^k words with a cell in mask: adding rests[k] carries
-        # into the top bit of every field with a low bit set.
-        return ((mask & rests[k]) + rests[k] | mask) >> ((1 << k) - 1) & bases[k]
 
     def overflows(m: int) -> list[int]:
         # over[k]: the span-2^k words with more than room = tf - counts[m]
@@ -321,8 +310,9 @@ def _open_run(
         return over
 
     pieces: list[Piece] = []
-    # trims[t]: attempt t's count.  "H" holds it: no count passes run_size's 2^depth <= 2^15 cells.
-    trims = array("H", [0]) * ((top + 1) * width)
+    # trims[t]: attempt t's count, kept in trim mode only (naive counts stay 0).
+    # "H" holds it: no count passes run_size's 2^depth <= 2^15 cells.
+    trims = array("H", [0]) * (attempts if trim else 0)
     ones_at = memoryview(trims).cast("B")[sys.byteorder == "big"::2]  # each count's low byte
     digits = bytes.maketrans(b"01", b"\0\1")
     over: list = [None] * top  # overflows(m), until a commit grows masks[m]
@@ -356,11 +346,11 @@ def _open_run(
                                     one = hit & ~touched(masks[m] & outside, k)
                                     ones, ragged = ones | one, ragged | hit ^ one
                                     fin |= (one << span) - one & masks[m]
-                    if ones or written:
+                    if trim and (ones or written):  # the record is kept in trim mode only
                         bits = bin(ones | 1 << cells)[-1 - (pos << k):-1 - cells:-span]
                         ones_at[row + pos:row + n] = bits.encode().translate(digits)
                         written = ones
-                    slow, stop = _bits(ragged | pending, k) if ragged | pending else (), n
+                    slow, stop = spread_indices(ragged | pending, k) if ragged | pending else (), n
                 for i in slow:
                     attempt = row + i
                     candidate = (1 << span) - 1 << (i << k)
@@ -377,7 +367,8 @@ def _open_run(
                             if not candidate & outside:
                                 break  # it fits every member; else those up to hit still fit
                             hit = _first_overflow(candidate, masks, counts, range(hit + 1, top), tf)
-                        trims[attempt] = count
+                        if trim:
+                            trims[attempt] = count
                     finals |= candidate
                     if candidate & outside:  # commit: add it to every member from low on
                         for m in range(low, top):
@@ -391,14 +382,15 @@ def _open_run(
                 finals |= fin & (1 << (stop << k)) - 1
                 pos = stop
             if new := finals & uncovered:
-                for i in _bits(touched(new, k), k):
+                for i in spread_indices(touched(new, k), k):
                     added = CylinderSet.from_mask(finals & (1 << span) - 1 << (i << k), depth)
                     word = f"{(1 << level) + i:b}"[1:]
-                    pieces.append(Piece(word, start, None, row + i, trims[row + i], added))
+                    count = trims[row + i] if trim else 0
+                    pieces.append(Piece(word, start, None, row + i, count, added))
                 uncovered ^= new
     cover = CylinderSet.from_mask(full ^ uncovered, depth)
-    record = memoryview(trims).toreadonly() if trim else ()  # naive counts stay 0
-    return OpenCoverResult("trim" if trim else "naive", cover, tuple(pieces), len(trims), record)
+    record = memoryview(trims).toreadonly() if trim else ()
+    return OpenCoverResult("trim" if trim else "naive", cover, tuple(pieces), attempts, record)
 
 
 def run_block_cover(

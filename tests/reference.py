@@ -1,8 +1,10 @@
 """Checks the tests hold the library to, kept out of the library itself.
 
-trim_limit is the closed-form trim cap of the open-cover argument, and
+trim_limit is the closed-form trim cap of the open-cover argument,
 trim_cover_per_word the trim or naive run one attempt at a time, with no
-rule that skips or batches attempts.
+rule that skips or batches attempts, and fatou_per_word the step-function
+run one (start, word) at a time, with no pass that decides a length of
+words at once.
 fatou_specializes is the paper's "same argument" as a test: a finite set,
 a semimeasure or an open set is the indicator case of a step function, so
 the step-function pipeline run on the embedded family must guarantee
@@ -12,13 +14,15 @@ everything the set, semimeasure or open pipeline guarantees.
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import and_
+from operator import and_, itemgetter, or_, xor
 
 from limcov import fatou, measurecover, opencover, setcover, traces
-from limcov.kernel import InputError, ZERO, cell_mask, format_rational, words_up_to
+from limcov.kernel import InputError, ZERO, cell_mask, cell_span, format_rational, words_up_to
 from limcov.measurecover import RationalGrid
 from limcov.verdict import Check, Verdict
 
@@ -76,6 +80,173 @@ def trim_cover_per_word(family, eps, eps_prime, trim=True):
                 uncovered &= ~candidate
             trims.append(count)
     return pieces, full ^ uncovered, trims
+
+
+def fatou_per_word(family, eps, eps_prime, grid):
+    """The step-function run as it was before the level rule: every
+    (start, word) in heap order runs the per-word body (the fast path's
+    fold, growing, the keys and the level loop), with no pass that decides
+    a length of words at once.  The helpers are fatou's own, read through
+    the module, so a test that counts fatou._first_raise counts both runs'
+    scans."""
+    if family.kind != "func":
+        raise InputError(f"expected a func family, got {family.kind!r}")
+    schedule = opencover.DeltaSchedule(eps, eps_prime)
+    depth = family.depth
+    assert depth is not None
+
+    # Candidate levels: positive grid multiples up to the largest value seen.
+    g = grid.resolution
+    levels = max(1 << g, math.ceil(max((e.value for e in family.events), default=ZERO) * (1 << g)))
+    attempts = traces.run_size(family, levels)  # one per (start, word, level)
+
+    # Everything in integers over a common denominator; integrals in units
+    # of 1 / (scale * 2^depth).
+    scale = grid.common_scale(e.value for e in family.events)
+    unit = scale << depth
+    cell_rows = traces.member_rows(family, scale, eps=eps)
+    integrals = [sum(row) for row in cell_rows]
+    top, ncells = family.nmax, 1 << depth
+    step_scaled = scale >> g
+
+    # Every row as level masks over the thresholds the rows hold, ascending;
+    # heights[k] = tops[k] - tops[k-1].
+    tops = sorted({v for row in cell_rows for v in row} - {0})
+    heights = list(map(operator.sub, tops, [0, *tops]))
+    work = [fatou._level_masks(row, tops) for row in cell_rows]
+    phi = [0] * len(tops)
+
+    words = words_up_to(depth)
+    floors, settled_tf = schedule.floor_table(unit, attempts)
+    # Each cap removes at least one unit from u, whose integral starts at
+    # most at levels * step * 2^depth units.
+    settled = schedule.settled_attempt(levels * step_scaled * unit << depth)
+    spans = [cell_span(word, depth) for word in words]
+    log: list[tuple[int, int, str, Fraction, int]] = []
+    full = (1 << ncells) - 1
+    attempt = -1
+    for start in range(top + 1):
+        low = min(start, top - 1)  # the tail start reads member nmax-1
+        members = range(low, top)
+        # Thresholds only the members before low held go.  The cellwise
+        # minimum of work[low:] is the AND of their masks; a commit raises
+        # every member to u, so it rises to u too.  Where u stays under it
+        # no member gains anything: the attempt caps and commits nothing.
+        fatou._merge([*work[low:], phi], tops, heights, len(tops))
+        lows = [reduce(and_, layer) for layer in zip(*work[low:])]
+        rows = [phi, lows, *work[low:]]
+        keys = growing = None  # built when first needed, again after a change
+        for word, (base, span) in zip(words, spans):
+            cyl = ((1 << span) - 1) << base  # the cylinder's cells
+            before = attempt  # level j is attempt before + j
+            # The fast path, folded at once: see the module docstring.
+            j = min(levels, fatou._least(lows, tops, cyl) // step_scaled)
+            level = j * step_scaled
+            k = bisect_left(tops, level)  # the lows reach level: k < len(tops)
+            if j and phi[k] & cyl != cyl:
+                floor = fatou._least(phi, tops, cyl)
+                if tops[k] != level:
+                    fatou._split(rows, tops, heights, k, level)
+                phi[:k + 1] = [m | cyl for m in phi[:k + 1]]
+                fatou._merge(rows, tops, heights, k)
+                for i in range(floor // step_scaled + 1, j + 1):
+                    log.append((before + i, start, word, Fraction(i, 1 << g), 0))
+            # Levels above the highest key on the cylinder commit nothing and
+            # leave phi as it is: see the module docstring.
+            if growing is None:  # the cells where phi is below lows
+                growing = reduce(or_, map(xor, lows, phi), 0)
+            jend = levels
+            if not growing & cyl:
+                if keys is None:
+                    keys, masks = fatou._reach(lows, tops, sorted(
+                        ((settled_tf - integrals[s], work[s]) for s in members),
+                        key=itemgetter(0)), full, step_scaled, levels)
+                jend = keys[bisect_left(masks, True, key=lambda m: not m & cyl) - 1]
+            # (tf, first hit, highest level known to replay) of the last
+            # attempt that later ones replay exactly; see the module docstring.
+            replica = None
+            while j < jend:
+                j += 1
+                attempt = before + j
+                tf = floors[attempt] if attempt < len(floors) else settled_tf
+                level = j * step_scaled
+                # A replayed attempt has the same trims as the original at a
+                # larger level and attempt number, so it keeps the trim-count
+                # bound a fortiori.
+                if replica is not None and replica[0] == tf and level <= replica[2]:
+                    if tf == settled_tf:
+                        # tf has settled: every level up to the reach replays.
+                        j = min(levels, replica[2] // step_scaled)
+                    continue
+                # u = level on the cylinder: the layers up to threshold k,
+                # the last cut at level when level lies between thresholds
+                # (above every threshold, no member reaches it).
+                k = bisect_left(tops, level)
+                above = bisect_right(tops, level, k)
+                u = [cyl] * (k + 1)
+                hu = heights if above > k or k == len(tops) else [
+                    *heights[:k], level - (tops[k - 1] if k else 0)]
+                total = level * span
+                trims = 0
+                hit, slack = fatou._first_raise(u, hu, total, work, integrals, members, tf)
+                row = work[hit]  # unused when hit is -1: a commit follows
+                if hit >= 0 and (above == len(tops) or not row[above] & cyl):
+                    # The first cap sets u to work[hit] on the cylinder, and
+                    # each level step adds at most span to a member's gain.
+                    reach = (levels * step_scaled if slack is None
+                             else level + slack // span)
+                    replayed = replica is not None and replica[:2] == (tf, hit)
+                    replica = (tf, hit, reach)
+                    if replayed:
+                        continue
+                else:
+                    replica = None
+                while hit >= 0:
+                    u = list(map(and_, u, row))
+                    trims += 1
+                    # Each cap removes more than delta_t from the integral
+                    # of u, which starts at level * span / unit.
+                    assert attempt >= settled or schedule.allows_trims(
+                        attempt, trims, level * span, unit)
+                    if not any(map(operator.ne, map(and_, u, lows), u)):
+                        break
+                    total = sum(map(operator.mul, hu, map(int.bit_count, u)))
+                    hit = fatou._first_raise(u, hu, total, work, integrals, members, tf)[0]
+                    row = work[hit]
+                # An uncapped u above every threshold rises above phi.
+                grows = len(u) > len(phi) or any(map(operator.ne, map(and_, u, phi), u))
+                if hit >= 0 and not grows:
+                    continue
+                if k == above and k < len(u) and u[k]:
+                    # u takes the value level, which no row holds yet.
+                    fatou._split(rows, tops, heights, k, level)
+                if hit < 0:
+                    # No member overflows and u rises above some member:
+                    # commit.  Rows that gain nothing keep their bound: tf
+                    # never decreases.
+                    for s in members:
+                        row = work[s]
+                        gained = total - sum(map(operator.mul, hu, map(
+                            int.bit_count, map(and_, u, row))))
+                        if gained:
+                            row[:len(u)] = map(or_, u, row)
+                            integrals[s] += gained
+                            assert integrals[s] <= tf
+                    lows[:len(u)] = map(or_, u, lows)
+                    replica = keys = None
+                if grows:
+                    phi[:len(u)] = map(or_, u, phi)
+                    growing = None
+                    log.append((attempt, start, word, Fraction(j, 1 << g), trims))
+                # Thresholds up to level that no row holds any more go.
+                fatou._merge(rows, tops, heights, k + 1)
+            attempt = before + levels
+    # phi on a cell is the threshold of the last of its layers holding it.
+    values = [ZERO, *(Fraction(t, scale) for t in tops)]
+    bits = [format(m, f"0{ncells}b")[::-1] for m in phi]
+    cells = [values[held.count("1")] for held in zip(*bits)] if bits else [ZERO] * ncells
+    phi_fn = fatou.StepFunction(depth, tuple(cells))
+    return fatou.FatouResult(phi_fn, attempt + 1, tuple(log))
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 from limcov import fatou, gen, traces
 from limcov.fatou import StepFunction, run_fatou, verify_fatou
-from limcov.kernel import InputError, cell_span, words_up_to
+from limcov.kernel import InputError, cell_span, format_rational, words_up_to
 from limcov.measurecover import RationalGrid
 from limcov.opencover import DeltaSchedule
 from limcov.traces import parse_trace
-from reference import fatou_specializes
+from reference import fatou_per_word, fatou_specializes
 
 F = Fraction
 ZERO = F(0)
@@ -476,7 +476,7 @@ def test_run_scans_the_same_member_ranges(monkeypatch):
     "old,new,scans",
     [
         ("replica = keys = None", "replica = None", 849),
-        ("growing = None\n                    log.append", "log.append", 457),
+        ("growing = None\n                            log.append", "log.append", 457),
     ],
 )
 def test_active_cells_are_rebuilt_only_to_skip_more(mutant, monkeypatch, old, new, scans):
@@ -497,6 +497,127 @@ def test_active_cells_are_rebuilt_only_to_skip_more(mutant, monkeypatch, old, ne
     assert len(calls) == scans
 
 
+def member_scans(monkeypatch):
+    """Record each fatou._first_raise call, run_fatou's and fatou_per_word's
+    alike, as its member range, threshold and integral of u."""
+    calls = []
+    first_raise = fatou._first_raise
+
+    def recording(u, heights, total, work, integrals, members, tf):
+        calls.append((members.start, members.stop, tf, total))
+        return first_raise(u, heights, total, work, integrals, members, tf)
+
+    monkeypatch.setattr(fatou, "_first_raise", recording)
+    return calls
+
+
+def test_level_pass_matches_the_per_word_run(monkeypatch):
+    # 300 gen families at depths 5-8, past the literal sweeps' depth 4
+    # (nmax 1-16 and grids 1-5, a shape drawn again while (nmax+1) *
+    # 2^(depth+grid) passes 2^14; eps' up to eps + 1/2).  The run and
+    # fatou_per_word, which visits every (start, word), give the same phi,
+    # attempts and log and make the same member scans in the same order.
+    # Every pass sees growing empty: a start's root leaves phi >= lows (see
+    # "The level rule").  The sweep takes about 4 s.
+    scans = member_scans(monkeypatch)
+    active = fatou._active
+
+    def checking(blocks, e, region, lows, tops, step, growing, keys, masks):
+        assert not growing
+        return active(blocks, e, region, lows, tops, step, growing, keys, masks)
+
+    monkeypatch.setattr(fatou, "_active", checking)
+    rng = random.Random(36)
+    shapes = []
+    while len(shapes) < 300:
+        nmax, depth, g = rng.randint(1, 16), rng.randint(5, 8), rng.randint(1, 5)
+        if (nmax + 1) << (depth + g) <= 1 << 14:
+            shapes.append((nmax, depth, g))
+    for nmax, depth, g in shapes:
+        eps = rng.choice([F(1, 8), F(1, 4), F(1, 2)])
+        fam = parse_trace(gen.gen_trace("func", nmax, seed=rng.randrange(10**6), depth=depth, eps=eps))
+        eps_prime = eps + rng.choice([F(1, 64), F(1, 8), F(1, 4), F(1, 2)])
+        expected = fatou_per_word(fam, eps, eps_prime, RationalGrid(g))
+        per_word = scans[:]
+        scans.clear()
+        assert run_fatou(fam, eps, eps_prime, RationalGrid(g)) == expected
+        assert scans == per_word
+        scans.clear()
+
+
+def test_level_pass_marks_the_words_the_keys_unblock(mutant, monkeypatch):
+    # One empty member at depth 1, grid 2; integrals are counted in units of
+    # 1/8 and tf is 1 throughout.  Every cell is keyed by level 1 (room 1).
+    # The root at level 1/4 (attempt 0) would add 2 units and is capped
+    # away; word 0 at level 1/4 (attempt 4) adds 1, commits and grows phi.
+    # growing is empty after the root, so only its key marks word 0: a pass
+    # that drops the key mark skips it, and phi stays 0.
+    fam = parse_trace("family func nmax=1 depth=1\n")
+    grid = RationalGrid(2)
+    expected = fatou_per_word(fam, F(1, 8), F(1, 4), grid)
+    assert expected.log == ((4, 0, "0", F(1, 4), 0),)
+    assert run_fatou(fam, F(1, 8), F(1, 4), grid) == expected
+    monkeypatch.setattr(fatou, "_active", mutant(fatou._active, "touched(masks[i], e)", "0"))
+    assert fatou.run_fatou(fam, F(1, 8), F(1, 4), grid) != expected
+
+
+# The run makes the per-word body for the words the level pass marks, the
+# root of each start and each word taken on its own to build growing or the
+# keys.  Func 8x6 and 16x6 (gen seed 1) at grid 3 have 1,143 and 2,159
+# (start, word) pairs.  Deciding the rest of a length again after a commit
+# or phi's growth only keeps the bodies to the active words (marks taken
+# before the change over-approximate): without it the run is the same,
+# makes the same scans and runs more bodies.
+@pytest.mark.parametrize("nmax,bodies,undecided", [(8, 73, 106), (16, 94, 130)])
+def test_level_pass_runs_only_the_marked_bodies(mutant, monkeypatch, nmax, bodies, undecided):
+    fam = parse_trace(gen.gen_trace("func", nmax, seed=1, depth=6, eps=F(1, 4)))
+    grid = RationalGrid(3)
+    scans = member_scans(monkeypatch)
+    expected = fatou_per_word(fam, F(1, 4), F(3, 8), grid)
+    per_word = scans[:]
+    visited = []
+    spread_indices = fatou.spread_indices
+
+    def counting(spread, e):
+        for i in spread_indices(spread, e):
+            visited.append(i)
+            yield i
+
+    monkeypatch.setattr(fatou, "spread_indices", counting)
+    for run, count in [
+        (run_fatou, bodies),
+        (mutant(run_fatou, "pos = i + 1  # the rest of the length is decided again\n"
+                           "                        break", "pass"), undecided),
+    ]:
+        scans.clear()
+        visited.clear()
+        assert run(fam, F(1, 4), F(3, 8), grid) == expected
+        assert scans == per_word
+        assert len(visited) == count
+
+
+def test_the_growing_mark_keeps_the_per_word_scans(mutant, monkeypatch):
+    # growing is empty after each start's root, so a pass without the growing
+    # mark is the same run (see "The level rule").  The mark keeps the marks
+    # those of the per-word run for a stale growing: without the rebuild
+    # after phi grows, func 16x6 (gen seed 1) at grid 3 makes 457 scans, as
+    # the per-word run does (test_active_cells_are_rebuilt_only_to_skip_more),
+    # and without the mark too only 392.
+    fam = parse_trace(gen.gen_trace("func", 16, seed=1, depth=6, eps=F(1, 4)))
+    grid = RationalGrid(3)
+    expected = run_fatou(fam, F(1, 4), F(3, 8), grid)
+    scans = member_scans(monkeypatch)
+    monkeypatch.setattr(fatou, "_active", mutant(
+        fatou._active, "active = touched(growing, e) & region", "active = 0"))
+    assert fatou.run_fatou(fam, F(1, 4), F(3, 8), grid) == expected
+    assert len(scans) == 389
+    scans.clear()
+    stale = mutant(fatou.run_fatou, "growing = None\n                            log.append",
+                   "log.append")
+    assert stale(fam, F(1, 4), F(3, 8), grid) == expected
+    assert len(scans) == 392
+
+
 def test_fine_grid_keeps_only_the_thresholds_the_rows_hold():
     # One member at grid 14: 2^14 levels, and phi grows 8,192 times, each
     # time to a new level.  The run keeps as thresholds only the values the
@@ -509,6 +630,23 @@ def test_fine_grid_keeps_only_the_thresholds_the_rows_hold():
     assert time.perf_counter() - began < 3
     assert len(res.log) == 8_192
     assert verify_fatou(fam, F(1, 4), F(3, 8), grid, res).passed
+
+
+def test_raised_phi_past_eps_prime_flips_integral_bound():
+    # Raising phi keeps it above the liminf's grid floor, so only the
+    # integral bound can fail: 4 on cell 01 alone integrates to 1 > eps'.
+    fam = parse_trace("family func nmax=2 depth=2\nraise 0 00 1\nraise 1 11 3/2\n")
+    grid = RationalGrid(2)
+    eps, eps_prime = F(3, 8), F(1, 2)
+    res = run_fatou(fam, eps, eps_prime, grid)
+    assert verify_fatou(fam, eps, eps_prime, grid, res).passed
+    cells = list(res.phi.cells)
+    cells[0b01] = F(4)
+    raised = replace(res, phi=StepFunction(2, tuple(cells)))
+    integral = raised.phi.integral()
+    assert integral > eps_prime
+    failed = verify_fatou(fam, eps, eps_prime, grid, raised).failures()
+    assert [(c.name, c.witness) for c in failed] == [("integral-bound", format_rational(integral))]
 
 
 def test_uncounted_attempt_flips_threshold_bound():
