@@ -86,47 +86,37 @@ a fixed (m, U) the levels rise with the attempts:
   room tf - integral(f_s) of those members.  Taken at the settled tf, which
   no attempt's tf exceeds, R(c) bounds every attempt's room, and c stays
   unblocked up to the top level if t(c) - lows(c) <= R(c), else up to
-  lows(c) + R(c).  The run keys each cell by that last level, and the cells
-  where phi < lows by the top one, and runs each (m, U) only up to the
-  highest key on its cylinder: the levels above commit nothing and leave
-  phi as it is.  The keys hold for the rest of the start.  Rooms only
-  shrink; a later commit that lifts c lifts the member that had the least
-  room at lows on c too, by as much in all, and to r or a value some member
-  held on c above lows(c); and phi < lows only where it was so, since a
-  commit lifts phi with lows.  So the keys are built at each start and,
-  only to skip more, again after a commit or phi's growth.
+  lows(c) + R(c).  The run keys each cell by that last level and runs each
+  (m, U) only up to the highest key on its cylinder, or up to the top level
+  while phi < lows somewhere: the levels above commit nothing and leave phi
+  as it is.  The keys hold for the rest of the start.  Rooms only shrink; a
+  later commit that lifts c lifts the member that had the least room at
+  lows on c too, by as much in all, and to r or a value some member held on
+  c above lows(c).  So the keys are built at each start and, only to skip
+  more, again after a commit.
 
-The level rule.  A (start, word) pair is idle when its fold is not due
-and it has no level to run: j >= levels if its cylinder meets growing, the
-cells where phi < lows, and j >= the highest key on it otherwise.  An idle
-pair changes no state; at most it builds growing or the keys where they
-are not built.  A due fold lifts phi where it is below level j <= lows, so
-its word meets growing; a word off growing has a level to run exactly when
-it meets the cells keyed above its j.  So the run decides the words of one
-(start, length) at once: they are disjoint blocks of 2^e cells, and a
-spread mask holds one bit at the first cell of each (kernel.WordBlocks).
-The words whose cylinder c layers of lows fill share the least value of
-lows there, tops[c-1] (0 for c = 0), hence j, and one pass over the layers
-marks the words that meet growing or the cells keyed above their j, in
-O(layers) int operations.  Only they run the per-word body, in heap order;
-every skipped word still counts its levels as attempts.  This is exact.
-The keys are the same whenever they are built between two commits of a
-start (they read only lows, the rows and the rooms), and the pass builds
-them where the per-word run did, at the first word off growing after they
-were dropped; growing, built by the first word after it was dropped after
-that word's fold, is built by that word taken on its own.  A word's marks
-read lows on its own cylinder, which the other words of its length do not
-touch, so they hold until a commit drops the keys or phi's growth drops
-growing; the pass then decides the rest of the length again.  Marks taken
-before such a change would still be exact, since keys and growing built
-earlier in a start stay valid bounds: deciding again only keeps the bodies
-to the active words.  In a run growing is empty after each start's root,
-which is taken on its own: the root meets every cell where phi < lows, so
-it runs up to the top level, whose attempt, run or replayed, ends at
-u >= lows (every cap takes the minimum with a row at least lows), and
-phi < lows only where it was so.  So only the keys mark the words of a
-start's other lengths; the growing mark keeps the pass exact, and its
-scans the per-word run's, for any growing, a stale one included.
+The level rule.  A start's root runs up to the top level when phi < lows
+somewhere, and that attempt, run or replayed, ends at u >= lows (every cap
+takes the minimum with a row at least lows); a commit lifts phi with lows.
+So phi = lows after the root, and no other word's fold is due (it lifts phi
+where it is below level j <= lows): a (start, word) pair has a level to run
+exactly when its cylinder meets the cells keyed above its j, and is idle,
+changing no state, otherwise.  So the run decides the words of one (start,
+length) at once: they are disjoint blocks of 2^e cells, and a spread mask
+holds one bit at the first cell of each (kernel.WordBlocks).  The words
+whose cylinder c layers of lows fill share the least value of lows there,
+tops[c-1] (0 for c = 0), hence j, and one pass over the layers marks the
+words that meet the cells keyed above their j, in O(layers) int operations;
+where phi != lows it marks the root.  Only marked words run the per-word
+body, in heap order; every skipped word still counts its levels as
+attempts.  This is exact.  The keys are the same whenever they are built
+between two commits of a start (they read only lows, the rows and the
+rooms), so the pass builds them at its head, at each start and after a
+commit.  A word's marks read lows on its own cylinder, which the other
+words of its length do not touch, so they hold until a commit; the pass
+then decides the rest of the length again.  Marks taken before a commit
+would still be exact, since keys built earlier in a start stay valid
+bounds: deciding again only keeps the bodies to the active words.
 
 A cap removes at least one integer unit from u, so the run stops checking
 trim counts from DeltaSchedule.settled_attempt(levels * step * 2^depth *
@@ -311,12 +301,12 @@ def _reach(lows: list[int], tops: list[int], rooms: list[tuple[int, list[int]]],
 
 
 def _active(blocks: WordBlocks, e: int, region: int, lows: list[int], tops: list[int],
-            step: int, growing: int, keys: Sequence[int], masks: list[int]) -> int:
+            step: int, keys: Sequence[int], masks: list[int]) -> int:
     """The words of ``region``, a spread mask of span-2^e words, that meet
-    growing or the cells keyed above their j (see "The level rule" in the
-    module docstring); with no keys, the words that meet growing."""
+    the cells keyed above their j (see "The level rule" in the module
+    docstring)."""
     touched = blocks.touched
-    active = touched(growing, e) & region
+    active = 0
     words, j = region, 0  # the words whose cylinder c layers of lows at least fill
     for c in range(len(tops) + 1):
         more = blocks.filled(lows[c], e) & words if c < len(tops) else 0
@@ -370,7 +360,6 @@ def run_fatou(
     width = 2 * ncells - 1  # words a start, in heap order: word w is int("1" + w, 2) - 1
     log: list[tuple[int, int, str, Fraction, int]] = []
     full = (1 << ncells) - 1
-    masks: list[int] = []  # the keys' nested masks, read only once the keys are built
     for start in range(top + 1):
         low = min(start, top - 1)  # the tail start reads member nmax-1
         members = range(low, top)
@@ -381,29 +370,21 @@ def run_fatou(
         _merge([*work[low:], phi], tops, heights, len(tops))
         lows = [reduce(and_, layer) for layer in zip(*work[low:])]
         rows = [phi, lows, *work[low:]]
-        keys = growing = None  # built for the first word, again after a change
+        keys = None  # built at each start, again after a commit
         for e in reversed(range(depth + 1)):  # the words of length depth - e
+            assert e == depth or phi == lows, "phi < lows after a root"  # see "The level rule"
             n, span = 1 << depth - e, 1 << e
             pos = 0
             while pos < n:
-                # The level rule: see the module docstring.  A word visited
-                # while growing or the keys are not built builds them, so the
-                # pass stops at it and marks it.
+                # The level rule: see the module docstring.
+                if keys is None:
+                    keys, masks = _reach(lows, tops, sorted(
+                        ((settled_tf - integrals[s], work[s]) for s in members),
+                        key=itemgetter(0)), full, step_scaled, levels)
                 region = blocks.bases[e] >> (pos << e) << (pos << e)
-                if growing is None:  # this word builds growing after its fold
-                    stop = region & -region
-                elif keys is None:  # the first word off growing builds the keys
-                    stop = region & ~blocks.touched(growing, e)
-                    stop &= -stop
-                else:
-                    stop = 0
-                if stop:
-                    region &= (stop << 1) - 1
-                active = stop
-                if growing is not None:
-                    active |= _active(blocks, e, region, lows, tops, step_scaled, growing,
-                                      keys or (), masks)
-                pos = (region.bit_length() - 1 >> e) + 1
+                active = region if phi != lows else _active(
+                    blocks, e, region, lows, tops, step_scaled, keys, masks)
+                pos = n
                 for i in spread_indices(active, e):
                     word, cyl = f"{n + i:b}"[1:], (1 << span) - 1 << (i << e)
                     before = (start * width + n - 1 + i) * levels - 1  # level j: attempt before + j
@@ -420,16 +401,9 @@ def run_fatou(
                         for folded in range(floor // step_scaled + 1, j + 1):
                             log.append((before + folded, start, word, Fraction(folded, 1 << g), 0))
                     # Levels above the highest key on the cylinder commit nothing and
-                    # leave phi as it is: see the module docstring.
-                    if growing is None:  # the cells where phi is below lows
-                        growing = reduce(or_, map(xor, lows, phi), 0)
-                    jend = levels
-                    if not growing & cyl:
-                        if keys is None:
-                            keys, masks = _reach(lows, tops, sorted(
-                                ((settled_tf - integrals[s], work[s]) for s in members),
-                                key=itemgetter(0)), full, step_scaled, levels)
-                        jend = keys[bisect_left(masks, True, key=lambda m: not m & cyl) - 1]
+                    # leave phi as it is, save at a root with phi < lows: see the docstring.
+                    jend = levels if e == depth and phi != lows else keys[
+                        bisect_left(masks, True, key=lambda m: not m & cyl) - 1]
                     # (tf, first hit, highest level known to replay) of the last
                     # attempt that later ones replay exactly; see the module docstring.
                     replica = None
@@ -504,11 +478,10 @@ def run_fatou(
                             replica = keys = None
                         if grows:
                             phi[:len(u)] = map(or_, u, phi)
-                            growing = None
                             log.append((attempt, start, word, Fraction(j, 1 << g), trims))
                         # Thresholds up to level that no row holds any more go.
                         _merge(rows, tops, heights, k + 1)
-                    if keys is None or growing is None:  # a commit, or phi grew
+                    if keys is None:  # a commit
                         pos = i + 1  # the rest of the length is decided again
                         break
     # phi on a cell is the threshold of the last of its layers holding it.

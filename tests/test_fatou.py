@@ -328,7 +328,8 @@ def test_equivalence_sweep_matches_literal_reference():
 
 # Each case drops or loosens one condition of the active-cell rule (see the
 # fatou module docstring): the run matches the literal reference and the
-# mutant, which skips an attempt that grows phi, does not.
+# mutant, which skips an attempt that grows phi, does not.  A mutant that
+# leaves phi below lows after a start's root stops at the run's own check.
 @pytest.mark.parametrize(
     "function,old,new,text,eps,eps_prime,g",
     [
@@ -352,35 +353,35 @@ def test_equivalence_sweep_matches_literal_reference():
             "family func nmax=2 depth=2\nraise 0 e 1/3\nraise 0 00 1/2\nraise 1 0 1\n",
             F(1, 2), F(5, 8), 2,
         ),
-        # The cells where phi is below lows.  One member, 2 on cell 0; the
-        # root commits at levels 1/4 and 1/2 and fills its room, and from
-        # 3/4 on (attempts 2-7) it is capped to U_0, commits nothing and
-        # still grows phi on cell 0, where no cell is unblocked.
-        (
-            "run_fatou", "if not growing & cyl:", "if True:",
+        # The root runs to the top level where phi is below lows.  One
+        # member, 2 on cell 0; the root commits at levels 1/4 and 1/2 and
+        # fills its room, and from 3/4 on (attempts 2-7) it is capped to U_0,
+        # commits nothing and still grows phi on cell 0, where no cell is
+        # unblocked.
+        pytest.param(
+            "run_fatou", "levels if e == depth and phi != lows else ", "",
             "family func nmax=1 depth=1\nraise 0 0 2\n",
-            F(1), F(4, 3), 2,
+            F(1), F(4, 3), 2, id="root-to-top-level",
         ),
         # The keys are built anew at each start.  Units of 1/96; tf is 55
         # from attempt 4 on.  Start 1 drops U_0, and U_1, at 4/3 on cell 10
         # with 2 units of room, takes cell 10 at level 11/8 (attempt 142);
         # in start 0's keys U_0, at lows 1/2 there with 1 unit of room,
         # blocks it.
-        (
-            "run_fatou", "keys = growing = None",
-            "keys, growing = (keys if start else None), None",
+        pytest.param(
+            "run_fatou", "keys = None  # built at each start",
+            "keys = keys if start else None  # built at each start",
             "family func nmax=2 depth=2\nraise 0 00 5/4\nraise 1 10 4/3\n",
-            F(1, 3), F(7, 12), 3,
+            F(1, 3), F(7, 12), 3, id="keys-at-each-start",
         ),
-        # So are the cells where phi is below lows.  Units of 1/4, tf 2.  At
-        # start 0 lows is 0 everywhere; at start 1, which drops U_0, it is
-        # U_1's 1 on cell 1, and the root (attempts 6-7) is capped to U_1 and
-        # grows phi there.
-        (
-            "run_fatou", "keys = growing = None",
-            "keys, growing = None, (growing if start else None)",
+        # The pass marks the root where phi is below lows, at every start.
+        # Units of 1/4, tf 2.  At start 0 lows is 0 everywhere; at start 1,
+        # which drops U_0, it is U_1's 1 on cell 1, and the root (attempts
+        # 6-7), which no key marks, is capped to U_1 and grows phi there.
+        pytest.param(
+            "run_fatou", "region if phi != lows else ", "",
             "family func nmax=2 depth=1\nraise 0 0 1\nraise 1 1 1\n",
-            F(1, 2), F(5, 8), 1,
+            F(1, 2), F(5, 8), 1, id="root-mark",
         ),
     ],
 )
@@ -398,7 +399,11 @@ def test_each_active_cell_condition_is_needed(
     assert rows(run_fatou(fam, eps, eps_prime, grid)) == literal
     broken = mutant(getattr(fatou, function), old, new)
     monkeypatch.setattr(fatou, function, broken)
-    assert rows(fatou.run_fatou(fam, eps, eps_prime, grid)) != literal
+    if "phi != lows" in old:
+        with pytest.raises(AssertionError, match="phi < lows after a root"):
+            fatou.run_fatou(fam, eps, eps_prime, grid)
+    else:
+        assert rows(fatou.run_fatou(fam, eps, eps_prime, grid)) != literal
 
 
 # Each case changes one rule of the level loop: the run matches the literal
@@ -466,19 +471,11 @@ def test_run_scans_the_same_member_ranges(monkeypatch):
     assert (len(calls), sum(calls)) == (195, 1_104)
 
 
-# The active cells are rebuilt after a commit and after phi grows only to
-# skip more: the keys built earlier in a start still bound every attempt
-# (see the fatou module docstring).  Without either rebuild the run is the
-# same and scans more: func 16x6 (gen seed 1) at grid 3 makes 389 scans,
-# 849 without the rebuild after a commit and 457 without the one after
-# phi grows.
-@pytest.mark.parametrize(
-    "old,new,scans",
-    [
-        ("replica = keys = None", "replica = None", 849),
-        ("growing = None\n                            log.append", "log.append", 457),
-    ],
-)
+# The keys are rebuilt after a commit only to skip more: the keys built
+# earlier in a start still bound every attempt (see the fatou module
+# docstring).  Without the rebuild the run is the same and scans more: func
+# 16x6 (gen seed 1) at grid 3 makes 389 scans, and 903 with stale keys.
+@pytest.mark.parametrize("old,new,scans", [("replica = keys = None", "replica = None", 903)])
 def test_active_cells_are_rebuilt_only_to_skip_more(mutant, monkeypatch, old, new, scans):
     fam = parse_trace(gen.gen_trace("func", 16, seed=1, depth=6, eps=F(1, 4)))
     grid = RationalGrid(3)
@@ -514,35 +511,59 @@ def member_scans(monkeypatch):
 def test_level_pass_matches_the_per_word_run(monkeypatch):
     # 300 gen families at depths 5-8, past the literal sweeps' depth 4
     # (nmax 1-16 and grids 1-5, a shape drawn again while (nmax+1) *
-    # 2^(depth+grid) passes 2^14; eps' up to eps + 1/2).  The run and
+    # 2^(depth+grid) passes 2^14; eps' up to eps + 1/2), and 200 hand-built
+    # off-grid ones (denominators 3-12, values up to 3, nmax 1-6, depth 1-6,
+    # grids 1-5, eps the largest member integral), the first the family
+    # whose start 1 drops U_0 and sees phi below lows at its root (see
+    # test_each_active_cell_condition_is_needed).  The run and
     # fatou_per_word, which visits every (start, word), give the same phi,
     # attempts and log and make the same member scans in the same order.
-    # Every pass sees growing empty: a start's root leaves phi >= lows (see
-    # "The level rule").  The sweep takes about 4 s.
+    # The sweep takes about 5 s.
     scans = member_scans(monkeypatch)
-    active = fatou._active
-
-    def checking(blocks, e, region, lows, tops, step, growing, keys, masks):
-        assert not growing
-        return active(blocks, e, region, lows, tops, step, growing, keys, masks)
-
-    monkeypatch.setattr(fatou, "_active", checking)
     rng = random.Random(36)
-    shapes = []
-    while len(shapes) < 300:
+    cases = []
+    while len(cases) < 300:
         nmax, depth, g = rng.randint(1, 16), rng.randint(5, 8), rng.randint(1, 5)
         if (nmax + 1) << (depth + g) <= 1 << 14:
-            shapes.append((nmax, depth, g))
-    for nmax, depth, g in shapes:
-        eps = rng.choice([F(1, 8), F(1, 4), F(1, 2)])
-        fam = parse_trace(gen.gen_trace("func", nmax, seed=rng.randrange(10**6), depth=depth, eps=eps))
-        eps_prime = eps + rng.choice([F(1, 64), F(1, 8), F(1, 4), F(1, 2)])
+            eps = rng.choice([F(1, 8), F(1, 4), F(1, 2)])
+            fam = parse_trace(gen.gen_trace("func", nmax, seed=rng.randrange(10**6), depth=depth, eps=eps))
+            cases.append((fam, eps, eps + rng.choice([F(1, 64), F(1, 8), F(1, 4), F(1, 2)]), g))
+    cases.append((parse_trace("family func nmax=2 depth=1\nraise 0 0 1\nraise 1 1 1\n"),
+                  F(1, 2), F(5, 8), 1))
+    while len(cases) < 500:
+        nmax, depth = rng.randint(1, 6), rng.randint(1, 6)
+        words = words_up_to(depth)
+        lines = [f"family func nmax={nmax} depth={depth}"]
+        for n in range(nmax):
+            for _ in range(rng.randint(1, 3)):
+                d = rng.randint(3, 12)
+                word = rng.choice(words + words[-(1 << depth):]) or "e"
+                lines.append(f"raise {n} {word} {F(rng.randint(1, 3 * d), d)}")
+        fam = parse_trace("\n".join(lines) + "\n")
+        eps = max(from_table(t, depth).integral() for t in traces.values_by_index(fam))
+        cases.append((fam, eps, eps + rng.choice([F(1, 12), F(1, 7), F(2, 5), F(1)]), rng.randint(1, 5)))
+    # The pass marks a root without _active where phi != lows there: each
+    # start's first _active call (a new lows) is then below the root.
+    starts = []
+    active = fatou._active
+
+    def marking(blocks, e, region, lows, *rest):
+        if not starts or starts[-1][0] is not lows:
+            starts.append((lows, e))
+        return active(blocks, e, region, lows, *rest)
+
+    monkeypatch.setattr(fatou, "_active", marking)
+    later = []
+    for fam, eps, eps_prime, g in cases:
         expected = fatou_per_word(fam, eps, eps_prime, RationalGrid(g))
         per_word = scans[:]
         scans.clear()
+        starts.clear()
         assert run_fatou(fam, eps, eps_prime, RationalGrid(g)) == expected
         assert scans == per_word
         scans.clear()
+        later.append(sum(e < fam.depth for _, e in starts[1:]))
+    assert later[300] == 1 and sum(later) > 1
 
 
 def test_level_pass_marks_the_words_the_keys_unblock(mutant, monkeypatch):
@@ -550,8 +571,8 @@ def test_level_pass_marks_the_words_the_keys_unblock(mutant, monkeypatch):
     # 1/8 and tf is 1 throughout.  Every cell is keyed by level 1 (room 1).
     # The root at level 1/4 (attempt 0) would add 2 units and is capped
     # away; word 0 at level 1/4 (attempt 4) adds 1, commits and grows phi.
-    # growing is empty after the root, so only its key marks word 0: a pass
-    # that drops the key mark skips it, and phi stays 0.
+    # phi = lows after the root, so only its key marks word 0: a pass that
+    # drops the key mark skips it, and phi stays 0.
     fam = parse_trace("family func nmax=1 depth=1\n")
     grid = RationalGrid(2)
     expected = fatou_per_word(fam, F(1, 8), F(1, 4), grid)
@@ -561,14 +582,13 @@ def test_level_pass_marks_the_words_the_keys_unblock(mutant, monkeypatch):
     assert fatou.run_fatou(fam, F(1, 8), F(1, 4), grid) != expected
 
 
-# The run makes the per-word body for the words the level pass marks, the
-# root of each start and each word taken on its own to build growing or the
-# keys.  Func 8x6 and 16x6 (gen seed 1) at grid 3 have 1,143 and 2,159
-# (start, word) pairs.  Deciding the rest of a length again after a commit
-# or phi's growth only keeps the bodies to the active words (marks taken
-# before the change over-approximate): without it the run is the same,
-# makes the same scans and runs more bodies.
-@pytest.mark.parametrize("nmax,bodies,undecided", [(8, 73, 106), (16, 94, 130)])
+# The run makes the per-word body for the words the level pass marks and
+# for each root where phi != lows.  Func 8x6 and 16x6 (gen seed 1) at grid 3
+# have 1,143 and 2,159 (start, word) pairs.  Deciding the rest of a length
+# again after a commit only keeps the bodies to the active words (marks taken
+# before it over-approximate): with the keys rebuilt in place instead, the
+# run is the same, makes the same scans and runs more bodies.
+@pytest.mark.parametrize("nmax,bodies,undecided", [(8, 60, 97), (16, 75, 116)])
 def test_level_pass_runs_only_the_marked_bodies(mutant, monkeypatch, nmax, bodies, undecided):
     fam = parse_trace(gen.gen_trace("func", nmax, seed=1, depth=6, eps=F(1, 4)))
     grid = RationalGrid(3)
@@ -587,35 +607,15 @@ def test_level_pass_runs_only_the_marked_bodies(mutant, monkeypatch, nmax, bodie
     for run, count in [
         (run_fatou, bodies),
         (mutant(run_fatou, "pos = i + 1  # the rest of the length is decided again\n"
-                           "                        break", "pass"), undecided),
+                           "                        break",
+                "keys, masks = _reach(lows, tops, sorted(((settled_tf - integrals[s], work[s])"
+                " for s in members), key=itemgetter(0)), full, step_scaled, levels)"), undecided),
     ]:
         scans.clear()
         visited.clear()
         assert run(fam, F(1, 4), F(3, 8), grid) == expected
         assert scans == per_word
         assert len(visited) == count
-
-
-def test_the_growing_mark_keeps_the_per_word_scans(mutant, monkeypatch):
-    # growing is empty after each start's root, so a pass without the growing
-    # mark is the same run (see "The level rule").  The mark keeps the marks
-    # those of the per-word run for a stale growing: without the rebuild
-    # after phi grows, func 16x6 (gen seed 1) at grid 3 makes 457 scans, as
-    # the per-word run does (test_active_cells_are_rebuilt_only_to_skip_more),
-    # and without the mark too only 392.
-    fam = parse_trace(gen.gen_trace("func", 16, seed=1, depth=6, eps=F(1, 4)))
-    grid = RationalGrid(3)
-    expected = run_fatou(fam, F(1, 4), F(3, 8), grid)
-    scans = member_scans(monkeypatch)
-    monkeypatch.setattr(fatou, "_active", mutant(
-        fatou._active, "active = touched(growing, e) & region", "active = 0"))
-    assert fatou.run_fatou(fam, F(1, 4), F(3, 8), grid) == expected
-    assert len(scans) == 389
-    scans.clear()
-    stale = mutant(fatou.run_fatou, "growing = None\n                            log.append",
-                   "log.append")
-    assert stale(fam, F(1, 4), F(3, 8), grid) == expected
-    assert len(scans) == 392
 
 
 def test_fine_grid_keeps_only_the_thresholds_the_rows_hold():

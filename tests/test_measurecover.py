@@ -224,6 +224,18 @@ def test_mutated_log_flips_verdict():
     assert not verify_measure_cover(fam, grid, broken).passed
 
 
+def test_table_past_one_fails_only_the_semimeasure_check():
+    # A key outside the family's universe raised to 1 in the table and its
+    # log: the log replays to the table and the universe stays dominated,
+    # but the total is 2.
+    fam = parse_trace("family measure nmax=2\nraise 0 a 1/2\nraise 1 a 1/2\n")
+    grid = RationalGrid(2)
+    res = run_measure_cover(fam, grid)
+    forged = replace(res, table={**res.table, "z": F(1)}, log=(*res.log, ("z", 1, F(1))))
+    failed = verify_measure_cover(fam, grid, forged).failures()
+    assert [(c.name, c.witness) for c in failed] == [("semimeasure", "sum 2")]
+
+
 # frequency semimeasures
 
 
@@ -269,6 +281,17 @@ def test_frequency_pipeline_dominates_suffix_minima():
         fam = frequency_trace(values, horizon)
         res = run_measure_cover(fam, grid)
         assert verify_frequency_cover(values, horizon, grid, res).passed
+
+
+def test_frequencies_past_one_fail_only_the_semimeasure_check():
+    # A value the function never takes raised to 1: every fraction stays
+    # dominated, but the table's total is 7/4.
+    values = {0: "a", 1: "b", 2: "a"}
+    grid = RationalGrid(2)
+    res = run_measure_cover(frequency_trace(values, 3), grid)
+    forged = replace(res, table={**res.table, "z": F(1)})
+    failed = verify_frequency_cover(values, 3, grid, forged).failures()
+    assert [(c.name, c.witness) for c in failed] == [("semimeasure", "7/4")]
 
 
 # tree semimeasures

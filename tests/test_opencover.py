@@ -696,6 +696,17 @@ def test_omega_prefix_intervals_are_checked():
     assert [(c.name, c.witness) for c in failed] == [("prefix-intervals", "i=0")]
 
 
+def test_omega_tail_membership_is_checked():
+    # The first tail interval moved past w_min keeps its measure, so only
+    # membership fails.
+    prefix, cycle, eps = [F(2)], [F(1, 4), F(1, 2)], F(3, 8)
+    res = omega_family(prefix, cycle, eps)
+    moved = RealInterval(res.intervals[1].lo + 1, res.intervals[1].hi + 1)
+    forged = dataclasses.replace(res, intervals=(res.intervals[0], moved, *res.intervals[2:]))
+    failed = verify_omega_family(prefix, cycle, eps, forged).failures()
+    assert [(c.name, c.witness) for c in failed] == [("tail-membership", "i=1")]
+
+
 def test_omega_prefix_then_zero():
     res = omega_family([F(1)], [F(0)], F(1, 4))
     tail = res.intervals[1]

@@ -83,6 +83,29 @@ def test_verify_fail_names_witness():
     assert any(c.name == "coverage" and c.witness == "c" for c in verdict.checks)
 
 
+def test_oversized_cover_fails_only_cardinality():
+    # Two elements added to both the cover and the log: the log still
+    # matches the cover and covers the liminf, but 4 elements pass 2^1.
+    fam = parse_trace(SHIFT_TRACE)
+    res = run_set_cover(fam, 1)
+    forged = type(res)(
+        cover=res.cover | {"x", "y"}, log=(*res.log, (1, "x"), (1, "y")), bound=res.bound
+    )
+    failed = verify_set_cover(fam, 1, forged).failures()
+    assert [(c.name, c.witness) for c in failed] == [("cardinality", "4 elements exceed 2")]
+
+
+def test_cover_off_its_log_fails_only_log_consistency():
+    # An element in the cover that no log entry accepted: the log alone
+    # still covers the liminf within 2^1 elements.
+    fam = parse_trace(SHIFT_TRACE)
+    res = run_set_cover(fam, 1)
+    forged = type(res)(cover=res.cover | {"x"}, log=res.log, bound=res.bound)
+    failed = verify_set_cover(fam, 1, forged).failures()
+    assert [(c.name, c.witness) for c in failed] == [
+        ("log-consistency", "cover disagrees with the acceptance log")]
+
+
 def test_verify_accepts_the_liminf_itself():
     fam = parse_trace(SHIFT_TRACE)
     limit = liminf_sets(fam)
