@@ -514,7 +514,7 @@ def verify_fatou(
     schedule = DeltaSchedule(eps, eps_prime)
     if result.phi.depth != family.depth:
         raise InputError(f"phi has cells of depth {result.phi.depth}, the family {family.depth}")
-    last = traces.values_by_index(family)[-1]  # the liminf oracle: member nmax-1
+    last = traces.last_values(family)  # the liminf oracle: member nmax-1
     scale = grid.common_scale([*last.values(), *result.phi.cells])
     limits = [0] * (1 << family.depth)  # a cell's limit: its prefixes' largest value
     for v, word in sorted((v.numerator * (scale // v.denominator), w) for w, v in last.items()):

@@ -23,6 +23,9 @@ the grid), which the test suite checks against literal references; the tail
 start N = nmax reads member nmax-1 alone and raises nothing.  The gate: that
 member lies in every suffix, so its headroom bounds every cap, and a key with
 less than one grid step of headroom there is never raised or read further.
+On a tree no word below a gated word is read: outside(child) is outside(parent)
+plus the sibling's value and lifts only raise values, so headroom only falls
+down the tree and over the run, and a gated word's descendants are gated too.
 
 Both runs work in integers over one common denominator (as in fatou), so
 grid floors are integer floors to multiples of scale / 2^g and the tables
@@ -39,11 +42,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate
 from typing import Callable, Iterable, Mapping
 
 from . import traces
-from .kernel import MAX_EXPONENT, InputError, ZERO, format_rational, word_to_text, words_up_to
+from .kernel import MAX_EXPONENT, InputError, ZERO, format_rational, is_word, word_to_text
 from .verdict import Check, Verdict
 
 __all__ = [
@@ -97,7 +100,9 @@ class MeasureCoverResult:
 
 
 def _increase(
-    keys: Iterable[str],
+    roots: Iterable[int],
+    below: Callable[[int], Iterable[int]],
+    name: Callable[[int], str],
     rows: list[list[int]],
     scale: int,
     grid: RationalGrid,
@@ -105,15 +110,18 @@ def _increase(
     lift: Callable[[list[int], int, int], None],
 ) -> MeasureCoverResult:
     """The increase process over integer rows, the members' values times
-    ``scale``.  outside(i, rows) is the mass outside key i in each of rows.
-    For a key past the gate and each start N < nmax, lift(row, i, r) raises
-    key i to r in every row from N on, where r is the largest grid multiple
-    at or below the headroom scale - outside of all those rows."""
+    ``scale``, on ``roots`` and below(i) of each key i past the gate, in
+    ascending order, logging key i as name(i).  outside(i, rows) is the
+    mass outside key i in each of rows.  For a key past the gate and each
+    start N < nmax, lift(row, i, r) raises key i to r in every row from N on,
+    r the largest grid multiple at most the headroom of all those rows."""
     step = scale >> grid.resolution
     log: list[tuple[str, int, Fraction]] = []
-    for i, key in enumerate(keys):
+    keys = list(roots)
+    for i in keys:  # a breadth-first walk: keys grows by below(i)
         if scale - outside(i, rows[-1:])[0] < step:
-            continue
+            continue  # gated, as is every key below i (see the module docstring)
+        keys.extend(below(i))
         # The least headroom over the rows from each start N on.
         caps = list(accumulate(reversed([scale - mass for mass in outside(i, rows)]), min))[::-1]
         best = 0
@@ -122,7 +130,7 @@ def _increase(
             if r <= best:
                 continue
             best = r
-            log.append((key, start, Fraction(r, scale)))
+            log.append((name(i), start, Fraction(r, scale)))
             for row in rows[start:]:
                 lift(row, i, r)
     # Each key's logged values rise, so its last one is its best.
@@ -149,7 +157,8 @@ def run_measure_cover(
             row[i] = r
             assert row[-1] <= scale
 
-    return _increase(keys, rows, scale, grid, lambda i, rows: [row[-1] - row[i] for row in rows], lift)
+    return _increase(range(len(keys)), lambda i: (), keys.__getitem__, rows, scale, grid,
+                     lambda i, rows: [row[-1] - row[i] for row in rows], lift)
 
 
 def _replay_log(result: MeasureCoverResult) -> tuple[dict[str, Fraction], Check]:
@@ -263,10 +272,10 @@ def run_tree_cover(
 ) -> MeasureCoverResult:
     """The increase process on binary-tree semimeasures.
 
-    Words are visited in length-lexicographic order over all words up to the
-    family depth, so parents settle before their children; each (x, N)
-    performs the largest acceptable grid increase, where acceptability means
-    every repaired root over n in [N, nmax] stays <= 1.
+    Words up to the family depth below no gated word are visited in
+    length-lexicographic order, so parents settle before their children;
+    each (x, N) performs the largest acceptable grid increase, where
+    acceptability means every repaired root over n in [N, nmax] stays <= 1.
     """
     if family.kind != "tree":
         raise InputError(f"expected a tree family, got {family.kind!r}")
@@ -300,31 +309,40 @@ def run_tree_cover(
                 i = (i - 1) >> 1
                 assert row[i] >= row[2 * i + 1] + row[2 * i + 2]
 
-    return _increase(words_up_to(family.depth), rows, scale, grid, outside, lift)
+    return _increase((0,), lambda i: range(2 * i + 1, min(2 * i + 3, len(rows[0]))), _word,
+                     rows, scale, grid, outside, lift)
+
+
+def _word(i: int) -> str:
+    """The word at heap index i, the inverse of int("1" + w, 2) - 1."""
+    return f"{i + 1:b}"[1:]
 
 
 def verify_tree_cover(
     family: traces.StabilizedFamily, grid: RationalGrid, result: MeasureCoverResult
 ) -> Verdict:
     """Check the output tree law and the grid-floor bound via the oracle in
-    integers over words_up_to(depth); log keys of no such word are left out."""
+    integer heap rows over the words up to the depth; log keys of no such
+    word are left out."""
     from_log, consistency = _replay_log(result)
     checks = [consistency]
 
     assert family.depth is not None
-    words = words_up_to(family.depth)
-    last = traces.values_by_index(family)[-1]  # the liminf oracle: member nmax-1
+    last = traces.last_values(family)  # the liminf oracle: member nmax-1
     scale = grid.common_scale([*from_log.values(), *last.values()])
-    limits, out = ([v.numerator * (scale // v.denominator) for v in map(t.get, words, repeat(ZERO))]
-                   for t in (last, from_log))
+    limits, out = ([0] * ((2 << family.depth) - 1) for _ in range(2))
+    for row, table in ((limits, last), (out, from_log)):
+        for w, v in table.items():
+            if len(w) <= family.depth and is_word(w):  # a log key may be no word
+                row[int("1" + w, 2) - 1] = v.numerator * (scale // v.denominator)
     tree_witness = ""
     if out[0] > scale:
         tree_witness = f"root value {format_rational(from_log[''])}"
     elif (y := traces.tree_law_break(out)) >= 0:
-        tree_witness = word_to_text(words[y])
+        tree_witness = word_to_text(_word(y))
     checks.append(Check("tree-law", not tree_witness, tree_witness))
 
     checks.append(traces.check_liminf_domination(
-        "grid-floor", limits, out, scale, grid.resolution, lambda i: word_to_text(words[i])
+        "grid-floor", limits, out, scale, grid.resolution, lambda i: word_to_text(_word(i))
     ))
     return Verdict(tuple(checks))

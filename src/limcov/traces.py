@@ -73,6 +73,7 @@ __all__ = [
     "format_trace",
     "func_eval",
     "heap_rows",
+    "last_values",
     "liminf_open",
     "liminf_sets",
     "liminf_sets_witness",
@@ -286,6 +287,17 @@ def values_by_index(family: StabilizedFamily) -> list[dict[str, Fraction]]:
     return out
 
 
+def last_values(family: StabilizedFamily) -> dict[str, Fraction]:
+    """values_by_index(family)[-1], built from member nmax-1's events only."""
+    if family.kind not in ("measure", "tree", "func"):
+        raise InputError(f"expected a valued family, got {family.kind!r}")
+    table: dict[str, Fraction] = {}
+    for e in family.events:
+        if e.index == family.nmax - 1 and e.value > table.get(e.key, ZERO):
+            table[e.key] = e.value
+    return table
+
+
 def func_eval(table: dict[str, Fraction], cell: str, depth: int | None) -> Fraction:
     """Value of a func-kind table at a depth-level cell.
 
@@ -383,7 +395,7 @@ def heap_rows(family: StabilizedFamily, scale: int) -> list[list[int]]:
 def liminf_table(family: StabilizedFamily, points: Iterable[str]) -> dict[str, Fraction]:
     """liminf_values at every point: member nmax-1's value, the last and
     largest of the suffix minima (cells of a func family by func_eval)."""
-    last = values_by_index(family)[-1]
+    last = last_values(family)
     if family.kind == "func":
         return {point: func_eval(last, point, family.depth) for point in points}
     return {point: last.get(point, ZERO) for point in points}

@@ -435,6 +435,20 @@ def test_each_gate_condition_is_needed(monkeypatch, mutant, old, new, text, grid
     assert (res.table, list(res.log)) != expected
 
 
+def outside_reads(increase):
+    """``increase`` wrapped to note the key of each outside() call: on
+    member nmax-1 alone (the gate) into the first list, on every row into
+    the second."""
+    gates, full = [], []
+
+    def counting(roots, below, name, rows, scale, grid, outside, lift):
+        def counted(i, part):
+            (full if part is rows else gates).append(i)
+            return outside(i, part)
+        return increase(roots, below, name, rows, scale, grid, counted, lift)
+    return counting, gates, full
+
+
 @pytest.mark.parametrize("kind,nmax,depth,grid,keys,entries", [
     ("tree", 64, 12, 4, 24, 60),
     ("measure", 16, None, 3, 2, 4),
@@ -444,16 +458,7 @@ def test_only_logged_keys_read_every_row(monkeypatch, kind, nmax, depth, grid, k
     has a grid step of headroom at the last start, so it logs there or
     earlier.  Tree 64x12 (seed 1, grid 4) logs 24 of its 8,191 words and
     measure 16 (seed 1, grid 3) 2 of its 15 elements."""
-    full_reads = []
-    increase = measurecover._increase
-
-    def counting(keys, rows, scale, grid, outside, lift):
-        def counted(i, part):
-            if part is rows:
-                full_reads.append(i)
-            return outside(i, part)
-        return increase(keys, rows, scale, grid, counted, lift)
-
+    counting, _, full_reads = outside_reads(measurecover._increase)
     monkeypatch.setattr(measurecover, "_increase", counting)
     fam = parse_trace(gen.gen_trace(kind, nmax, 1, depth=depth))
     run = run_tree_cover if kind == "tree" else run_measure_cover
@@ -461,6 +466,58 @@ def test_only_logged_keys_read_every_row(monkeypatch, kind, nmax, depth, grid, k
     ordered = words_up_to(depth) if kind == "tree" else traces.universe(fam)
     assert [ordered[i] for i in full_reads] == [k for k in ordered if k in res.table]
     assert (len(full_reads), len(res.log)) == (keys, entries)
+
+
+# The deepest tree the run limits admit: e, 0, ..., 0^15 valued 1/2 .. 1/2^16.
+TREE_1X15 = "family tree nmax=1 depth=15\n" + "".join(
+    f"raise 0 {'0' * k or 'e'} 1/{2 << k}\n" for k in range(16)
+)
+
+
+@pytest.mark.parametrize("kind,nmax,depth,grid,reads", [
+    ("tree", 64, 12, 4, 45),
+    ("tree", 1, 15, 4, 31),
+    ("measure", 16, None, 3, 15),
+], ids=["tree-64x12", "tree-1x15", "measure-16"])
+def test_gate_reads_skip_the_words_below_a_gated_word(monkeypatch, kind, nmax, depth, grid, reads):
+    """A tree reads the gate of the root and of the children of each word
+    past it, in heap order: tree 64x12 (seed 1, grid 4) 45 of its 8,191
+    words, where 24 pass, and tree 1x15 31 of its 65,535, where the 16
+    words e .. 0^15 pass.  A flat run reads every key's gate."""
+    counting, got, _ = outside_reads(measurecover._increase)
+    monkeypatch.setattr(measurecover, "_increase", counting)
+    fam = parse_trace(TREE_1X15 if nmax == 1 else gen.gen_trace(kind, nmax, 1, depth=depth))
+    (run_tree_cover if kind == "tree" else run_measure_cover)(fam, RationalGrid(grid))
+    assert len(got) == reads
+    assert got == sorted(got)
+
+
+def test_gated_subtrees_skip_no_raise(monkeypatch, mutant):
+    """The run equals a copy that also visits every word below a gated
+    word, on 200 gen tree families up to depth 9 and on tree 1x15."""
+    rng = random.Random(32)
+    unpruned = mutant(
+        measurecover._increase,
+        "continue  # gated",
+        "keys.extend(below(i))\n            continue  # gated",
+    )
+    cases = [(TREE_1X15, 4)] + [
+        (gen.gen_trace("tree", rng.randint(1, 16), 3200 + k, depth=rng.randint(1, 9)),
+         rng.randint(1, 5))
+        for k in range(200)
+    ]
+    increase, skipped = measurecover._increase, 0
+    for text, grid in cases:
+        fam, grid = parse_trace(text), RationalGrid(grid)
+        pruned, reads, _ = outside_reads(increase)
+        monkeypatch.setattr(measurecover, "_increase", pruned)
+        res = run_tree_cover(fam, grid)
+        full, all_reads, _ = outside_reads(unpruned)
+        monkeypatch.setattr(measurecover, "_increase", full)
+        assert run_tree_cover(fam, grid) == res, text
+        assert len(all_reads) == (2 << fam.depth) - 1
+        skipped += len(all_reads) - len(reads)
+    assert skipped > 0
 
 
 @pytest.mark.parametrize("text,table,witness", [

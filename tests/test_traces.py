@@ -233,6 +233,18 @@ def test_liminf_oracles_agree_with_definitions(kind, nmax, depth, seed):
         assert table[p] == value_at(fam, nmax - 1, p)
 
 
+@pytest.mark.parametrize("kind", ["measure", "tree", "func"])
+def test_last_values_is_the_last_member_table(kind):
+    for seed in range(20):
+        depth = None if kind == "measure" else 1 + seed % 6
+        fam = parse_trace(gen.gen_trace(kind, 1 + seed % 9, seed, depth=depth, eps=F(1, 2)))
+        assert traces.last_values(fam) == traces.values_by_index(fam)[-1]
+    # Events of other members and raises below the value are read past.
+    fam = parse_trace("family tree nmax=2 depth=1\nraise 1 e 1/2\nraise 0 e 1\n"
+                      "raise 1 e 1/4\nraise 1 0 1/3\n")
+    assert traces.last_values(fam) == {"": F(1, 2), "0": F(1, 3)}
+
+
 # Generated families are dyadic; these values make the oracle's common
 # denominator an odd lcm (15, 21, 35).
 @pytest.mark.parametrize(
@@ -332,6 +344,8 @@ def test_kind_accessor_mismatch():
         liminf_open(fam)
     with pytest.raises(InputError, match="expected a valued family, got 'sets'"):
         liminf_table(fam, ["a"])
+    with pytest.raises(InputError, match="expected a valued family, got 'sets'"):
+        traces.last_values(fam)
     with pytest.raises(InputError, match="expected a sets family, got 'open'"):
         liminf_sets(parse_trace("family open nmax=1 depth=1\n"))
 
