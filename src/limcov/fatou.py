@@ -30,13 +30,14 @@ the levels are exactly the grid).
 Internally one run rescales all values to a common integer denominator, so
 the inner comparisons are integer sums against floor(theta_t * 2^D * scale),
 read by attempt number from opencover.DeltaSchedule.floor_table.  The
-members' integer cell rows come from traces.member_rows (one top-down
-prefix-max pass over the words, checked on their integrals) and are kept as
-level masks: with t_1 < ... < t_K the positive values the rows hold, a row
-f is the nested masks L_k = {f >= t_k}, one int per threshold with bit c for
-cell c, and f = sum_k h_k * L_k with h_k = t_k - t_(k-1).  phi and the
-cellwise minimum of the members from the start on are rows too.  Raising f
-to max(f, u) is an OR per layer and the cap min(u, f) an AND; the integral
+members come from traces.member_rows as level masks, checked on their
+integrals: with t_1 < ... < t_K the positive values the rows hold, a row f
+is the nested masks L_k = {f >= t_k}, one int per threshold with bit c for
+cell c (the OR of the cylinders raised to t_k or more), and f = sum_k h_k *
+L_k with h_k = t_k - t_(k-1); the first start's merge drops the event values
+no cell holds, raised only under larger ones.  phi and the cellwise minimum
+of the members from the start on are rows too.  Raising f to max(f, u) is
+an OR per layer and the cap min(u, f) an AND; the integral
 of max(f, u) is integral(f) + integral(u) - sum_k h_k * |u_k & L_k|, a
 popcount per layer, and "u <= f" is u_k & L_k == u_k on every layer.  An
 attempt at a level r between two thresholds takes the layers below r and one
@@ -47,7 +48,7 @@ threshold that no row holds any more (each row's mask there equals its mask
 at the next one, or is empty at the top) merges into the next layer, and at
 each start the thresholds only the dropped member held go.  Splits and
 merges change no row's values, so every sum and test is the one on cell
-lists, exactly; and the layers stay as few as the values the rows hold,
+values, exactly; and the layers stay as few as the values the rows hold,
 however fine the grid.  StepFunction itself stays in Fractions.
 
 Three rules skip work without changing phi or the log; every attempt still
@@ -181,17 +182,6 @@ class FatouResult:
     attempts: int
     log: tuple[tuple[int, int, str, Fraction, int], ...]
     """(attempt, start, word, level, trims) for attempts that grew phi."""
-
-
-_BITS = bytes.maketrans(b"\0\1", b"01")
-
-
-def _level_masks(row: list[int], tops: list[int]) -> list[int]:
-    """A row's level masks, one int per threshold t in ``tops``: bit c is
-    set when the row is at least t on cell c.  Each is read from a string of
-    binary digits, in time linear in the cells."""
-    cells = row[::-1]  # cell 0 is the lowest bit
-    return [int(bytes(map(t.__le__, cells)).translate(_BITS), 2) for t in tops]
 
 
 def _least(masks: list[int], tops: list[int], cyl: int) -> int:
@@ -340,16 +330,13 @@ def run_fatou(
     # of 1 / (scale * 2^depth).
     scale = grid.common_scale(e.value for e in family.events)
     unit = scale << depth
-    cell_rows = traces.member_rows(family, scale, eps=eps)
-    integrals = [sum(row) for row in cell_rows]
+    # Every row as level masks over the event values, ascending;
+    # heights[k] = tops[k] - tops[k-1].
+    tops, work = traces.member_rows(family, scale, eps=eps)
+    heights = list(map(operator.sub, tops, [0, *tops]))
+    integrals = [sum(map(operator.mul, heights, map(int.bit_count, row))) for row in work]
     top, ncells = family.nmax, 1 << depth
     step_scaled = scale >> g
-
-    # Every row as level masks over the thresholds the rows hold, ascending;
-    # heights[k] = tops[k] - tops[k-1].
-    tops = sorted({v for row in cell_rows for v in row} - {0})
-    heights = list(map(operator.sub, tops, [0, *tops]))
-    work = [_level_masks(row, tops) for row in cell_rows]
     phi = [0] * len(tops)
 
     floors, settled_tf = schedule.floor_table(unit, attempts)
@@ -363,7 +350,8 @@ def run_fatou(
     for start in range(top + 1):
         low = min(start, top - 1)  # the tail start reads member nmax-1
         members = range(low, top)
-        # Thresholds only the members before low held go.  The cellwise
+        # Thresholds no row holds go: event values raised only under larger
+        # ones, then those only the members before low held.  The cellwise
         # minimum of work[low:] is the AND of their masks; a commit raises
         # every member to u, so it rises to u too.  Where u stays under it
         # no member gains anything: the attempt caps and commits nothing.

@@ -3,23 +3,25 @@
 Given a stabilized family of sets U_n that each hold at most 2^k elements,
 a single deterministic pass over pairs (N, u) tries, for each pair, to add u
 to every U_n with n >= N.  The addition is *acceptable* when all U_n stay
-within the 2^k bound; under full knowledge of the trace this is decidable by
-scanning n in [N, nmax-1], where the tail start N = nmax reads member
-nmax-1.  The elements of accepted additions form the cover V: it never
-exceeds 2^k elements (every accepted element ends up in member nmax-1,
-which respects the bound), and it contains the liminf, because adding an
-element already present everywhere changes nothing and is therefore always
-acceptable.
+within the 2^k bound, which the full trace decides over n in [N, nmax-1].
+The elements of accepted additions form the cover V: it never exceeds 2^k
+elements (every accepted element ends up in member nmax-1, which respects
+the bound), and it contains the liminf, because adding an element already
+present everywhere changes nothing and is therefore always acceptable.
 
-The pass works on a private mutable copy of the family; additions performed
-for earlier pairs stay in force and count against later acceptability checks.
-Runs are single-threaded and deterministic: identical traces give identical
-logs and covers.
+Starts ascend, so the accepted elements, a mask A, lie in every member from
+the start on, member n being U_n | A.  A full member (2^k elements) takes
+only its own elements, so u outside A is acceptable exactly when it is in G,
+the intersection of the full members from there on.  G shrinks as A grows:
+the elements of G outside A are accepted in order up to one that would push
+a member past 2^k, and G is rebuilt.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import traces
 from .kernel import InputError, check_exponent
@@ -51,25 +53,23 @@ def run_set_cover(family: traces.StabilizedFamily, k: int) -> SetCoverResult:
     if family.kind != "sets":
         raise InputError(f"expected a sets family, got {family.kind!r}")
     bound = 1 << k
-    working = [set(s) for s in traces.member_rows(family, bound=bound)]
-
-    univ = traces.universe(family)
-    covered: set[str] = set()
-    log: list[tuple[int, str]] = []
+    rows = traces.member_rows(family, bound=bound)  # bit i: element univ[i]
+    univ, accepted, log = traces.universe(family), 0, []
+    def gates(start: int) -> list[int]:  # G at each start from ``start`` on
+        members = [row | accepted for row in rows[start:]]
+        assert max(map(int.bit_count, members)) <= bound
+        full = [m if m.bit_count() == bound else (1 << len(univ)) - 1 for m in members]
+        return [*accumulate(full[::-1], int.__and__)][::-1]
+    gate = gates(0)
     for start in range(family.nmax):
-        suffix = working[start:]
-        for u in univ:
-            # Not acceptable iff some U_n, n >= start, holds 2^k elements
-            # besides u; with |U_n| <= bound maintained, that is exactly:
-            if not all(u in s or len(s) < bound for s in suffix):
-                continue
-            for s in suffix:
-                s.add(u)
-            if u not in covered:
-                covered.add(u)
-                log.append((start, u))
-            assert all(len(s) <= bound for s in working)
-    return SetCoverResult(frozenset(covered), tuple(log), bound)
+        while fresh := gate[start] & ~accepted:  # bit order: first appearance
+            # The fresh elements below bit ``end`` fit every member; the one at it does not.
+            end = bisect_left(range(fresh.bit_length()), True, key=lambda i: any(
+                (row | accepted | fresh & (2 << i) - 1).bit_count() > bound for row in rows[start:]))
+            accepted |= (taken := fresh & (1 << end) - 1)
+            log += [(start, univ[i]) for i, bit in enumerate(f"{taken:b}"[::-1]) if bit == "1"]
+            gate[start:] = gates(start)
+    return SetCoverResult(frozenset(u for _, u in log), tuple(log), bound)
 
 
 def verify_set_cover(

@@ -44,7 +44,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Callable, Iterable
 
 from .kernel import (
@@ -96,7 +96,7 @@ _DEPTH_KINDS = ("open", "tree", "func")
 _SET_KINDS = ("sets", "open")
 # run_size's limits (2-core host).  gen's caps need 539,616 attempts (func 32x8, grid 5), 2.2e9
 # cells (open 64x12 trim: 0.4-0.8 s) and 4.3e6 members (sets 64x1024).  Open 1x16 took 2-3 s,
-# func 1x17 at grid 2 17 s and sets 4096x1 2 s: a member scan costs about what 2^9 cells do.
+# func 1x17 at grid 2 17 s; sets 4096x1 took 2 s on per-member sets (2^9 cells a member step).
 MAX_RUN_ATTEMPTS, MAX_RUN_CELLS, MAX_RUN_MEMBERS = 1 << 20, 1 << 32, 1 << 23
 
 
@@ -375,16 +375,16 @@ def run_size(family: StabilizedFamily, levels: int = 1) -> int:
 
 
 def heap_rows(family: StabilizedFamily, scale: int) -> list[list[int]]:
-    """Each tree or func member's word values times ``scale``, as ints, for
-    a family run_size admits (member_rows sizes it first).
+    """Each tree member's word values times ``scale``, as ints, for a family
+    run_size admits (member_rows sizes it first).
 
     ``scale`` must be a common multiple of the value denominators.  A row
     is in heap order, word w at int("1" + w, 2) - 1, which is the order of
     words_up_to: the parent of i is at (i - 1) >> 1 and its children at
     2i + 1 and 2i + 2.
     """
-    if family.kind not in ("tree", "func"):
-        raise InputError(f"expected a tree or func family, got {family.kind!r}")
+    if family.kind != "tree":
+        raise InputError(f"expected a tree family, got {family.kind!r}")
     rows = [[0] * ((2 << family.depth) - 1) for _ in range(family.nmax)]
     for e in family.events:
         heap, i = rows[e.index], int("1" + e.key, 2) - 1
@@ -404,27 +404,23 @@ def liminf_table(family: StabilizedFamily, points: Iterable[str]) -> dict[str, F
 def member_rows(
     family: StabilizedFamily, scale: int | None = None, bound: int | None = None,
     eps: Fraction | None = None,
-) -> list:
-    """Each member as the row its run works on: the set (sets), the cell
-    mask (open), the values over universe() (measure), the heap row (tree)
-    or the depth-level cell values (func), as ints times ``scale``, a common
-    multiple of the denominators (by default their lcm), once run_size admits
-    the run: a caller that passes a scale has sized it first.  InputError
-    names the first member that breaks the hypothesis of its construction:
-    more than ``bound`` elements (sets), measure (open) or integral (func)
-    above ``eps``, a sum above 1 (measure), or the tree law a(y) >= a(y0) +
-    a(y1) with a(root) <= 1 (tree; absent words count as 0).  A bound left
-    None is not checked."""
+) -> list | tuple[list[int], list[list[int]]]:
+    """Each member as the row its run works on, once run_size admits the run
+    (a caller that passes ``scale`` has sized it first): a bit mask of its
+    elements by universe() index (sets) or of its cells (open), the values
+    over universe() (measure), the heap row (tree), or for func the pair
+    (tops, rows), tops the event values ascending and mask k of a row the
+    member's cells at tops[k] or above; values are ints times ``scale``, by
+    default the lcm of the denominators.  InputError names the first member
+    that breaks its construction's hypothesis: more than ``bound`` elements
+    (sets), measure (open) or integral (func) above ``eps``, a sum above 1
+    (measure), or the tree law a(y) >= a(y0) + a(y1) with a(root) <= 1 (tree;
+    absent words count as 0).  A bound left None is not checked."""
     kind, depth = family.kind, family.depth
     if scale is None:
         run_size(family)
         scale = math.lcm(*(e.value.denominator for e in family.events if e.value is not None))
-    if kind == "sets":
-        rows = sets_by_index(family)
-        for n, s in enumerate(rows):
-            if bound is not None and len(s) > bound:
-                raise InputError(f"U_{n} has {len(s)} elements, above the bound {bound}")
-    elif kind == "measure":
+    if kind == "measure":
         keys = universe(family)
         rows = [[v.numerator * (scale // v.denominator) for v in map(t.get, keys, repeat(ZERO))]
                 for t in values_by_index(family)]
@@ -444,29 +440,43 @@ def member_rows(
                     f"a_{n} violates the tree constraint at word {word}: "
                     f"{format_rational(Fraction(row[y], scale))} < {format_rational(need)}"
                 )
+    elif kind == "sets":
+        # Bit i for element i of universe(), read from one string of binary
+        # digits a member: ORing in an int per event is quadratic in them.
+        at = {key: ~i for i, key in enumerate(universe(family))}  # digit ~i is bit i
+        digits = [bytearray(b"0" * len(at)) for _ in range(family.nmax)]
+        for e in family.events:
+            digits[e.index][at[e.key]] = ord("1")
+        rows = [int(b"0" + row, 2) for row in digits]
+        for n, row in enumerate(rows):
+            if bound is not None and (size := row.bit_count()) > bound:
+                raise InputError(f"U_{n} has {size} elements, above the bound {bound}")
     else:
-        # An open set is the func case of its indicator: measure = integral.
-        if kind == "open":
+        if kind == "func":
+            # Each member's cylinders ORed into one mask per value, then down
+            # from the largest value: mask k holds the cells at tops[k] or above.
+            at = {v: k for k, v in enumerate(sorted({e.value for e in family.events}))}
+            rows = [[0] * len(at) for _ in range(family.nmax)]
+            for e in family.events:
+                rows[e.index][at[e.value]] |= cell_mask(e.key, depth)
+            rows = [[*accumulate(row[::-1], operator.or_)][::-1] for row in rows]
+            tops = [v.numerator * (scale // v.denominator) for v in at]
+            heights = list(map(operator.sub, tops, [0, *tops]))
+            sizes = [sum(map(operator.mul, heights, map(int.bit_count, row))) for row in rows]
+            name, what, unit = "f", "integral", scale << depth
+        else:
             rows = [0] * family.nmax
             for e in family.events:
                 rows[e.index] |= cell_mask(e.key, depth)
+            # An open set is the func case of its indicator: measure = integral.
             name, what, unit, sizes = "U", "measure", 1 << depth, map(int.bit_count, rows)
-        else:
-            # Raising every word to its parent's value, top-down, leaves the
-            # maxima over each cell's prefixes in the last 2^depth entries.
-            rows = heap_rows(family, scale)
-            for heap in rows:
-                for i in range(1, len(heap)):
-                    heap[i] = max(heap[i], heap[(i - 1) >> 1])
-            rows = [heap[len(heap) >> 1:] for heap in rows]
-            name, what, unit, sizes = "f", "integral", scale << depth, map(sum, rows)
         for n, size in enumerate(sizes):
             if eps is not None and (size := Fraction(size, unit)) > eps:
                 raise InputError(
                     f"{name}_{n} has {what} {format_rational(size)}, "
                     f"above eps={format_rational(eps)}"
                 )
-    return rows
+    return (tops, rows) if kind == "func" else rows
 
 
 def tree_law_break(row: list[int]) -> int:

@@ -104,16 +104,13 @@ def fatou_per_word(family, eps, eps_prime, grid):
     # of 1 / (scale * 2^depth).
     scale = grid.common_scale(e.value for e in family.events)
     unit = scale << depth
-    cell_rows = traces.member_rows(family, scale, eps=eps)
-    integrals = [sum(row) for row in cell_rows]
+    # Every row as level masks over the event values, ascending;
+    # heights[k] = tops[k] - tops[k-1].
+    tops, work = traces.member_rows(family, scale, eps=eps)
+    heights = list(map(operator.sub, tops, [0, *tops]))
+    integrals = [sum(map(operator.mul, heights, map(int.bit_count, row))) for row in work]
     top, ncells = family.nmax, 1 << depth
     step_scaled = scale >> g
-
-    # Every row as level masks over the thresholds the rows hold, ascending;
-    # heights[k] = tops[k] - tops[k-1].
-    tops = sorted({v for row in cell_rows for v in row} - {0})
-    heights = list(map(operator.sub, tops, [0, *tops]))
-    work = [fatou._level_masks(row, tops) for row in cell_rows]
     phi = [0] * len(tops)
 
     words = words_up_to(depth)
@@ -128,7 +125,8 @@ def fatou_per_word(family, eps, eps_prime, grid):
     for start in range(top + 1):
         low = min(start, top - 1)  # the tail start reads member nmax-1
         members = range(low, top)
-        # Thresholds only the members before low held go.  The cellwise
+        # Thresholds no row holds go: event values raised only under larger
+        # ones, then those only the members before low held.  The cellwise
         # minimum of work[low:] is the AND of their masks; a commit raises
         # every member to u, so it rises to u too.  Where u stays under it
         # no member gains anything: the attempt caps and commits nothing.

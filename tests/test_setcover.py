@@ -55,6 +55,15 @@ def test_two_set_example():
     assert verify_set_cover(fam, 1, res).passed
 
 
+def test_an_acceptance_that_fills_a_member_refuses_later_elements():
+    # At start 0, a fills U_1 = {y, z, w}, so x, which fit U_1 before, is
+    # refused there; y and z still fit, z fills U_0, and w waits for start 1.
+    fam = parse_trace("family sets nmax=2\nadd 0 a\nadd 0 x\nadd 1 y\nadd 1 z\nadd 1 w\n")
+    res = run_set_cover(fam, 2)
+    assert res.log == ((0, "a"), (0, "y"), (0, "z"), (1, "w"))
+    assert (res.cover, list(res.log)) == literal_set_cover(fam, 2)
+
+
 def test_rejected_element_stays_out():
     # (0, a) must be rejected: U_1 would grow to three elements.
     fam = parse_trace(SHIFT_TRACE)
@@ -149,11 +158,11 @@ def test_random_sweep_all_pass():
 
 def test_matches_literal_reference():
     rng = random.Random(43)
-    for i in range(80):
-        k = rng.randint(0, 2)
-        nmax = rng.randint(1, 6)
+    for i in range(200):
+        k = rng.randint(0, 3)
+        nmax = rng.randint(1, 24)
         text = gen.gen_trace(
-            "sets", nmax, seed=2000 + i, universe=rng.randint(1, 8), bound=1 << k
+            "sets", nmax, seed=2000 + i, universe=rng.randint(1, 16), bound=1 << k
         )
         fam = parse_trace(text)
         fast = run_set_cover(fam, k)

@@ -1,5 +1,6 @@
 """Trace grammar, stabilized-tail semantics, stage monotonicity, oracles."""
 
+import math
 import operator
 import random
 from dataclasses import replace
@@ -379,8 +380,8 @@ def test_family_constructor_enforces_type_invariants():
     ("tree", 2, 18, 0, 1, "1572861 attempts of 2^18 cells"),
     ("func", 1, 17, 0, 4, "2097144 attempts of 2^17 cells"),
     ("func", 300_000, 1, 0, 1 << 18, "235930386432 attempts of 2^1 cells"),
-    # A member step costs about what 2^9 cells do: setcover on 4,096 one-key
-    # members took about 2 s, and 16,384 took 36 s.
+    # The member limit priced a member step at about 2^9 cells: setcover on
+    # 4,096 one-key members took about 2 s on per-member sets (7 ms on masks).
     ("sets", 4096, None, 1, 1, "4097 attempts of 4096 members"),
     ("sets", 10**8, None, 1, 1, "100000001 attempts of 100000000 members"),
     ("measure", 10**11, None, 0, 1, "100000000001 attempts of 100000000000 members"),
@@ -433,17 +434,56 @@ def test_run_size_bounds_the_common_denominator():
 
 
 def test_heap_rows_keep_each_words_largest_value():
-    fam = parse_trace("family func nmax=3 depth=2\nraise 0 e 1/2\nraise 1 01 1/3\nraise 2 1 1/4\n"
+    fam = parse_trace("family tree nmax=3 depth=2\nraise 0 e 1/2\nraise 1 01 1/3\nraise 2 1 1/4\n"
                       "raise 2 1 1/6\nraise 1 e 1/6\n")
     rows = traces.heap_rows(fam, 12)
     assert rows == [[6, 0, 0, 0, 0, 0, 0], [2, 0, 0, 0, 4, 0, 0], [0, 0, 3, 0, 0, 0, 0]]
 
 
+def test_member_rows_func_masks_are_the_painted_cells():
+    # Mask k of a member holds the cells where func_eval reaches tops[k],
+    # the values of the events.  In the last family 1/4 is raised only
+    # under 1/2: no cell holds it, so its mask is the next one.
+    rng = random.Random(5)
+    texts = [gen.gen_trace("func", nmax, seed, depth=depth)
+             for seed, (nmax, depth) in enumerate([(1, 1), (3, 2), (5, 4), (8, 6), (4, 7)] * 4)]
+    for i in range(30):  # off the dyadic grid
+        nmax, depth = rng.randint(1, 5), rng.randint(1, 5)
+        lines = [f"family func nmax={nmax} depth={depth}"]
+        for _ in range(rng.randint(0, 8)):
+            word = "".join(rng.choice("01") for _ in range(rng.randint(0, depth))) or "e"
+            lines.append(f"raise {rng.randrange(nmax)} {word} 1/{rng.randint(3, 12)}")
+        texts.append("\n".join(lines) + "\n")
+    texts.append("family func nmax=2 depth=2\nraise 0 e 1/2\nraise 0 0 1/4\nraise 1 1 1/3\n")
+    for text in texts:
+        fam = parse_trace(text)
+        scale = math.lcm(*(e.value.denominator for e in fam.events))
+        tops, rows = traces.member_rows(fam, scale)
+        assert tops == sorted({e.value * scale for e in fam.events}), text
+        cells = [format(c, f"0{fam.depth}b") for c in range(1 << fam.depth)]
+        painted = [[sum(1 << c for c, cell in enumerate(cells)
+                        if traces.func_eval(table, cell, fam.depth) * scale >= t) for t in tops]
+                   for table in traces.values_by_index(fam)]
+        assert rows == painted, text
+    assert (tops, rows) == ([3, 4, 6], [[15, 15, 15], [12, 12, 0]])
+
+
+def test_member_rows_sets_masks_are_the_members():
+    rng = random.Random(6)
+    for i in range(60):
+        fam = parse_trace(gen.gen_trace("sets", rng.randint(1, 12), i, universe=rng.randint(1, 40),
+                                        bound=rng.randint(1, 8)))
+        univ = traces.universe(fam)
+        rows = traces.member_rows(fam)
+        assert [frozenset(u for b, u in enumerate(univ) if row >> b & 1) for row in rows] == \
+            traces.sets_by_index(fam)
+
+
 @pytest.mark.parametrize("kind,builder,run", [
-    ("func", "heap_rows", lambda f: fatou.run_fatou(f, F(1, 4), F(3, 8), RationalGrid(3))),
+    ("func", "member_rows", lambda f: fatou.run_fatou(f, F(1, 4), F(3, 8), RationalGrid(3))),
     ("tree", "heap_rows", lambda f: run_tree_cover(f, RationalGrid(4))),
     ("measure", "values_by_index", lambda f: run_measure_cover(f, RationalGrid(4))),
-    ("sets", "sets_by_index", lambda f: run_set_cover(f, 2)),
+    ("sets", "member_rows", lambda f: run_set_cover(f, 2)),
 ], ids=["fatou", "tree", "measure", "sets"])
 def test_each_run_builds_its_member_rows_once(monkeypatch, kind, builder, run):
     # member_rows checks the member bounds on the rows the run then uses.
@@ -451,7 +491,8 @@ def test_each_run_builds_its_member_rows_once(monkeypatch, kind, builder, run):
     fam = parse_trace(gen.gen_trace(kind, 8, 1, depth=depth, bound=4))
     calls = []
     built = getattr(traces, builder)
-    monkeypatch.setattr(traces, builder, lambda *args: calls.append(args) or built(*args))
+    monkeypatch.setattr(traces, builder,
+                        lambda *args, **kw: calls.append(args) or built(*args, **kw))
     run(fam)
     assert len(calls) == 1
 
