@@ -260,18 +260,13 @@ def sets_by_index(family: StabilizedFamily) -> list[frozenset[str]]:
     return [frozenset(s) for s in out]
 
 
-def _open_words(family: StabilizedFamily) -> list[set[str]]:
-    """Each open member's words as listed, not canonicalized."""
+def opens_by_index(family: StabilizedFamily) -> list[CylinderSet]:
     if family.kind != "open":
         raise InputError(f"expected an open family, got {family.kind!r}")
     words: list[set[str]] = [set() for _ in range(family.nmax)]
     for e in family.events:
         words[e.index].add(e.key)
-    return words
-
-
-def opens_by_index(family: StabilizedFamily) -> list[CylinderSet]:
-    return [CylinderSet(w) for w in _open_words(family)]
+    return [CylinderSet(w) for w in words]
 
 
 def values_by_index(family: StabilizedFamily) -> list[dict[str, Fraction]]:
@@ -310,14 +305,17 @@ def func_eval(table: dict[str, Fraction], cell: str, depth: int | None) -> Fract
 
 
 def liminf_sets(family: StabilizedFamily) -> frozenset[str]:
-    """Elements belonging to almost all U_n: the members of U_{nmax-1}."""
-    return sets_by_index(family)[-1]
+    """Elements belonging to almost all U_n: the members of U_{nmax-1}, read
+    from its events only."""
+    if family.kind != "sets":
+        raise InputError(f"expected a sets family, got {family.kind!r}")
+    return frozenset(e.key for e in family.events if e.index == family.nmax - 1)
 
 
 def liminf_sets_witness(family: StabilizedFamily) -> tuple[frozenset[str], int]:
     """The liminf plus the smallest N with liminf contained in every U_n, n >= N."""
-    limit = liminf_sets(family)
     sets_ = sets_by_index(family)
+    limit = sets_[-1]
     witness = family.nmax - 1
     for start in range(family.nmax - 1, -1, -1):
         if not limit <= sets_[start]:
@@ -330,8 +328,10 @@ def liminf_sets_witness(family: StabilizedFamily) -> tuple[frozenset[str], int]:
 def liminf_open(family: StabilizedFamily) -> CylinderSet:
     """Exact liminf of an open family: U_{nmax-1}, the union of its suffix
     intersections under the tail rule (at desk scale no interior needs to
-    be taken, since cylinder sets are clopen)."""
-    return CylinderSet(_open_words(family)[-1])
+    be taken, since cylinder sets are clopen), read from its events only."""
+    if family.kind != "open":
+        raise InputError(f"expected an open family, got {family.kind!r}")
+    return CylinderSet(e.key for e in family.events if e.index == family.nmax - 1)
 
 
 def liminf_values(family: StabilizedFamily, point: str) -> Fraction:

@@ -8,7 +8,9 @@ words at once.
 fatou_specializes is the paper's "same argument" as a test: a finite set,
 a semimeasure or an open set is the indicator case of a step function, so
 the step-function pipeline run on the embedded family must guarantee
-everything the set, semimeasure or open pipeline guarantees.
+everything the set, semimeasure or open pipeline guarantees; for an open
+family trim_is_one_level makes it exact, the trim run being the
+step-function run on the indicators at one level.
 """
 
 from __future__ import annotations
@@ -280,9 +282,9 @@ def fatou_specializes(
     dominate the grid floor of the element's tail value.  For an open family
     each U_n becomes its indicator at the family's own depth; the check per
     liminf cell is that phi reaches 1 there and that the trim cover contains
-    the cell, and a last row, ``measure``, checks that
-    the cells where phi reaches 1 have measure at most eps' = (1 + eps) / 2,
-    eps the largest member measure.
+    the cell, a row ``measure`` checks that the cells where phi reaches 1
+    have measure at most eps' = (1 + eps) / 2, eps the largest member
+    measure, and the rows of trim_is_one_level follow.
     """
     if family.kind == "open":
         return _open_specializes(family, grid)
@@ -338,10 +340,7 @@ def _open_specializes(family: traces.StabilizedFamily, grid: RationalGrid) -> Sp
         raise InputError(f"member {measures.index(1)} is the whole space: no eps' above its measure")
     eps = max([*measures, Fraction(1, 1 << (depth + 1))])
     eps_prime = (1 + eps) / 2
-    # Each add of a word w to U_n becomes the raise of w to 1 in f_n.
-    events = tuple(traces.Event(e.index, e.key, Fraction(1)) for e in family.events)
-    embedded = traces.StabilizedFamily("func", family.nmax, depth, events)
-    outcome = fatou.run_fatou(embedded, eps, eps_prime, grid)
+    outcome = fatou.run_fatou(open_indicators(family), eps, eps_prime, grid)
     cover = opencover.run_trim_cover(family, eps, eps_prime).cover.cells(depth)
     rows = []
     for cell in sorted(traces.liminf_open(family).cells(depth)):
@@ -351,7 +350,51 @@ def _open_specializes(family: traces.StabilizedFamily, grid: RationalGrid) -> Sp
     reached = Fraction(sum(v >= 1 for v in outcome.phi.cells), 1 << depth)
     rows.append(("measure", reached <= eps_prime,
                  f"phi>=1 on {format_rational(reached)} eps'={format_rational(eps_prime)}"))
-    return _report(rows)
+    return _report(rows + trim_is_one_level(family, eps, eps_prime))
+
+
+def open_indicators(family: traces.StabilizedFamily) -> traces.StabilizedFamily:
+    """The func family of the open members' indicators: each add of a word w
+    to U_n becomes the raise of w to 1 in f_n."""
+    events = tuple(traces.Event(e.index, e.key, Fraction(1)) for e in family.events)
+    return traces.StabilizedFamily("func", family.nmax, family.depth, events)
+
+
+def _one_level() -> RationalGrid:
+    """The grid of resolution 0, whose one level is r = 1, built past
+    RationalGrid's refusal of 0."""
+    grid = object.__new__(RationalGrid)
+    object.__setattr__(grid, "resolution", 0)
+    return grid
+
+
+def trim_is_one_level(
+    family: traces.StabilizedFamily, eps: Fraction, eps_prime: Fraction
+) -> list[tuple[str, bool, str]]:
+    """The open trim run is run_fatou on the indicators at one level, exactly.
+
+    Rows: ``cover``, phi takes only the values 0 and 1, and is 1 on the
+    trim cover's cells; ``attempts``, the two attempt counts are equal;
+    ``log``, run_fatou's log as (attempt, start, word, trims) is the trim
+    pieces' in order; ``trims``, each logged trim count is the trim record's
+    at its attempt.
+    """
+    trim = opencover.run_trim_cover(family, eps, eps_prime)
+    one = fatou.run_fatou(open_indicators(family), eps, eps_prime, _one_level())
+    depth = family.depth
+    ones = {format(i, f"0{depth}b") for i, v in enumerate(one.phi.cells) if v == 1}
+    cover = trim.cover.cells(depth)
+    binary = set(one.phi.cells) <= {0, 1}
+    logged = [(attempt, start, word, count) for attempt, start, word, _, count in one.log]
+    pieces = [(p.attempt, p.start, p.word, p.trims) for p in trim.pieces]
+    wrong = [(a, n) for a, _, _, n in logged if n != trim.trims[a]]
+    return [
+        ("cover", binary and ones == cover, f"phi=1 on {len(ones)} cells, cover {len(cover)}"
+         f"{'' if binary else ', phi not 0 or 1'}"),
+        ("attempts", one.attempts == trim.attempts, f"{one.attempts} vs {trim.attempts}"),
+        ("log", logged == pieces, f"{len(logged)} logged, {len(pieces)} pieces"),
+        ("trims", not wrong, f"attempt {wrong[0][0]}: {wrong[0][1]} trims" if wrong else ""),
+    ]
 
 
 def _report(rows: list[tuple[str, bool, str]]) -> SpecializeReport:

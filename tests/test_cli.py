@@ -1,5 +1,6 @@
 """CLI behavior: reports, exit codes, diagnostics, determinism, goldens."""
 
+import ast
 import hashlib
 import re
 import time
@@ -9,10 +10,11 @@ from pathlib import Path
 
 import pytest
 
+import limcov
 from limcov import fatou, gen, opencover, traces
 from limcov.cli import COMMANDS, _build_parser, main
 from limcov.fatou import StepFunction
-from limcov.kernel import CylinderSet, RealInterval, words_up_to
+from limcov.kernel import CylinderSet, InputError, RealInterval, words_up_to
 from limcov.measurecover import RationalGrid
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -230,6 +232,12 @@ def test_gen_determinism_and_caps(tmp_path, capsys):
     assert code == 2
     code, _, err = run(capsys, "gen", "--kind", "open", "--nmax", "4", "--depth", "13", "--seed", "0")
     assert code == 2
+    # The library entry point also refuses what the CLI's choices and
+    # defaults keep out: an unknown kind and a depth kind without a depth.
+    with pytest.raises(InputError, match="unknown family kind 'bogus'"):
+        gen.gen_trace("bogus", 2, 0)
+    with pytest.raises(InputError, match="kind 'open' needs a depth"):
+        gen.gen_trace("open", 2, 0)
 
 
 def test_gen_single_member_family(tmp_path, capsys):
@@ -529,6 +537,7 @@ def exit_two_cases():
          None, "bound must be non-negative"),
         ("sweep-bound", ["sweep", "--kind", "sets", "--count", "2", "--bound", "-1"], None,
          "bound must be non-negative"),
+        ("sweep-count", ["sweep", "--kind", "sets", "--count", "0"], None, "count must be positive"),
         ("gen-eps", ["gen", "--kind", "func", "--nmax", "4", "--depth", "3", "--seed", "1",
                      "--eps", "-1"], None, "eps must be non-negative"),
         # The generators build one token per universe element.
@@ -756,72 +765,183 @@ def test_largest_exponent_still_renders(tmp_path, capsys):
     assert f"EPS 1/{1 << 14284}" in out.splitlines()
 
 
-# One corruption of a run's result per row with a verifier (sweep's verdict is
-# the other rows'): the row's flags besides its input file, the input file's
-# text, the corruption, and a check it must fail.
+# One forged result per check in src/limcov, keyed by (module.function, check
+# name) as check_sites() finds it: the COMMANDS row that reaches the check,
+# the row's flags besides its input file, the input file's text, and the
+# forgery, whose verdict must list the check among its failures.
+DRIFT = (GOLDENS / "drift.trace").read_text()
+HALFFN = (GOLDENS / "halffn.trace").read_text()
+MEASURE_TRACE = "family measure nmax=2\nraise 0 a 1/2\nraise 1 a 1/2\n"
+TREE_TRACE = "family tree nmax=1 depth=1\nraise 0 e 3/4\nraise 0 0 3/4\n"
+OPEN_FLAGS = ["--eps", "1/4", "--eps-prime", "1/2"]
+FATOU_FLAGS = [*OPEN_FLAGS, "--grid", "2"]
+OMEGA_FLAGS = ["--prefix", "2,1/8", "--cycle", "1/2,1/4,3/8", "--eps", "1/4"]
+COVER_FLAGS = ["--c", "1", "--nmax", "3", "--depth", "3"]
 MUTATIONS = {
-    "setcover": (
-        ["--k", "1"], SHIFT_TRACE,
+    ("setcover.verify_set_cover", "log-consistency"): (
+        "setcover", ["--k", "1"], SHIFT_TRACE, lambda r: replace(r, log=r.log + r.log[:1]),
+    ),
+    ("setcover.verify_set_cover", "cardinality"): (
+        "setcover", ["--k", "1"], SHIFT_TRACE,
+        lambda r: replace(r, cover=frozenset("abc"), log=tuple((0, u) for u in "abc")),
+    ),
+    ("setcover.verify_set_cover", "coverage"): (
+        "setcover", ["--k", "1"], SHIFT_TRACE,
         lambda r: replace(r, cover=r.cover - {"c"}, log=tuple(e for e in r.log if e[1] != "c")),
-        "coverage",
     ),
-    "measurecover": (
-        [], "family measure nmax=2\nraise 0 a 1/2\nraise 1 a 1/2\n",
-        lambda r: replace(r, log=r.log[:-1]), "log-consistency",
+    ("measurecover._replay_log", "log-consistency"): (
+        "measurecover", [], MEASURE_TRACE, lambda r: replace(r, log=r.log[:-1]),
     ),
-    "treecover": (
-        ["--grid", "2"], "family tree nmax=1 depth=1\nraise 0 e 3/4\nraise 0 0 3/4\n",
-        lambda r: replace(r, table={}, log=()), "grid-floor",
+    ("measurecover.verify_measure_cover", "semimeasure"): (
+        "measurecover", [], MEASURE_TRACE,
+        lambda r: replace(r, table={"a": Fraction(2)}, log=(("a", 0, Fraction(2)),)),
     ),
-    "freq": (["--horizon", "3"], "0 a\n1 b\n2 a\n", lambda r: replace(r, table={}),
-             "suffix-domination"),
-    "opencover": (
-        ["--eps", "1/4", "--eps-prime", "1/2"], (GOLDENS / "drift.trace").read_text(),
-        lambda r: replace(r, cover=CylinderSet.empty(), pieces=()), "coverage",
+    ("measurecover.verify_measure_cover", "grid-floor"): (
+        "measurecover", [], MEASURE_TRACE, lambda r: replace(r, table={}, log=()),
     ),
-    "omegademo": (
-        ["--cycle", "1/4,1/2", "--eps", "3/8"], None,
+    ("measurecover.verify_tree_cover", "tree-law"): (
+        "treecover", ["--grid", "2"], TREE_TRACE,
+        lambda r: replace(r, table={"": Fraction(1, 2), "0": Fraction(3, 4)},
+                          log=(("", 0, Fraction(1, 2)), ("0", 0, Fraction(3, 4)))),
+    ),
+    ("measurecover.verify_tree_cover", "grid-floor"): (
+        "treecover", ["--grid", "2"], TREE_TRACE, lambda r: replace(r, table={}, log=()),
+    ),
+    ("measurecover.verify_frequency_cover", "suffix-domination"): (
+        "freq", ["--horizon", "3"], "0 a\n1 b\n2 a\n", lambda r: replace(r, table={}),
+    ),
+    ("measurecover.verify_frequency_cover", "semimeasure"): (
+        "freq", ["--horizon", "3"], "0 a\n1 b\n2 a\n",
+        lambda r: replace(r, table={"a": Fraction(2)}),
+    ),
+    ("opencover.verify_open_cover", "piece-consistency"): (
+        "opencover", OPEN_FLAGS, DRIFT, lambda r: replace(r, cover=CylinderSet.empty()),
+    ),
+    ("opencover.verify_open_cover", "measure-bound"): (
+        "opencover", OPEN_FLAGS, DRIFT,
+        lambda r: replace(r, cover=CylinderSet.full(),
+                          pieces=(*r.pieces, replace(r.pieces[0], added=CylinderSet.full()))),
+    ),
+    ("opencover.verify_open_cover", "threshold-bound"): (
+        "opencover", OPEN_FLAGS, DRIFT, lambda r: replace(r, attempts=r.attempts + 1),
+    ),
+    ("opencover.verify_open_cover", "coverage"): (
+        "opencover", OPEN_FLAGS, DRIFT,
+        lambda r: replace(r, cover=CylinderSet.empty(), pieces=()),
+    ),
+    ("opencover.verify_open_cover", "trim-bound"): (
+        "opencover", OPEN_FLAGS, DRIFT, lambda r: replace(r, trims=(1 << 20,)),
+    ),
+    ("opencover.verify_omega_family", "prefix-intervals"): (
+        "omegademo", OMEGA_FLAGS, None,
+        lambda r: replace(r, intervals=(RealInterval(Fraction(0), Fraction(1)), *r.intervals[1:])),
+    ),
+    ("opencover.verify_omega_family", "tail-membership"): (
+        "omegademo", OMEGA_FLAGS, None, lambda r: replace(r, w_min=r.w_min + 1),
+    ),
+    ("opencover.verify_omega_family", "tail-measure-identity"): (
+        "omegademo", ["--cycle", "1/4,1/2", "--eps", "3/8"], None,
         lambda r: replace(r, intervals=r.intervals[:-1] + (RealInterval(Fraction(0), Fraction(1)),)),
-        "tail-measure-identity",
     ),
-    "fatou": (
-        ["--eps", "1/4", "--eps-prime", "1/2", "--grid", "2"],
-        (GOLDENS / "halffn.trace").read_text(),
+    ("fatou.verify_fatou", "integral-bound"): (
+        "fatou", FATOU_FLAGS, HALFFN,
+        lambda r: replace(r, phi=StepFunction(r.phi.depth, (Fraction(1),) * len(r.phi.cells))),
+    ),
+    ("fatou.verify_fatou", "threshold-bound"): (
+        "fatou", FATOU_FLAGS, HALFFN, lambda r: replace(r, attempts=r.attempts - 1),
+    ),
+    ("fatou.verify_fatou", "cell-domination"): (
+        "fatou", FATOU_FLAGS, HALFFN,
         lambda r: replace(r, phi=StepFunction(r.phi.depth, (Fraction(0),) * len(r.phi.cells))),
-        "cell-domination",
     ),
-    "randlab deficiency": (["--n", "2", "--c", "0"], "0 00\n", lambda r: r | {"11"},
-                           "oracle-agreement"),
-    "randlab cover": (
-        ["--c", "1", "--nmax", "3", "--depth", "3"], "0 00\n",
+    ("randlab.verify_deficiency_sets", "oracle-agreement"): (
+        "randlab deficiency", ["--n", "2", "--c", "0"], "0 00\n", lambda r: r | {"11"},
+    ),
+    ("randlab.verify_deficiency_sets", "count-bound"): (
+        "randlab deficiency", ["--n", "2", "--c", "0"], "0 00\n",
+        lambda r: frozenset(["00", "01", "10", "11"]),
+    ),
+    ("randlab.deficiency_family_verdict", "deficiency-counts"): (
+        "randlab cover", COVER_FLAGS, "0 00\n",
         lambda r: (replace(r[0], events=r[0].events + (traces.Event(2, "11"),)), r[1]),
-        "deficiency-counts",
     ),
-    "randlab stabilize": (
-        ["--c", "1"], "0 3 0\n",
+    ("randlab.verify_stabilize", "count-bound"): (
+        "randlab stabilize", ["--c", "1"], "0 3 0\n",
+        lambda r: replace(r, covered={n: col[1:] for n, col in r.covered.items()}),
+    ),
+    ("randlab.verify_stabilize", "measure-bound"): (
+        "randlab stabilize", ["--c", "1"], "0 3 0\n",
+        lambda r: replace(r, totals={n: t / 2 for n, t in r.totals.items()}),
+    ),
+    ("randlab.verify_stabilize", "code-injectivity"): (
+        "randlab stabilize", ["--c", "1"], "0 3 0\n",
         lambda r: replace(r, codes={n: dict.fromkeys(col, "00") for n, col in r.codes.items()}),
-        "code-injectivity",
     ),
-    "randlab bard": (["--x", "0", "--length", "2"], "0 00\n", lambda r: r + 1,
-                     "oracle-agreement"),
+    ("randlab.verify_bar_deficiency", "oracle-agreement"): (
+        "randlab bard", ["--x", "0", "--length", "2"], "0 00\n", lambda r: r + 1,
+    ),
 }
+
+
+def _calls(node, where):
+    """Each call under ``node`` with the dotted name of the function or class
+    it sits in, ``where`` at the top."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _calls(child, f"{where}.{child.name}")
+            continue
+        if isinstance(child, ast.Call):
+            yield where, child
+        yield from _calls(child, where)
+
+
+def check_sites():
+    """Every check in src/limcov as (module.function, name): the literal
+    first argument of each Check(...) and check_liminf_domination(...) call,
+    and threshold-bound for each threshold_check(...) call, outside the
+    bodies of those two helpers, which their callers stand for; and the
+    functions that name a check by a computed value."""
+    helpers = {"threshold_check", "check_liminf_domination"}
+    sites, computed = [], set()
+    for path in sorted(Path(limcov.__file__).parent.glob("*.py")):
+        for where, call in _calls(ast.parse(path.read_text()), path.stem):
+            callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+            if callee == "threshold_check":
+                sites.append((where, "threshold-bound"))
+            elif callee in ("Check", "check_liminf_domination") and where.split(".")[-1] not in helpers:
+                name = call.args[0]
+                if isinstance(name, ast.Constant) and isinstance(name.value, str):
+                    sites.append((where, name.value))
+                else:
+                    computed.add(where)
+    return sites, computed
+
+
+def test_every_check_has_a_forged_result_that_fails_it():
+    sites, computed = check_sites()
+    assert len(sites) == len(set(sites))  # one site per (function, check)
+    assert sorted(sites) == sorted(MUTATIONS)
+    # sweep's checks are its seeds, each failing with a row's check.
+    assert computed == {"cli._run_sweep"}
 
 
 @pytest.mark.parametrize(
     "name", [name for name, row in COMMANDS.items() if row.verify and name != "sweep"]
 )
 def test_corrupted_result_fails_its_row_verifier(name):
-    flags, text, corrupt, check = MUTATIONS[name]  # every verified row needs a case
+    cases = [(check, *case) for (_, check), (row_name, *case) in MUTATIONS.items() if row_name == name]
+    assert cases  # every verified row needs a case
     row = COMMANDS[name]
-    source = [f"--{row.source}", "unread"] if row.source else []
-    argv = [*name.split(), *source, *flags]
-    args = _build_parser().parse_args(argv)
-    given = row.parse(args, text.encode()) if row.source else None
-    result = row.run(args, given)
-    assert row.verify(args, given, result).passed
-    failed = row.verify(args, given, corrupt(result)).failures()
-    assert check in [c.name for c in failed]
-    assert all(c.witness for c in failed)
+    for check, flags, text, corrupt in cases:
+        source = [f"--{row.source}", "unread"] if row.source else []
+        argv = [*name.split(), *source, *flags]
+        args = _build_parser().parse_args(argv)
+        given = row.parse(args, text.encode()) if row.source else None
+        result = row.run(args, given)
+        assert row.verify(args, given, result).passed
+        failed = row.verify(args, given, corrupt(result)).failures()
+        assert check in [c.name for c in failed], (check, failed)
+        assert all(c.witness for c in failed)
 
 
 def append_tail_copy(family):

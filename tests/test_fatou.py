@@ -17,7 +17,7 @@ from limcov.kernel import InputError, cell_span, format_rational, words_up_to
 from limcov.measurecover import RationalGrid
 from limcov.opencover import DeltaSchedule
 from limcov.traces import parse_trace
-from reference import fatou_per_word, fatou_specializes
+from reference import fatou_per_word, fatou_specializes, trim_is_one_level
 
 F = Fraction
 ZERO = F(0)
@@ -730,8 +730,8 @@ OPEN_EMBEDDED = "family open nmax=2 depth=2\nadd 0 1\nadd 1 1\nadd 0 00\n"
 def test_specializes_open():
     report = fatou_specializes(parse_trace(OPEN_EMBEDDED), RationalGrid(2))
     assert report.verdict.passed
-    assert [u for u, _, _ in report.rows] == ["10", "11", "measure"]
-    assert report.rows[-1][2] == "phi>=1 on 3/4 eps'=7/8"
+    assert [u for u, _, _ in report.rows] == ["10", "11", "measure", "cover", "attempts", "log", "trims"]
+    assert report.rows[2][2] == "phi>=1 on 3/4 eps'=7/8"
 
 
 def test_lowered_phi_on_a_liminf_cell_flips_open_specialization(monkeypatch):
@@ -746,7 +746,39 @@ def test_raised_phi_past_eps_prime_fails_the_measure_row(monkeypatch):
     _phi_replaced(monkeypatch, {0: F(1), 1: F(1)})
     report = fatou_specializes(parse_trace(OPEN_EMBEDDED), RationalGrid(2))
     assert [(c.name, c.witness) for c in report.verdict.failures()] == [("specialization", "measure")]
-    assert report.rows[-1] == ("measure", False, "phi>=1 on 1 eps'=7/8")
+    assert report.rows[2] == ("measure", False, "phi>=1 on 1 eps'=7/8")
+
+
+def test_open_trim_is_the_one_level_step_function_run():
+    # 300 gen families, then open 64x12 at gen's cap: the cover, the
+    # attempts, the log against the pieces and the trim counts, exactly.
+    rng = random.Random(35)
+    families = [
+        parse_trace(gen.gen_trace("open", rng.randint(1, 12), 9900 + i, depth=rng.randint(1, 8),
+                                  eps=F(1, 4)))
+        for i in range(300)
+    ]
+    families.append(parse_trace(gen.gen_trace("open", gen.NMAX_CAP, 1, depth=gen.DEPTH_CAP,
+                                              eps=F(1, 4))))
+    for fam in families:
+        rows = trim_is_one_level(fam, F(1, 4), F(3, 8))
+        assert [name for name, ok, _ in rows if not ok] == [], (fam.nmax, fam.depth, rows)
+    assert rows[2] == ("log", True, "55 logged, 55 pieces")
+
+
+def test_one_level_rows_fail_on_a_forged_run(monkeypatch):
+    fam = parse_trace(OPEN_EMBEDDED)
+    real = fatou.run_fatou
+
+    def forged(family, eps, eps_prime, grid):
+        res = real(family, eps, eps_prime, grid)
+        log = tuple((a + 1, n, w, v, t + 1) for a, n, w, v, t in res.log)
+        return replace(res, attempts=res.attempts + 1, log=log,
+                       phi=StepFunction(res.phi.depth, (F(1, 2),) * len(res.phi.cells)))
+
+    monkeypatch.setattr(fatou, "run_fatou", forged)
+    rows = trim_is_one_level(fam, F(3, 4), F(7, 8))
+    assert [name for name, ok, _ in rows if not ok] == ["cover", "attempts", "log", "trims"]
 
 
 def test_specializes_overflow():

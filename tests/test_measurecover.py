@@ -376,6 +376,14 @@ def test_tree_mutations_flip_their_checks():
     failed = verify_tree_cover(fam, grid, dropped).failures()
     assert "log-consistency" in [c.name for c in failed]
 
+    # A key logged again below its maximum: the maxima are still the table.
+    key, start, r = res.log[0]
+    relogged = replace(res, log=(*res.log, (key, start, r / 2)))
+    failed = verify_tree_cover(fam, grid, relogged).failures()
+    assert [(c.name, c.witness) for c in failed] == [
+        ("log-consistency", "table disagrees with the acceptance log")
+    ]
+
     # "1" has liminf 1/3, floor 1/4 on the 1/8 grid; 1/8 keeps log and tree law.
     assert traces.liminf_values(fam, "1") == F(1, 3)
     lowered = type(res)(

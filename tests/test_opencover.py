@@ -30,7 +30,7 @@ from limcov.opencover import (
     verify_open_cover,
 )
 from limcov.traces import liminf_open, parse_trace
-from reference import delta, trim_cover_per_word, trim_limit
+from reference import delta, trim_cover_per_word, trim_is_one_level, trim_limit
 
 F = Fraction
 
@@ -470,6 +470,7 @@ def test_hand_built_families_match_literal_reference(text, eps, eps_prime):
         res = (run_trim_cover if trim else run_naive_cover)(fam, eps, eps_prime)
         assert run_rows(res, eps, eps_prime) == literal_cover(fam, eps, eps_prime, trim), trim
         assert verify_open_cover(fam, eps, eps_prime, res).passed
+    assert all(ok for _, ok, _ in trim_is_one_level(fam, eps, eps_prime))
 
 
 # Each case breaks one condition of the level rule (see the opencover module

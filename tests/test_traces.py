@@ -127,6 +127,13 @@ def test_format_trace_round_trip():
     fam = parse_trace(text)
     assert format_trace(fam) == text
     assert parse_trace(format_trace(fam)) == fam
+    # The add lines of generated sets and open traces.
+    for kind, extra in (("sets", {}), ("open", {"depth": 4, "eps": F(1, 4)})):
+        text = gen.gen_trace(kind, 6, 1, **extra)
+        fam = parse_trace(text)
+        assert any(e.value is None for e in fam.events)
+        assert format_trace(fam) == text
+        assert parse_trace(format_trace(fam)) == fam
 
 
 def test_stage_truncation_is_monotone():
@@ -347,8 +354,24 @@ def test_kind_accessor_mismatch():
         liminf_table(fam, ["a"])
     with pytest.raises(InputError, match="expected a valued family, got 'sets'"):
         traces.last_values(fam)
+    opened = parse_trace("family open nmax=1 depth=1\n")
     with pytest.raises(InputError, match="expected a sets family, got 'open'"):
-        liminf_sets(parse_trace("family open nmax=1 depth=1\n"))
+        liminf_sets(opened)
+    with pytest.raises(InputError, match="expected a sets family, got 'open'"):
+        traces.sets_by_index(opened)
+    # Each run's own guard, ahead of member_rows.
+    with pytest.raises(InputError, match="expected a sets family, got 'open'"):
+        run_set_cover(opened, 1)
+    with pytest.raises(InputError, match="expected a measure family, got 'sets'"):
+        run_measure_cover(fam, RationalGrid(1))
+    with pytest.raises(InputError, match="expected a tree family, got 'sets'"):
+        run_tree_cover(fam, RationalGrid(1))
+    with pytest.raises(InputError, match="expected a func family, got 'open'"):
+        fatou.run_fatou(opened, F(1, 4), F(1, 2), RationalGrid(1))
+    with pytest.raises(InputError, match="expected an open family, got 'sets'"):
+        opencover.run_trim_cover(fam, F(1, 4), F(1, 2))
+    with pytest.raises(InputError, match="expected a tree family, got 'open'"):
+        traces.heap_rows(opened, 1)
 
 
 def test_family_constructor_enforces_type_invariants():
@@ -360,6 +383,10 @@ def test_family_constructor_enforces_type_invariants():
         traces.StabilizedFamily("open", 1, None, ())
     with pytest.raises(InputError):
         traces.StabilizedFamily("measure", 1, 3, ())
+    with pytest.raises(InputError, match="unknown family kind 'bogus'"):
+        traces.StabilizedFamily("bogus", 1, None, ())
+    with pytest.raises(InputError, match="depth must be positive"):
+        traces.StabilizedFamily("open", 1, 0, ())
 
 
 @pytest.mark.parametrize("kind,nmax,depth,keys,levels,size", [
